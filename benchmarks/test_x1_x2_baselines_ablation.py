@@ -1,9 +1,10 @@
 """X1/X2: steady-state LP vs classical baselines, and the two ablations the
 paper's examples motivate.
 
-X1 — who wins: the LP schedule's measured throughput against direct
-(store-and-forward) scatter and flat/binary-tree reduce on the paper's
-platforms.  The paper's thesis predicts the LP wins or ties everywhere.
+X1 — who wins: the LP optimum against the registered classical baseline
+specs — direct (store-and-forward) scatter and flat/binary-tree reduce — on
+the paper's platforms, all as exact rationals.  The paper's thesis predicts
+the LP wins or ties everywhere.
 
 X2 — why it wins: (a) multi-route vs single shortest-path-tree routing for
 scatter; (b) multi-tree mixing vs the best single reduction tree for
@@ -12,10 +13,9 @@ reduce (Figures 11-12's two trees).
 
 from fractions import Fraction
 
-from repro.baselines.reduce_baselines import (
-    best_single_tree_throughput, binary_tree_reduce, flat_tree_reduce,
-)
-from repro.baselines.scatter_baselines import direct_scatter, spt_scatter_throughput
+from repro.baselines.reduce_baselines import best_single_tree_throughput
+from repro.baselines.scatter_baselines import spt_scatter_throughput
+from repro.collectives import solve_collective
 from repro.core.reduce_op import ReduceProblem, solve_reduce
 from repro.core.scatter import ScatterProblem, build_scatter_schedule, solve_scatter
 from repro.core.schedule import build_reduce_schedule
@@ -32,14 +32,14 @@ def test_x1_scatter_lp_vs_direct(benchmark, report):
     sol = solve_scatter(problem, backend="exact")
     sched = build_scatter_schedule(sol)
     lp_run = simulate_scatter(sched, problem, n_periods=60, record_trace=False)
-    direct = benchmark(lambda: direct_scatter(problem, n_ops=60,
-                                              record_trace=False))
+    direct = benchmark(lambda: solve_collective(problem,
+                                                collective="direct-scatter"))
     report.row("X1 scatter (Fig 2): LP steady throughput", "1/2 (optimal)",
                round(float(lp_run.measured_throughput()), 4))
     report.row("X1 scatter (Fig 2): direct store-and-forward", "<= 1/2",
-               round(direct.throughput, 4))
-    assert direct.throughput <= float(sol.throughput) + 1e-9
-    assert lp_run.measured_throughput() >= direct.throughput - 0.02
+               direct.throughput)
+    assert direct.throughput == Fraction(1, 2)
+    assert sol.throughput >= direct.throughput
 
 
 def test_x1_reduce_lp_vs_trees(benchmark, report):
@@ -50,20 +50,18 @@ def test_x1_reduce_lp_vs_trees(benchmark, report):
     lp_run = simulate_reduce(sched, problem, n_periods=60, record_trace=False)
 
     def run_baselines():
-        return (flat_tree_reduce(problem, n_ops=60, record_trace=False),
-                binary_tree_reduce(problem, n_ops=60, record_trace=False))
+        return (solve_collective(problem, collective="flat-tree-reduce"),
+                solve_collective(problem, collective="binary-tree-reduce"))
 
     flat, binary = benchmark(run_baselines)
     report.row("X1 reduce (Fig 6): LP steady throughput", "1 (optimal)",
                round(float(lp_run.measured_throughput()), 4))
-    report.row("X1 reduce (Fig 6): flat tree", "< 1", round(flat.throughput, 4))
-    report.row("X1 reduce (Fig 6): binary tree", "<= 1",
-               round(binary.throughput, 4))
-    assert flat.correct and binary.correct
-    assert flat.throughput <= 1 + 1e-9
-    assert binary.throughput <= 1 + 1e-9
-    assert lp_run.measured_throughput() >= max(flat.throughput,
-                                               binary.throughput) - 0.05
+    report.row("X1 reduce (Fig 6): flat tree", "< 1", flat.throughput)
+    report.row("X1 reduce (Fig 6): binary tree", "<= 1", binary.throughput)
+    assert flat.verify() == [] and binary.verify() == []
+    assert flat.throughput == Fraction(1, 2)
+    assert binary.throughput == Fraction(1, 2)
+    assert sol.throughput >= max(flat.throughput, binary.throughput)
 
 
 def test_x2_multiroute_ablation(benchmark, report):

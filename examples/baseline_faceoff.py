@@ -8,12 +8,15 @@ Generates a Tiers-like platform, then compares pipelined throughput of:
 - order-preserving binary-tree reduce,
 - the best single reduction tree extracted from the LP solution.
 
+Every baseline rate is an exact rational, and the LP optimum dominates each.
+
 Run:  python examples/baseline_faceoff.py
 """
 
-from repro.baselines.reduce_baselines import (
-    best_single_tree_throughput, binary_tree_reduce, flat_tree_reduce,
-)
+from fractions import Fraction
+
+from repro.baselines.reduce_baselines import best_single_tree_throughput
+from repro.collectives import solve_collective
 from repro.core.reduce_op import ReduceProblem, solve_reduce
 from repro.core.schedule import build_reduce_schedule
 from repro.platform.generators import tiers
@@ -39,18 +42,22 @@ def main() -> None:
                               record_trace=False)
         rows.append(["steady-state LP (this paper)",
                      f"{float(run.measured_throughput()):.4f}",
-                     f"{float(solution.throughput):.4f} (optimal)"])
+                     f"{solution.throughput} (optimal)"])
 
-    flat = flat_tree_reduce(problem, n_ops=80, record_trace=False)
-    rows.append(["flat tree", f"{flat.throughput:.4f}", ""])
-
-    binary = binary_tree_reduce(problem, n_ops=80, record_trace=False)
-    rows.append(["binary tree", f"{binary.throughput:.4f}", ""])
+    for name, pinned in (("flat-tree-reduce", Fraction(1, 48)),
+                         ("binary-tree-reduce", Fraction(1, 24))):
+        base = solve_collective(problem, collective=name)
+        assert base.verify() == [] and base.throughput == pinned
+        assert solution.throughput >= base.throughput
+        rows.append([name, f"{float(base.throughput):.4f}",
+                     str(base.throughput)])
 
     single, _ = best_single_tree_throughput(solution.extract(), problem)
-    rows.append(["best single LP tree (pipelined)", f"{float(single):.4f}", ""])
+    assert single <= solution.throughput
+    rows.append(["best single LP tree (pipelined)", f"{float(single):.4f}",
+                 str(single)])
 
-    print(format_table(["strategy", "throughput (ops/time-unit)", "LP bound"],
+    print(format_table(["strategy", "throughput (ops/time-unit)", "exact rate"],
                        rows, title="Series of Reduces — who wins"))
 
 

@@ -2,36 +2,20 @@
 
 The paper's thesis is that steady-state LP scheduling beats the classical
 makespan-oriented, single-route / single-tree approaches when operations are
-pipelined.  These baselines make that comparison concrete:
-
-Scatter
-    - :func:`~repro.baselines.scatter_baselines.direct_scatter` — the source
-      sends every message itself along shortest paths (store-and-forward),
-    - :func:`~repro.baselines.scatter_baselines.spt_scatter_throughput` —
-      the LP restricted to a single shortest-path tree (single-route
-      ablation),
-    - :func:`~repro.baselines.scatter_baselines.direct_scatter_solution` —
-      the same plan as a :class:`~repro.collectives.base.CollectiveSolution`
-      riding the shared ``verify()`` / ``edge_occupation()`` path.
-
-Reduce
-    - :func:`~repro.baselines.reduce_baselines.flat_tree_reduce` — everyone
-      ships its value to the target, which merges alone,
-    - :func:`~repro.baselines.reduce_baselines.binary_tree_reduce` — an
-      order-preserving balanced binary merge tree,
-    - :func:`~repro.baselines.reduce_baselines.best_single_tree_throughput`
-      — the best *one* reduction tree extracted from the LP solution,
-      pipelined alone (multi-tree ablation); each candidate is priced
-      through :func:`~repro.baselines.reduce_baselines.single_tree_solution`
-      so its rate is an exact rational and its loads pass shared
-      verification.
+pipelined.  Every baseline here is priced and replayed on the same one-port
+machinery as the LP solutions — shared ``verify()``, ``schedule_collective``
+and the two simulation engines — so each comparison is an exact rational.
 
 Classical algorithm specs (:mod:`repro.baselines.algorithms`)
     The textbook collectives, registered as first-class ``CollectiveSpec``
     plug-ins — reachable by name through ``solve_collective(problem,
-    collective=...)`` and replayable on both simulation engines:
+    collective=...)``:
 
     - ``direct-scatter`` — source-routed scatter on shortest paths,
+    - ``flat-tree-reduce`` — every owner ships its value to the target,
+      which merges alone, left to right,
+    - ``binary-tree-reduce`` — an order-preserving balanced binary merge
+      tree whose root result is forwarded to the target,
     - ``ring-reduce-scatter`` / ``ring-all-gather`` / ``ring-all-reduce``
       — the bidirectional-chain / ring-walk family,
     - ``halving-reduce-scatter`` / ``doubling-all-gather`` /
@@ -40,6 +24,17 @@ Classical algorithm specs (:mod:`repro.baselines.algorithms`)
     Each spec solves analytically (throughput = 1 / bottleneck load, an
     exact rational), emits a real :class:`PeriodicSchedule`, and is
     order-preserving so non-commutative combine operators stay correct.
+
+Ablations
+    - :func:`~repro.baselines.scatter_baselines.spt_scatter_throughput` —
+      the LP restricted to a single shortest-path tree (single-route
+      ablation),
+    - :func:`~repro.baselines.reduce_baselines.best_single_tree_throughput`
+      — the best *one* reduction tree extracted from the LP solution,
+      pipelined alone (multi-tree ablation); each candidate is priced
+      through :func:`~repro.baselines.reduce_baselines.single_tree_solution`
+      so its rate is an exact rational and its loads pass shared
+      verification.
 
 The optimality-gap auto-tuner (:mod:`repro.tune`, CLI ``repro tune``)
     solves the LP optimum for an instance, replays every applicable
@@ -50,25 +45,19 @@ The optimality-gap auto-tuner (:mod:`repro.tune`, CLI ``repro tune``)
 """
 
 from repro.baselines.scatter_baselines import (
-    direct_scatter,
     direct_scatter_solution,
     spt_scatter_throughput,
 )
 from repro.baselines.reduce_baselines import (
     best_single_tree_throughput,
-    binary_tree_reduce,
-    flat_tree_reduce,
     single_tree_resource_load,
     single_tree_solution,
 )
 
 __all__ = [
-    "direct_scatter",
     "direct_scatter_solution",
     "spt_scatter_throughput",
     "best_single_tree_throughput",
-    "binary_tree_reduce",
-    "flat_tree_reduce",
     "single_tree_resource_load",
     "single_tree_solution",
 ]

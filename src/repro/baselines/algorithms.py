@@ -1,15 +1,13 @@
 """Classical collective algorithms as registered ``CollectiveSpec`` plug-ins.
 
-The seed baselines (:mod:`repro.baselines.scatter_baselines`,
-:mod:`repro.baselines.reduce_baselines`) replay store-and-forward runs on
-an event-driven network model, outside the unified pipeline.  This module
-instead expresses the classical algorithms practitioners actually deploy —
-fixed-route scatter, ring reduce-scatter / all-gather, recursive halving /
-doubling, and Rabenseifner's all-reduce (reduce-scatter ∘ all-gather,
-Träff 2024) — as *analytic steady-state solutions*: each algorithm is a
-fixed per-operation plan of logical transfers and merge tasks, pipelined
-across operations, so its throughput is exactly ``1 / max resource load
-per operation`` (the most-loaded out-port, in-port or CPU).
+This module expresses the classical algorithms practitioners actually
+deploy — fixed-route scatter, flat-tree and binary-tree reduce, ring
+reduce-scatter / all-gather, recursive halving / doubling, and
+Rabenseifner's all-reduce (reduce-scatter ∘ all-gather, Träff 2024) — as
+*analytic steady-state solutions*: each algorithm is a fixed per-operation
+plan of logical transfers and merge tasks, pipelined across operations, so
+its throughput is exactly ``1 / max resource load per operation`` (the
+most-loaded out-port, in-port or CPU).
 
 Because every spec here emits a genuine :class:`CollectiveSolution`, the
 whole existing machinery applies unchanged: shared ``verify()`` /
@@ -43,9 +41,11 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from repro.collectives.base import CollectiveSolution, CollectiveSpec, SimSemantics
+from repro.collectives.reduce import ReduceSpec
 from repro.collectives.registry import register_collective
 from repro.core.allgather import AllGatherProblem
 from repro.core.allreduce import AllReduceProblem
+from repro.core.reduce_op import ReduceProblem
 from repro.core.reduce_scatter import ReduceScatterProblem
 from repro.core.scatter import ScatterProblem
 from repro.platform.graph import NodeId
@@ -447,6 +447,72 @@ class DirectScatterSpec(AlgorithmSpec):
         return problem if self.applicable(problem) else None
 
 
+class _ReduceAlgorithmSpec(AlgorithmSpec):
+    """Single-target reduce plans; CLI and conformance instances are the
+    ``reduce`` spec's."""
+
+    problem_type = ReduceProblem
+    add_arguments = ReduceSpec.add_arguments
+    problem_from_args = ReduceSpec.problem_from_args
+
+    def conformance_problem(self, platform, hosts, rng):
+        problem = ReduceSpec.conformance_problem(self, platform, hosts, rng)
+        return problem if problem and self.applicable(problem) else None
+
+
+class FlatTreeReduceSpec(_ReduceAlgorithmSpec):
+    name = "flat-tree-reduce"
+    title = "Baseline: flat-tree reduce (the target merges every value alone)"
+    algorithm = "flat tree"
+
+    def build_plan(self, problem) -> AlgorithmPlan:
+        n, target = problem.n_values, problem.target
+        transfers = [LogicalTransfer(("v", j, j), problem.owner(j), target,
+                                     problem.size((j, j)), 0)
+                     for j in range(n) if problem.owner(j) != target]
+        tasks = [(target, (0, j - 1, j)) for j in range(1, n)]
+        return _assemble_plan(problem.platform, transfers, tasks,
+                              problem.task_time, n_rounds=1)
+
+
+class BinaryTreeReduceSpec(_ReduceAlgorithmSpec):
+    name = "binary-tree-reduce"
+    title = "Baseline: order-preserving balanced binary-tree reduce"
+    algorithm = "binary tree"
+
+    def build_plan(self, problem) -> AlgorithmPlan:
+        """``[k, m]`` splits at its midpoint; ``[mid+1, m]`` travels to
+        the node holding the left half (owners are distinct, so it always
+        travels), the merge runs there, and the root result is forwarded
+        to the target."""
+        transfers: List[LogicalTransfer] = []
+        tasks: List[Tuple[NodeId, tuple]] = []
+
+        def merge(k: int, m: int) -> Tuple[NodeId, int]:
+            """Node holding ``v[k, m]`` and the round it is ready in."""
+            if k == m:
+                return problem.owner(k), 0
+            mid = (k + m) // 2
+            left, left_round = merge(k, mid)
+            right, right_round = merge(mid + 1, m)
+            rnd = max(left_round, right_round)
+            transfers.append(LogicalTransfer(
+                ("v", mid + 1, m), right, left,
+                problem.size((mid + 1, m)), rnd))
+            tasks.append((left, (k, mid, m)))
+            return left, rnd + 1
+
+        n = problem.n_values
+        root, n_rounds = merge(0, n - 1)
+        if root != problem.target:
+            transfers.append(LogicalTransfer(
+                ("v", 0, n - 1), root, problem.target,
+                problem.size((0, n - 1)), n_rounds))
+            n_rounds += 1
+        return _assemble_plan(problem.platform, transfers, tasks,
+                              problem.task_time, n_rounds)
+
+
 class _ReduceScatterAlgorithmSpec(_ParticipantArgsMixin, AlgorithmSpec):
     problem_type = ReduceScatterProblem
 
@@ -625,6 +691,8 @@ class RabenseifnerAllReduceSpec(_AllReduceAlgorithmSpec):
 
 
 DIRECT_SCATTER = register_collective(DirectScatterSpec())
+FLAT_TREE_REDUCE = register_collective(FlatTreeReduceSpec())
+BINARY_TREE_REDUCE = register_collective(BinaryTreeReduceSpec())
 RING_REDUCE_SCATTER = register_collective(RingReduceScatterSpec())
 HALVING_REDUCE_SCATTER = register_collective(HalvingReduceScatterSpec())
 RING_ALL_GATHER = register_collective(RingAllGatherSpec())

@@ -1,20 +1,9 @@
-"""Makespan-oriented and single-tree reduce baselines.
+"""Single-tree reduce baselines.
 
-All baselines respect the non-commutative operator: partial results only
-ever merge *adjacent* logical intervals, in order.
-
-``flat_tree_reduce``
-    Every participant ships its value straight to the target along a
-    shortest path; the target merges everything itself, left to right.
-    This is the trivial MPI_Reduce-on-one-node strategy.
-
-``binary_tree_reduce``
-    A balanced, order-preserving binary merge tree over ranks: interval
-    ``[k, m]`` splits at its midpoint; the merge of ``[k, m]`` runs on the
-    node hosting the left half's result (data moves right-to-left, as in
-    classical tree reductions), and the root result is forwarded to the
-    target.  This is the strongest *static single-tree* heuristic one
-    normally deploys.
+The flat-tree and binary-tree heuristics are registered classical specs
+(``flat-tree-reduce`` / ``binary-tree-reduce`` in
+:mod:`repro.baselines.algorithms`).  This module holds the multi-tree
+ablation:
 
 ``best_single_tree_throughput``
     Ablation: take the LP's extracted trees, keep only the best one, and
@@ -27,109 +16,11 @@ ever merge *adjacent* logical intervals, in order.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.baselines.scatter_baselines import BaselineRun
 from repro.core.reduce_op import ReduceProblem
 from repro.core.trees import ReductionTree
 from repro.platform.graph import NodeId
-from repro.platform.routing import shortest_path
-from repro.sim.metrics import steady_throughput
-from repro.sim.network import OnePortNetwork
-from repro.sim.operators import SeqConcat
-from repro.sim.trace import validate_one_port
-
-
-def flat_tree_reduce(problem: ReduceProblem, n_ops: int,
-                     op=SeqConcat, record_trace: bool = True) -> BaselineRun:
-    """Everyone sends to the target; the target merges alone, in order."""
-    g = problem.platform
-    n = problem.n_values
-    net = OnePortNetwork(g, record_trace=record_trace)
-    routes = {}
-    for j in range(n):
-        src = problem.owner(j)
-        if src == problem.target:
-            continue
-        path = shortest_path(g, src, problem.target)
-        if path is None:
-            raise ValueError(f"participant {src!r} cannot reach the target")
-        routes[j] = path
-    completions: List[object] = []
-    errors: List[str] = []
-    for stamp in range(n_ops):
-        arrive = {}
-        values = {}
-        for j in range(n):
-            values[j] = op.leaf(j, stamp)
-            if j in routes:
-                arrive[j] = net.route_transfer(routes[j],
-                                               problem.size((j, j)), 0)
-            else:
-                arrive[j] = 0
-        # target merges left to right; merge j needs v[0,j-1] and v_j
-        acc = values[0]
-        ready = arrive[0]
-        for j in range(1, n):
-            ready = max(ready, arrive[j])
-            ready = net.compute(problem.target,
-                                problem.task_time(problem.target, (0, j - 1, j)),
-                                ready)
-            acc = op.combine(acc, values[j])
-        if acc != op.expected(n, stamp):
-            errors.append(f"wrong result for stamp {stamp}")
-        completions.append(ready)
-    violations = validate_one_port(net.trace) if net.trace is not None else []
-    violations += errors
-    return BaselineRun(name="flat-tree-reduce", n_ops=n_ops,
-                       completion_times=completions,
-                       makespan=completions[-1] if completions else 0,
-                       throughput=steady_throughput(completions),
-                       one_port_violations=violations)
-
-
-def _binary_merge(problem: ReduceProblem, net: OnePortNetwork, op,
-                  k: int, m: int, stamp: int) -> Tuple[NodeId, object, object]:
-    """Recursively reduce interval [k, m]; returns (node, ready time, value)."""
-    if k == m:
-        return problem.owner(k), 0, op.leaf(k, stamp)
-    mid = (k + m) // 2
-    ln, lt, lv = _binary_merge(problem, net, op, k, mid, stamp)
-    rn, rt, rv = _binary_merge(problem, net, op, mid + 1, m, stamp)
-    if rn != ln:
-        path = shortest_path(problem.platform, rn, ln)
-        if path is None:
-            raise ValueError(f"{rn!r} cannot reach {ln!r}")
-        rt = net.route_transfer(path, problem.size((mid + 1, m)), rt)
-    ready = net.compute(ln, problem.task_time(ln, (k, mid, m)), max(lt, rt))
-    return ln, ready, op.combine(lv, rv)
-
-
-def binary_tree_reduce(problem: ReduceProblem, n_ops: int,
-                       op=SeqConcat, record_trace: bool = True) -> BaselineRun:
-    """Order-preserving balanced binary merge tree, pipelined greedily."""
-    g = problem.platform
-    n = problem.n_values
-    net = OnePortNetwork(g, record_trace=record_trace)
-    completions: List[object] = []
-    errors: List[str] = []
-    for stamp in range(n_ops):
-        node, ready, value = _binary_merge(problem, net, op, 0, n - 1, stamp)
-        if node != problem.target:
-            path = shortest_path(g, node, problem.target)
-            if path is None:
-                raise ValueError(f"{node!r} cannot reach the target")
-            ready = net.route_transfer(path, problem.size((0, n - 1)), ready)
-        if value != op.expected(n, stamp):
-            errors.append(f"wrong result for stamp {stamp}")
-        completions.append(ready)
-    violations = validate_one_port(net.trace) if net.trace is not None else []
-    violations += errors
-    return BaselineRun(name="binary-tree-reduce", n_ops=n_ops,
-                       completion_times=completions,
-                       makespan=completions[-1] if completions else 0,
-                       throughput=steady_throughput(completions),
-                       one_port_violations=violations)
 
 
 def single_tree_resource_load(tree: ReductionTree,

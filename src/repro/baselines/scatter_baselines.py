@@ -1,10 +1,11 @@
-"""Makespan-oriented scatter baselines.
+"""Scatter baselines.
 
-``direct_scatter`` is what a naive MPI implementation does for a series of
-scatters: the source pushes each message itself, hop by hop along a fixed
-shortest path, one message at a time (one-port).  It ignores multi-route
-splitting and relay parallelism, which is exactly what the steady-state LP
-exploits — the gap between the two is the paper's motivation.
+``direct_scatter_solution`` is what a naive MPI implementation does for a
+series of scatters: the source pushes each message itself, hop by hop along
+a fixed shortest path (the registered ``direct-scatter`` spec).  It ignores
+multi-route splitting and relay parallelism, which is exactly what the
+steady-state LP exploits — the gap between the two is the paper's
+motivation.
 
 ``spt_scatter_throughput`` is the single-route *ablation*: the full
 steady-state machinery, but restricted to the edges of one shortest-path
@@ -14,77 +15,18 @@ tree.  Comparing it with ``TP(G)`` isolates the value of multiple routes
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List
-
 from repro.core.scatter import ScatterProblem, solve_scatter
-from repro.platform.graph import NodeId
-from repro.platform.routing import shortest_path, shortest_path_tree
-from repro.sim.network import OnePortNetwork
-from repro.sim.metrics import steady_throughput
-from repro.sim.trace import validate_one_port
-
-
-@dataclass
-class BaselineRun:
-    """Outcome of simulating a baseline for a series of operations."""
-
-    name: str
-    n_ops: int
-    completion_times: List[object]
-    makespan: object
-    throughput: float
-    one_port_violations: List[str]
-
-    @property
-    def correct(self) -> bool:
-        return not self.one_port_violations
-
-
-def direct_scatter(problem: ScatterProblem, n_ops: int,
-                   record_trace: bool = True) -> BaselineRun:
-    """Simulate ``n_ops`` pipelined scatters with fixed shortest-path routing.
-
-    For each operation, the source emits one message per target (round-robin
-    over targets); each message is forwarded store-and-forward along the
-    target's shortest path.  All resource contention is resolved greedily by
-    the one-port network.
-    """
-    g = problem.platform
-    net = OnePortNetwork(g, record_trace=record_trace)
-    routes: Dict[NodeId, List[NodeId]] = {}
-    for k in problem.targets:
-        path = shortest_path(g, problem.source, k)
-        if path is None:
-            raise ValueError(f"target {k!r} unreachable from source")
-        routes[k] = path
-    completions: List[object] = []
-    for op in range(n_ops):
-        arrivals = []
-        for k in problem.targets:
-            arrivals.append(net.route_transfer(routes[k], 1, 0))
-        completions.append(max(arrivals))
-    violations = validate_one_port(net.trace) if net.trace is not None else []
-    # the analytic twin of this run (same fixed routes, pipelined) must
-    # pass the registered spec's shared verify()/edge_occupation() path;
-    # any accounting mismatch it reports fails the run
-    violations += direct_scatter_solution(problem).verify()
-    return BaselineRun(name="direct-scatter", n_ops=n_ops,
-                       completion_times=completions,
-                       makespan=completions[-1] if completions else 0,
-                       throughput=steady_throughput(completions),
-                       one_port_violations=violations)
+from repro.platform.routing import shortest_path_tree
 
 
 def direct_scatter_solution(problem: ScatterProblem):
-    """The :func:`direct_scatter` strategy as a shared-pipeline solution.
+    """Direct scatter as a shared-pipeline solution.
 
     Solves the registered ``"direct-scatter"`` baseline spec
-    (:mod:`repro.baselines.algorithms`): same fixed canonical
-    shortest-path routes, pipelined at the analytic rate ``1 / max port
-    load``, but expressed as a ``CollectiveSolution`` — so it verifies,
-    schedules and simulates through the exact machinery the LP solutions
-    use.
+    (:mod:`repro.baselines.algorithms`): fixed canonical shortest-path
+    routes, pipelined at the analytic rate ``1 / max port load``, as a
+    ``CollectiveSolution`` — so it verifies, schedules and simulates
+    through the exact machinery the LP solutions use.
     """
     from repro.collectives import solve_collective
 

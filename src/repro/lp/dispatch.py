@@ -71,6 +71,7 @@ from typing import Dict, Optional, Tuple
 from repro.lp import colgen as colgen_mod
 from repro.lp import diskcache
 from repro.lp.exact_simplex import ExactSimplexSolver
+from repro.lp.fastfrac import paused_gc
 from repro.lp.highs import HighsSolver
 from repro.lp.model import LinearProgram
 from repro.lp.presolve import presolve as run_presolve
@@ -178,6 +179,7 @@ def _solve_exact(lp: LinearProgram, warm_start: bool,
     return sol
 
 
+@paused_gc()
 def solve(lp: LinearProgram, backend: str = "auto",
           exact_var_limit: int = EXACT_VAR_LIMIT,
           rationalize: bool = True, cache: bool = True,

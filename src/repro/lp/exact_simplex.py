@@ -124,23 +124,22 @@ def _reduce_row(d: Row, den: int) -> Tuple[Row, int]:
 
 
 def _row_sub(d: Row, den: int, a: int, pd: Row, pden: int) -> Tuple[Row, int]:
-    """Return ``(d/den) - (a/den) * (pd/pden)`` as a normalized sparse row.
+    """Update ``d`` in place to ``(d/den) - (a/den) * (pd/pden)``, normalized.
 
     This is the fraction-free pivot update for *untracked* rows (the
-    reduced-cost rows); tableau rows go through :meth:`_Tableau.sub_into`,
-    which additionally maintains the column index.
+    caller-owned reduced-cost rows); tableau rows go through
+    :meth:`_Tableau.sub_into`, which also keeps the column index.
     """
-    if pden == 1:
-        nd = dict(d)
-    else:
-        nd = {c: v * pden for c, v in d.items()}
+    if pden != 1:
+        for c in d:
+            d[c] *= pden
     for c, pv in pd.items():
-        nv = nd.get(c, 0) - a * pv
+        nv = d.get(c, 0) - a * pv
         if nv:
-            nd[c] = nv
+            d[c] = nv
         else:
-            nd.pop(c, None)
-    return _reduce_row(nd, den * pden)
+            d.pop(c, None)
+    return _reduce_row(d, den * pden)
 
 
 def _fdiv(a: int, b: int) -> float:
@@ -293,7 +292,8 @@ class ExactSimplexSolver:
                 c = Fraction(c)
                 if c:
                     coefs[j] = c
-                    b -= c * lbs[j]
+                    if lbs[j]:
+                        b -= c * lbs[j]
             raw.append((coefs, con.sense, b, ("s", con.name or f"#c{ci}")))
         for v in lp.variables:
             if v.ub is not None:
@@ -311,8 +311,8 @@ class ExactSimplexSolver:
             den = b.denominator
             for c in coefs.values():
                 den = den // gcd(den, c.denominator) * c.denominator
-            d: Row = {j: int(c * den) for j, c in coefs.items()}
-            bi = int(b * den)
+            d: Row = {j: c.numerator * (den // c.denominator) for j, c in coefs.items()}
+            bi = b.numerator * (den // b.denominator)
             if bi < 0:
                 d = {j: -v for j, v in d.items()}
                 bi = -bi

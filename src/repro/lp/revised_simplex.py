@@ -41,6 +41,7 @@ from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.lp.exact_simplex import _fdiv, _row_sub
+from repro.lp.fastfrac import frac_div, sub_mul
 from repro.lp.model import EQ, GE, LE, LinearProgram
 from repro.lp.solution import LPSolution, SolveStatus
 
@@ -86,7 +87,7 @@ def _to_int_vec(fracs: Dict[int, Fraction]) -> Tuple[Dict[int, int], int]:
     for v in fracs.values():
         dv = v.denominator
         den = den // gcd(den, dv) * dv
-    return {k: int(v * den) for k, v in fracs.items()}, den
+    return {k: v.numerator * (den // v.denominator) for k, v in fracs.items()}, den
 
 
 #: Relative scale of the anti-degeneracy perturbation in the float
@@ -325,10 +326,10 @@ class _LU:
             lent: List[Tuple[int, Fraction]] = []
             for r in s:
                 row = rows[r]
-                f = row.pop(pc) / pv
+                f = frac_div(row.pop(pc), pv)
                 lent.append((r, f))
                 for c2, u in prow.items():
-                    nv = row.get(c2, ZERO) - f * u
+                    nv = sub_mul(row.get(c2, ZERO), f, u)
                     if nv:
                         if c2 not in row:
                             colrows[c2].add(r)
@@ -366,8 +367,8 @@ class _LU:
                     continue
                 # scale by the *target* pivot once, so the solve sweeps
                 # are pure multiply-subtract (see ftran/btran)
-                self.urow[t].append((t2, u / self.piv[t2]))
-                self.ucol[t2].append((t, u / self.piv[t]))
+                self.urow[t].append((t2, frac_div(u, self.piv[t2])))
+                self.ucol[t2].append((t, frac_div(u, self.piv[t])))
                 nnz += 1
         self.nnz = nnz
 
@@ -393,7 +394,7 @@ class _LU:
                 continue
             out[t] = v
             for t2, coef in table[t]:
-                work[t2] = work.get(t2, ZERO) - coef * v
+                work[t2] = sub_mul(work.get(t2, ZERO), coef, v)
                 h2 = sgn * t2
                 if h2 not in queued:
                     queued.add(h2)
@@ -409,7 +410,7 @@ class _LU:
         y = self._sweep(work, self.lrows, descending=False)   # L y = b
         # U x = y: pre-divide by each diagonal, then the ucol entries
         # (already scaled by their target pivot) scatter into earlier t
-        work = {t: v / self.piv[t] for t, v in y.items()}
+        work = {t: frac_div(v, self.piv[t]) for t, v in y.items()}
         x = self._sweep(work, self.ucol, descending=True)
         return {self.pos_of[t]: v for t, v in x.items() if v}
 
@@ -421,7 +422,7 @@ class _LU:
                 work[self.t_of_pos[p]] = v
         # U^T w = c: forward; urow entries are pre-scaled by the target
         # pivot, the initial values divide by their own diagonal
-        pre = {t: v / self.piv[t] for t, v in work.items()}
+        pre = {t: frac_div(v, self.piv[t]) for t, v in work.items()}
         w = self._sweep(pre, self.urow, descending=False)
         # L^T y = w: backward through the multiplier transpose
         y = self._sweep(dict(w), self.ltrans, descending=True)
@@ -479,7 +480,8 @@ class _Core:
                 c = Fraction(c)
                 if c:
                     coefs[j] = c
-                    b -= c * lbs[j]
+                    if lbs[j]:
+                        b -= c * lbs[j]
             sense = con.sense
             flip = 1
             if b < 0:
@@ -599,11 +601,11 @@ class _Core:
             xr = x.get(r)
             if not xr:
                 continue
-            xr2 = xr / w[r]
+            xr2 = frac_div(xr, w[r])
             for i, wv in w.items():
                 if i == r:
                     continue
-                nv = x.get(i, ZERO) - wv * xr2
+                nv = sub_mul(x.get(i, ZERO), wv, xr2)
                 if nv:
                     x[i] = nv
                 elif i in x:
@@ -616,13 +618,13 @@ class _Core:
         self.stats["btran"] += 1
         c = dict(cvec)
         for r, w in reversed(self.etas):
-            s = ZERO
+            s = c.get(r, ZERO)        # c_r - sum_i w_i c_i, then / w_r
             for i, wv in w.items():
                 if i != r:
                     ci = c.get(i)
                     if ci:
-                        s += wv * ci
-            cr = (c.get(r, ZERO) - s) / w[r]
+                        s = sub_mul(s, wv, ci)
+            cr = frac_div(s, w[r])
             if cr:
                 c[r] = cr
             elif r in c:
@@ -830,7 +832,7 @@ class _Core:
         """Row ``r`` of ``B^{-1}N`` over the priceable nonbasic columns,
         as integer numerators over one common denominator."""
         z = self.btran({r: ONE})
-        w = {row: zv / self.row_den[row] for row, zv in z.items()}
+        w = {row: frac_div(zv, self.row_den[row]) for row, zv in z.items()}
         wi, den = _to_int_vec(w)
         alpha: Dict[int, int] = {}
         basic = self.basic
@@ -972,7 +974,7 @@ class _Core:
         x_b = self.x_b
         if theta:
             for pos, wv in w.items():
-                x_b[pos] -= theta * wv
+                x_b[pos] = sub_mul(x_b[pos], theta, wv)
         x_b[r] = theta
         self.basic.discard(leaving)
         self.basic.add(q)

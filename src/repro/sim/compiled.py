@@ -64,6 +64,7 @@ from typing import Dict, Hashable, List, Optional, Tuple
 import numpy as np
 
 from repro.core.schedule import PeriodicSchedule
+from repro.lp.fastfrac import paused_gc, raw_fraction
 from repro.sim.executor import SimulationResult
 
 NodeId = Hashable
@@ -71,22 +72,6 @@ Item = Hashable
 
 #: Micro-unit prefix sums must fit comfortably in int64.
 _MU_LIMIT = 1 << 62
-
-
-def _raw_fraction(num: int, den: int) -> Fraction:
-    """Fraction from an already-normalized num/den, skipping the
-    constructor's gcd pass (a pure hot-path shortcut)."""
-    f = Fraction.__new__(Fraction)
-    f._numerator = num
-    f._denominator = den
-    return f
-
-
-try:  # guard against fractions implementations without those slots
-    _FAST_FRACTION = (_raw_fraction(3, 2) == Fraction(3, 2)
-                      and _raw_fraction(3, 2) + Fraction(1, 2) == 2)
-except Exception:  # pragma: no cover - exercised only off-CPython
-    _FAST_FRACTION = False
 
 
 def _rational(x) -> bool:
@@ -839,34 +824,35 @@ class VectorizedExecutor:
         long replays, so for integral period starts the sum is assembled
         directly: offsets are normalized (``gcd(num, den) == 1``), hence
         ``(start * den + num) / den`` is already in lowest terms and the
-        general-purpose normalizing constructor can be skipped."""
-        delivery_times: Dict[Item, List[object]] = {
-            it: [] for it in self._delivery_items}
-        num_den: Dict[int, List[Tuple[Item, int, int, int]]] = {}
-        for start, pid in zip(self._period_starts, self._period_pattern):
-            s_int = start if type(start) is int else (
-                start.numerator if isinstance(start, Fraction)
-                and start.denominator == 1 else None)
-            if _FAST_FRACTION and s_int is not None:
-                evs = num_den.get(pid)
-                if evs is None:
-                    evs = num_den[pid] = [
-                        (it, Fraction(off).numerator,
-                         Fraction(off).denominator, n)
-                        for it, off, n in self._patterns[pid].events]
-                for item, num, den, count in evs:
-                    t = _raw_fraction(s_int * den + num, den)
-                    times = delivery_times[item]
-                    if count == 1:
-                        times.append(t)
-                    else:
-                        times.extend([t] * count)
-            else:
-                for item, off, count in self._patterns[pid].events:
-                    t = start + off
-                    times = delivery_times[item]
-                    for _ in range(count):
-                        times.append(t)
+        normalizing constructor is skipped (:mod:`repro.lp.fastfrac`)."""
+        with paused_gc():
+            delivery_times: Dict[Item, List[object]] = {
+                it: [] for it in self._delivery_items}
+            num_den: Dict[int, List[Tuple[Item, int, int, int]]] = {}
+            for start, pid in zip(self._period_starts, self._period_pattern):
+                s_int = start if type(start) is int else (
+                    start.numerator if isinstance(start, Fraction)
+                    and start.denominator == 1 else None)
+                if s_int is not None:
+                    evs = num_den.get(pid)
+                    if evs is None:
+                        evs = num_den[pid] = [
+                            (it, Fraction(off).numerator,
+                             Fraction(off).denominator, n)
+                            for it, off, n in self._patterns[pid].events]
+                    for item, num, den, count in evs:
+                        t = raw_fraction(s_int * den + num, den)
+                        times = delivery_times[item]
+                        if count == 1:
+                            times.append(t)
+                        else:
+                            times.extend([t] * count)
+                else:
+                    for item, off, count in self._patterns[pid].events:
+                        t = start + off
+                        times = delivery_times[item]
+                        for _ in range(count):
+                            times.append(t)
         return SimulationResult(schedule=self.schedule,
                                 periods=self.periods_run,
                                 horizon=self.time,

@@ -1,20 +1,15 @@
-"""Minimal discrete-event engine, plus the simulation-engine selector.
-
-A heap of timestamped callbacks.  The periodic executor computes most times
-arithmetically, but the engine is what the dynamic baselines and the MPI
-façade drive; it also gives tests a place to exercise event ordering
-semantics (ties break in scheduling order, never by callback identity).
+"""The simulation-engine selector.
 
 :func:`resolve_sim_engine` is the single place that decides which
 periodic-replay implementation a simulation request runs on — the
 per-instance reference executor (:mod:`repro.sim.executor`) or the
-vectorized compiled engine (:mod:`repro.sim.compiled`).
+vectorized compiled engine (:mod:`repro.sim.compiled`).  Those two are
+the only replay code in the library.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Callable, List, Optional, Tuple
+from typing import Optional
 
 SIM_ENGINES = ("auto", "compiled", "reference")
 
@@ -60,54 +55,3 @@ def _compiled_unsupported(schedule, combine, record_trace) -> Optional[str]:
     except ImportError:
         return "numpy is not available"
     return compile_unsupported(schedule)
-
-
-class Engine:
-    """Priority-queue event loop with deterministic tie-breaking."""
-
-    def __init__(self) -> None:
-        self.now = 0
-        self._heap: List[Tuple[object, int, Callable[[], None]]] = []
-        self._seq = 0
-        self._running = False
-
-    def at(self, time, fn: Callable[[], None]) -> None:
-        """Schedule ``fn`` to run at absolute ``time`` (>= now)."""
-        if time < self.now:
-            raise ValueError(f"cannot schedule in the past ({time} < {self.now})")
-        heapq.heappush(self._heap, (time, self._seq, fn))
-        self._seq += 1
-
-    def after(self, delay, fn: Callable[[], None]) -> None:
-        """Schedule ``fn`` to run ``delay`` from now."""
-        self.at(self.now + delay, fn)
-
-    def run(self, until=None) -> object:
-        """Process events in time order; stop when empty or past ``until``.
-
-        Returns the final clock value.
-        """
-        self._running = True
-        try:
-            while self._heap:
-                time, _seq, fn = self._heap[0]
-                if until is not None and time > until:
-                    self.now = until
-                    break
-                heapq.heappop(self._heap)
-                self.now = time
-                fn()
-            else:
-                if until is not None and until > self.now:
-                    self.now = until
-        finally:
-            self._running = False
-        return self.now
-
-    def pending(self) -> int:
-        return len(self._heap)
-
-    def reset(self) -> None:
-        self.now = 0
-        self._heap.clear()
-        self._seq = 0

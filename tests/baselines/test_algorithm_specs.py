@@ -18,6 +18,7 @@ from repro.collectives import (
 )
 from repro.core.allgather import AllGatherProblem
 from repro.core.allreduce import AllReduceProblem
+from repro.core.reduce_op import ReduceProblem
 from repro.core.reduce_scatter import ReduceScatterProblem
 from repro.core.scatter import ScatterProblem
 from repro.platform.examples import (
@@ -47,11 +48,22 @@ def _fattree4(cls):
     return cls(fat_tree(4), [f"h{i}" for i in range(8)])
 
 
+def _fig6_reduce():
+    return ReduceProblem(figure6_platform(), [0, 1, 2], 0)
+
+
+def _fattree4_reduce():
+    # the binary tree's root (v_0's owner h0) is not the target
+    return ReduceProblem(fat_tree(4), [f"h{i}" for i in range(8)], "h5")
+
+
 ROUND_TRIPS = [
     ("fig2", "direct-scatter", _fig2_scatter),
     ("fig6", "ring-reduce-scatter", lambda: _fig6(ReduceScatterProblem)),
     ("fig6", "ring-all-gather", lambda: _fig6(AllGatherProblem)),
     ("fig6", "ring-all-reduce", lambda: _fig6(AllReduceProblem)),
+    ("fig6", "flat-tree-reduce", _fig6_reduce),
+    ("fig6", "binary-tree-reduce", _fig6_reduce),
     ("ring16", "ring-reduce-scatter", lambda: _ring16(ReduceScatterProblem)),
     ("ring16", "halving-reduce-scatter",
      lambda: _ring16(ReduceScatterProblem)),
@@ -61,6 +73,8 @@ ROUND_TRIPS = [
     ("fattree4", "doubling-all-gather", lambda: _fattree4(AllGatherProblem)),
     ("fattree4", "rabenseifner-all-reduce",
      lambda: _fattree4(AllReduceProblem)),
+    ("fattree4", "flat-tree-reduce", _fattree4_reduce),
+    ("fattree4", "binary-tree-reduce", _fattree4_reduce),
 ]
 
 
@@ -192,10 +206,8 @@ def test_verify_flags_off_plan_and_missing_rates():
 # seed-baseline bridges (ISSUE 10 satellite: shared verify path)
 # ----------------------------------------------------------------------
 def test_direct_scatter_run_passes_shared_verification(fig2_problem):
-    from repro.baselines import direct_scatter, direct_scatter_solution
+    from repro.baselines import direct_scatter_solution
 
-    run = direct_scatter(fig2_problem, n_ops=4)
-    assert run.correct  # includes the analytic twin's verify() errors now
     sol = direct_scatter_solution(fig2_problem)
     assert sol.exact
     assert sol.verify() == []

@@ -3,39 +3,62 @@ the steady-state LP throughput dominates every baseline."""
 
 from fractions import Fraction
 
+import pytest
 
 from repro.baselines.reduce_baselines import (
-    best_single_tree_throughput, binary_tree_reduce, flat_tree_reduce,
-    single_tree_resource_load,
+    best_single_tree_throughput, single_tree_resource_load,
 )
-from repro.baselines.scatter_baselines import direct_scatter, spt_scatter_throughput
+from repro.baselines.scatter_baselines import spt_scatter_throughput
+from repro.collectives import (
+    resolve_collective, schedule_collective, solve_collective,
+)
 from repro.core.reduce_op import ReduceProblem
 from repro.core.scatter import ScatterProblem, solve_scatter
-from repro.platform.examples import figure6_platform
+from repro.platform.examples import (
+    figure6_platform, figure9_participants, figure9_platform, figure9_target,
+)
 from repro.platform.generators import random_connected
-from repro.sim.operators import MatMul2x2Mod
+from repro.sim.executor import simulate_collective
+from repro.sim.operators import MatMul2x2Mod, SeqConcat
+
+
+def _replay(problem, name, record_trace=True):
+    """Solve a baseline spec and replay its schedule past pipeline fill on
+    the reference executor (which records and validates a one-port trace)."""
+    sol = solve_collective(problem, collective=name)
+    plan = resolve_collective(problem, name).plan(problem)
+    res = simulate_collective(schedule_collective(sol), problem,
+                              n_periods=plan.max_hops + 5, collective=name,
+                              record_trace=record_trace, engine="reference")
+    return sol, res
 
 
 class TestDirectScatter:
     def test_runs_and_respects_one_port(self, fig2_problem):
-        run = direct_scatter(fig2_problem, n_ops=30)
-        assert run.correct
-        assert len(run.completion_times) == 30
+        sol, res = _replay(fig2_problem, "direct-scatter")
+        assert sol.verify() == []
+        assert res.correct  # payload checks + the traced one-port check
+        assert res.steady_window_throughput(periods=3) == sol.throughput
 
     def test_completion_times_monotone(self, fig2_problem):
-        run = direct_scatter(fig2_problem, n_ops=20)
-        assert run.completion_times == sorted(run.completion_times)
+        _sol, res = _replay(fig2_problem, "direct-scatter", record_trace=False)
+        for times in res.delivery_times.values():
+            assert times == sorted(times)
 
     def test_lp_dominates_direct(self, fig2_problem, fig2_solution):
-        run = direct_scatter(fig2_problem, n_ops=60)
-        assert run.throughput <= float(fig2_solution.throughput) + 1e-9
+        direct = solve_collective(fig2_problem, collective="direct-scatter")
+        assert direct.throughput == Fraction(1, 2)
+        assert fig2_solution.throughput >= direct.throughput
 
     def test_random_platform(self):
         g = random_connected(7, extra_edges=3, seed=3)
         nodes = g.nodes()
         problem = ScatterProblem(g, nodes[0], nodes[1:4])
-        run = direct_scatter(problem, n_ops=40)
-        assert run.correct and run.throughput > 0
+        sol, res = _replay(problem, "direct-scatter")
+        assert sol.verify() == [] and sol.throughput > 0
+        assert res.correct
+        assert solve_scatter(problem, backend="exact").throughput \
+            >= sol.throughput
 
 
 class TestSptScatter:
@@ -74,32 +97,91 @@ class TestSptScatter:
 
 class TestFlatTreeReduce:
     def test_correct_results(self, fig6_problem):
-        run = flat_tree_reduce(fig6_problem, n_ops=25)
-        assert run.correct
+        sol, res = _replay(fig6_problem, "flat-tree-reduce")
+        assert sol.verify() == []
+        assert res.correct
+        assert res.steady_window_throughput(periods=3) == sol.throughput
 
     def test_lp_dominates_flat(self, fig6_problem, fig6_solution):
-        run = flat_tree_reduce(fig6_problem, n_ops=60)
-        assert run.throughput <= float(fig6_solution.throughput) + 1e-9
-
-    def test_matmul_operator(self, fig6_problem):
-        run = flat_tree_reduce(fig6_problem, n_ops=10, op=MatMul2x2Mod)
-        assert run.correct
+        flat = solve_collective(fig6_problem, collective="flat-tree-reduce")
+        assert flat.throughput == Fraction(1, 2)
+        assert fig6_solution.throughput >= flat.throughput
 
 
 class TestBinaryTreeReduce:
     def test_correct_results(self, fig6_problem):
-        run = binary_tree_reduce(fig6_problem, n_ops=25)
-        assert run.correct
+        sol, res = _replay(fig6_problem, "binary-tree-reduce")
+        assert sol.verify() == []
+        assert res.correct
+        assert res.steady_window_throughput(periods=3) == sol.throughput
 
     def test_lp_dominates_binary(self, fig6_problem, fig6_solution):
-        run = binary_tree_reduce(fig6_problem, n_ops=60)
-        assert run.throughput <= float(fig6_solution.throughput) + 1e-9
+        binary = solve_collective(fig6_problem,
+                                  collective="binary-tree-reduce")
+        assert binary.throughput == Fraction(1, 2)
+        assert fig6_solution.throughput >= binary.throughput
 
     def test_handles_target_not_root_of_tree(self):
-        g = figure6_platform()
-        problem = ReduceProblem(g, participants=[1, 2, 0], target=0)
-        run = binary_tree_reduce(problem, n_ops=15)
-        assert run.correct
+        # v_0 lives on node 1, so the tree root is node 1 and the result
+        # must be forwarded to the target as one last transfer
+        problem = ReduceProblem(figure6_platform(), participants=[1, 2, 0],
+                                target=0)
+        sol = solve_collective(problem, collective="binary-tree-reduce")
+        plan = resolve_collective(problem, "binary-tree-reduce").plan(problem)
+        last = plan.transfers[-1]
+        assert (last.item, last.src, last.dst) == (("v", 0, 2), 1, 0)
+        assert sol.verify() == [] and sol.throughput == Fraction(1, 2)
+
+
+def _fold(problem, plan, op, stamp):
+    """Run one operation of a reduce plan on real values: a transfer (item
+    ``("v", k, m)``) moves partial ``v[k,m]`` from node to node, a merge
+    combines two adjacent partials held on its node.  Returns the value
+    the target ends up holding."""
+    held = {(problem.owner(j), (j, j)): op.leaf(j, stamp)
+            for j in range(problem.n_values)}
+    transfers = list(plan.transfers)
+    tasks = [key for key, count in plan.task_counts.items()
+             for _ in range(count)]
+    while transfers or tasks:
+        pending = len(transfers) + len(tasks)
+        for tr in list(transfers):
+            if (tr.src, tr.item[1:]) in held:
+                held[(tr.dst, tr.item[1:])] = held.pop((tr.src, tr.item[1:]))
+                transfers.remove(tr)
+        for node, (k, l, m) in list(tasks):
+            left, right = (node, (k, l)), (node, (l + 1, m))
+            if left in held and right in held:
+                held[(node, (k, m))] = op.combine(held.pop(left),
+                                                  held.pop(right))
+                tasks.remove((node, (k, l, m)))
+        assert len(transfers) + len(tasks) < pending, "plan stalls"
+    full = (problem.target, (0, problem.n_values - 1))
+    assert list(held) == [full]  # every partial was consumed
+    return held[full]
+
+
+FOLD_CASES = {
+    "fig6": lambda: ReduceProblem(figure6_platform(), [0, 1, 2], 0),
+    "fig6-rotated": lambda: ReduceProblem(figure6_platform(), [1, 2, 0], 0),
+    "fig9": lambda: ReduceProblem(figure9_platform(), figure9_participants(),
+                                  figure9_target(), msg_size=10,
+                                  task_work=10),
+}
+
+
+@pytest.mark.parametrize("op", [SeqConcat, MatMul2x2Mod],
+                         ids=["seqconcat", "matmul"])
+@pytest.mark.parametrize("name", ["flat-tree-reduce", "binary-tree-reduce"])
+@pytest.mark.parametrize("case", list(FOLD_CASES))
+def test_plan_merges_fold_in_order(case, name, op):
+    """The plan's merges, folded per operation with a non-commutative
+    operator, reproduce the reference reduction at the target."""
+    problem = FOLD_CASES[case]()
+    plan = resolve_collective(problem, name).plan(problem)
+    for stamp in range(3):
+        assert _fold(problem, plan, op, stamp) \
+            == op.expected(problem.n_values, stamp)
 
 
 class TestSingleTree:

@@ -24,7 +24,8 @@ class TestBuiltins:
                          "reduce-scatter", "broadcast", "all-gather",
                          "all-reduce",
                          # classical baselines (PR 10) — name-only specs
-                         "direct-scatter", "ring-reduce-scatter",
+                         "direct-scatter", "flat-tree-reduce",
+                         "binary-tree-reduce", "ring-reduce-scatter",
                          "halving-reduce-scatter", "ring-all-gather",
                          "doubling-all-gather", "ring-all-reduce",
                          "rabenseifner-all-reduce"]

@@ -33,7 +33,7 @@ class TestSingleShot:
         values = ["x", "y", "z"]
         out, makespan = comm.scatter(values, root=0)
         assert out == values
-        assert makespan > 0
+        assert makespan == 2  # op 0 of the direct-scatter schedule
 
     def test_scatter_wrong_arity(self, comm):
         with pytest.raises(ValueError):
@@ -43,7 +43,9 @@ class TestSingleShot:
         values = [SeqConcat.leaf(j, 0) for j in range(3)]
         result, makespan = comm.reduce(values, root=0)
         assert result == noncommutative_reduce(values)
-        assert makespan > 0
+        # op 0's last arrival on the flat-tree schedule; merges are priced
+        # into the baseline's rate, not replayed
+        assert makespan == 2
 
 
 class TestSeries:

@@ -1,63 +1,10 @@
-"""Unit tests for the event engine and trace validation."""
+"""Unit tests for trace validation."""
 
 from fractions import Fraction
 
-import pytest
-
-from repro.sim.engine import Engine
 from repro.sim.trace import (
     Trace, TraceEvent, port_utilization, validate_one_port,
 )
-
-
-class TestEngine:
-    def test_events_run_in_time_order(self):
-        e = Engine()
-        log = []
-        e.at(5, lambda: log.append("b"))
-        e.at(2, lambda: log.append("a"))
-        e.run()
-        assert log == ["a", "b"] and e.now == 5
-
-    def test_ties_break_by_scheduling_order(self):
-        e = Engine()
-        log = []
-        e.at(1, lambda: log.append("first"))
-        e.at(1, lambda: log.append("second"))
-        e.run()
-        assert log == ["first", "second"]
-
-    def test_after_is_relative(self):
-        e = Engine()
-        hits = []
-        e.at(3, lambda: e.after(2, lambda: hits.append(e.now)))
-        e.run()
-        assert hits == [5]
-
-    def test_run_until_stops_clock(self):
-        e = Engine()
-        log = []
-        e.at(10, lambda: log.append("late"))
-        e.run(until=4)
-        assert log == [] and e.now == 4 and e.pending() == 1
-
-    def test_cannot_schedule_in_past(self):
-        e = Engine()
-        e.at(5, lambda: None)
-        e.run()
-        with pytest.raises(ValueError):
-            e.at(1, lambda: None)
-
-    def test_reset(self):
-        e = Engine()
-        e.at(1, lambda: None)
-        e.reset()
-        assert e.now == 0 and e.pending() == 0
-
-    def test_run_until_advances_even_when_empty(self):
-        e = Engine()
-        e.run(until=7)
-        assert e.now == 7
 
 
 class TestTraceValidation:

@@ -10,7 +10,6 @@ from repro.platform.examples import figure2_platform, figure2_targets
 from repro.sim.executor import (
     simulate_reduce, simulate_scatter,
 )
-from repro.sim.metrics import steady_throughput
 from repro.sim.operators import MatMul2x2Mod
 
 
@@ -94,9 +93,8 @@ class TestReduceExecution:
         assert 0.85 * bound <= res.completed_ops() <= bound + 1e-9
 
     def test_steady_throughput_estimate(self, fig6_run):
-        *_, res = fig6_run
-        times = [t for ts in res.delivery_times.values() for t in ts]
-        assert steady_throughput(times) == pytest.approx(1.0, rel=0.1)
+        _p, sol, _s, res = fig6_run
+        assert res.steady_window_throughput() == sol.throughput == 1
 
     def test_no_trace_mode(self, fig6_run):
         problem, sol, sched, _ = fig6_run

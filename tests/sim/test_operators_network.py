@@ -1,11 +1,6 @@
-"""Unit tests for reduction operators and the greedy one-port network."""
+"""Unit tests for the non-commutative reduction operators."""
 
-
-from repro.platform.examples import figure2_platform
-from repro.platform.graph import PlatformGraph
-from repro.sim.network import OnePortNetwork
 from repro.sim.operators import MatMul2x2Mod, SeqConcat, noncommutative_reduce
-from repro.sim.trace import validate_one_port
 
 
 class TestSeqConcat:
@@ -44,61 +39,3 @@ class TestMatMul:
     def test_identity_element(self):
         x = MatMul2x2Mod.leaf(3, 1)
         assert MatMul2x2Mod.combine(MatMul2x2Mod.identity, x) == x
-
-
-class TestOnePortNetwork:
-    def test_transfer_duration(self):
-        net = OnePortNetwork(figure2_platform())
-        end = net.transfer("Ps", "Pa", 1, 0)
-        assert end == 1  # cost 1 x size 1
-
-    def test_sends_serialize_on_sender(self):
-        net = OnePortNetwork(figure2_platform())
-        net.transfer("Ps", "Pa", 1, 0)
-        end = net.transfer("Ps", "Pb", 1, 0)
-        assert end == 2
-        assert validate_one_port(net.trace) == []
-
-    def test_receives_serialize_on_receiver(self):
-        g = PlatformGraph()
-        g.add_edge("a", "x", 1)
-        g.add_edge("b", "x", 1)
-        net = OnePortNetwork(g)
-        net.transfer("a", "x", 1, 0)
-        end = net.transfer("b", "x", 1, 0)
-        assert end == 2
-
-    def test_disjoint_transfers_overlap(self):
-        g = PlatformGraph()
-        g.add_edge("a", "x", 1)
-        g.add_edge("b", "y", 1)
-        net = OnePortNetwork(g)
-        assert net.transfer("a", "x", 1, 0) == 1
-        assert net.transfer("b", "y", 1, 0) == 1
-
-    def test_route_transfer_store_and_forward(self):
-        from fractions import Fraction
-
-        net = OnePortNetwork(figure2_platform())
-        end = net.route_transfer(["Ps", "Pb", "P1"], 1, 0)
-        assert end == Fraction(7, 3)  # 1 (Ps->Pb) + 4/3 (Pb->P1)
-
-    def test_compute_serializes(self):
-        net = OnePortNetwork(figure2_platform())
-        net.compute("Pa", 2, 0)
-        assert net.compute("Pa", 2, 1) == 4
-
-    def test_compute_overlaps_comm(self):
-        net = OnePortNetwork(figure2_platform())
-        net.transfer("Ps", "Pa", 5, 0)
-        assert net.compute("Ps", 1, 0) == 1
-        assert validate_one_port(net.trace) == []
-
-    def test_makespan(self):
-        net = OnePortNetwork(figure2_platform())
-        net.transfer("Ps", "Pa", 3, 0)
-        assert net.makespan() == 3
-
-    def test_ready_time_respected(self):
-        net = OnePortNetwork(figure2_platform())
-        assert net.transfer("Ps", "Pa", 1, 10) == 11
