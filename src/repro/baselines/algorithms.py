@@ -49,7 +49,7 @@ from repro.core.reduce_op import ReduceProblem
 from repro.core.reduce_scatter import ReduceScatterProblem
 from repro.core.scatter import ScatterProblem
 from repro.platform.graph import NodeId
-from repro.platform.routing import shortest_path
+from repro.platform.routing import dijkstra, tree_path
 
 Item = tuple
 RankTransfer = Tuple[Item, int, int, object, int]  # (item, src, dst, size, round)
@@ -97,10 +97,13 @@ def _assemble_plan(platform, transfers: List[LogicalTransfer],
                    tasks: List[Tuple[NodeId, tuple]], task_time_fn,
                    n_rounds: int) -> AlgorithmPlan:
     """Route every logical transfer, tally per-resource loads, and price
-    the pipelined rate.  Raises ``ValueError`` when a hop is unroutable."""
+    the pipelined rate.  Routes come from one canonical Dijkstra tree per
+    distinct source, so they equal :func:`shortest_path` for every pair.
+    Raises ``ValueError`` when a hop is unroutable."""
     routes: Dict[Item, Tuple[NodeId, ...]] = {}
     sizes: Dict[Item, object] = {}
     path_memo: Dict[Tuple[NodeId, NodeId], Tuple[NodeId, ...]] = {}
+    trees: Dict[NodeId, Dict[NodeId, Optional[NodeId]]] = {}  # per source
     out_load: Dict[NodeId, object] = {}
     in_load: Dict[NodeId, object] = {}
     for tr in transfers:
@@ -108,7 +111,9 @@ def _assemble_plan(platform, transfers: List[LogicalTransfer],
             raise ValueError(f"duplicate plan item {tr.item!r}")
         pair = (tr.src, tr.dst)
         if pair not in path_memo:
-            path = shortest_path(platform, tr.src, tr.dst)
+            if tr.src not in trees:
+                trees[tr.src] = dijkstra(platform, tr.src)[1]
+            path = tree_path(trees[tr.src], tr.dst)
             if path is None:
                 raise ValueError(f"{tr.src!r} cannot reach {tr.dst!r}")
             path_memo[pair] = tuple(path)

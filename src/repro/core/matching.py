@@ -12,31 +12,34 @@ We implement the classical Birkhoff–von-Neumann-style constructive proof:
 
 1. pad with dummy nodes/edges until every port's weighted degree is exactly
    ``T`` (possible because total sender weight equals total receiver weight),
-2. the padded multigraph is weighted-regular, so by Hall's theorem its
-   support contains a perfect matching; find one (Kuhn's augmenting paths),
+2. work in integer *micro-units*: every weight and ``T`` is multiplied by
+   the lcm of their denominators, so the rest is exact integer arithmetic.
+   The padded multigraph is weighted-regular, so by Hall's theorem its
+   support contains a perfect matching; find one with Kuhn's augmenting
+   paths, searched by an iterative DFS over integer edge ids (no recursion,
+   so long augmenting paths cannot hit the interpreter's recursion limit),
 3. peel off the minimum weight ``θ`` along that matching — regularity is
    preserved and at least one edge disappears, so at most ``|E| + |U| + |V|``
-   matchings are produced (polynomially many, as Theorem 1 requires),
+   matchings are produced (polynomially many, as Theorem 1 requires).  The
+   one matching is *repaired* rather than rebuilt: only the senders whose
+   matched edge reached zero re-augment, over the edges still alive, which
+   by regularity always succeeds,
 4. report each matching restricted to its real (non-dummy) edges with its
-   duration ``θ``; durations sum to exactly ``T``.
+   duration ``Fraction(θ, scale)``; durations sum to exactly ``T``.
 
-Everything is exact when fed Fractions.
+Weights and ``T`` must be exact rationals (ints or Fractions): a float
+would be silently truncated by the integer scaling, so it is rejected.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, Hashable, List, Sequence, Tuple
 
 PortId = Hashable
-
-
-@dataclass
-class _MEdge:
-    u: PortId
-    v: PortId
-    weight: object
-    real: bool
 
 
 @dataclass
@@ -60,6 +63,13 @@ def weighted_degrees(edges: Sequence[Tuple[PortId, PortId, object]]):
     return du, dv
 
 
+def _rational(x, what: str) -> Fraction:
+    if not isinstance(x, numbers.Rational):
+        raise ValueError(f"{what} is {x!r} ({type(x).__name__}); matching "
+                         f"weights must be exact rationals (int or Fraction)")
+    return Fraction(x)
+
+
 def decompose_matchings(edges: Sequence[Tuple[PortId, PortId, object]],
                         cap=None) -> List[Matching]:
     """Decompose ``{(sender, receiver): weight}`` into weighted matchings.
@@ -67,98 +77,120 @@ def decompose_matchings(edges: Sequence[Tuple[PortId, PortId, object]],
     ``cap`` is the period ``T``; it must dominate every port's weighted
     degree.  Defaults to the maximum weighted degree.  Returned durations sum
     to ``cap`` (idle time shows up as matchings with an empty ``pairs`` list
-    when every remaining edge is a dummy).
+    when every remaining edge is a dummy).  Raises ``ValueError`` for a
+    weight or ``cap`` that is not an exact rational.
     """
-    edges = [(u, v, w) for (u, v, w) in edges if w > 0]
+    fr = [_rational(w, f"weight of edge ({u!r}, {v!r})") for u, v, w in edges]
+    cap_fr = None if cap is None else _rational(cap, "cap")
+    edges = [(u, v, f) for (u, v, _), f in zip(edges, fr) if f > 0]
     if not edges:
         return []
-    du, dv = weighted_degrees(edges)
+    scale = math.lcm(*(f.denominator for _, _, f in edges),
+                     1 if cap_fr is None else cap_fr.denominator)
+    ints = [(u, v, int(f * scale)) for u, v, f in edges]
+    du, dv = weighted_degrees(ints)
     maxdeg = max(list(du.values()) + list(dv.values()))
-    if cap is None:
-        cap = maxdeg
-    elif maxdeg > cap:
-        raise ValueError(f"port degree {maxdeg} exceeds cap {cap}")
+    if cap_fr is None:
+        top = maxdeg
+    elif maxdeg > cap_fr * scale:
+        raise ValueError(f"port degree {Fraction(maxdeg, scale)} exceeds "
+                         f"cap {cap}")
+    else:
+        top = int(cap_fr * scale)
 
-    work: List[_MEdge] = [_MEdge(u, v, w, True) for (u, v, w) in edges]
-
-    # --- pad to a weighted-regular bipartite multigraph of degree `cap` ---
-    senders = list(du)
-    receivers = list(dv)
-    # equalize side sizes with dummy ports
-    n = max(len(senders), len(receivers))
-    for i in range(n - len(senders)):
-        senders.append(("__dummy_sender__", i))
-        du[senders[-1]] = 0
-    for i in range(n - len(receivers)):
-        receivers.append(("__dummy_receiver__", i))
-        dv[receivers[-1]] = 0
-    deficit_u = {u: cap - du[u] for u in senders}
-    deficit_v = {v: cap - dv[v] for v in receivers}
-    su = [u for u in senders if deficit_u[u] > 0]
-    sv = [v for v in receivers if deficit_v[v] > 0]
+    # --- pad to a weighted-regular bipartite multigraph of degree `top` ---
+    n = max(len(du), len(dv))
+    senders = list(du) + [("__dummy_sender__", i) for i in range(n - len(du))]
+    receivers = list(dv) + [("__dummy_receiver__", i)
+                            for i in range(n - len(dv))]
+    sid = {u: k for k, u in enumerate(senders)}
+    rid = {v: k for k, v in enumerate(receivers)}
+    eu = [sid[u] for u, _, _ in ints]
+    ev = [rid[v] for _, v, _ in ints]
+    ew = [w for _, _, w in ints]
+    n_real = len(ints)
+    deficit_u = [top - du.get(u, 0) for u in senders]
+    deficit_v = [top - dv.get(v, 0) for v in receivers]
+    su = [k for k in range(n) if deficit_u[k] > 0]
+    sv = [k for k in range(n) if deficit_v[k] > 0]
     iu = iv = 0
     while iu < len(su) and iv < len(sv):
         u, v = su[iu], sv[iv]
         w = min(deficit_u[u], deficit_v[v])
-        work.append(_MEdge(u, v, w, False))
+        eu.append(u)
+        ev.append(v)
+        ew.append(w)
         deficit_u[u] -= w
         deficit_v[v] -= w
         if deficit_u[u] == 0:
             iu += 1
         if deficit_v[v] == 0:
             iv += 1
-    if any(deficit_u[u] != 0 for u in senders) or any(deficit_v[v] != 0 for v in receivers):
-        raise AssertionError("padding failed — unbalanced deficits")
+    if any(deficit_u) or any(deficit_v):
+        raise RuntimeError("padding failed — unbalanced deficits")
 
-    # --- peel perfect matchings ---
+    # --- one perfect matching, peeled and repaired in place ---
+    adj: List[List[int]] = [[] for _ in range(n)]
+    for e, u in enumerate(eu):
+        adj[u].append(e)
+    match_u = [-1] * n
+    match_v = [-1] * n
+    seen = [0] * n  # receiver visit stamps: one fresh stamp per search
+    stamp = 0
+    free = range(n)
+    left = top
     out: List[Matching] = []
-    while work:
-        match = _perfect_matching(work, senders, receivers)
-        theta = min(e.weight for e in match)
-        pairs = [(e.u, e.v) for e in match if e.real]
-        out.append(Matching(duration=theta, pairs=pairs))
-        nxt: List[_MEdge] = []
-        matched = set(id(e) for e in match)
-        for e in work:
-            if id(e) in matched:
-                e.weight = e.weight - theta
-            if e.weight > 0:
-                nxt.append(e)
-        work = nxt
+    while left:
+        for u in free:
+            stamp += 1
+            if not _augment(u, adj, eu, ev, match_u, match_v, seen, stamp):
+                raise RuntimeError("no perfect matching — graph not "
+                                   f"regular? stuck at {senders[u]!r}")
+        theta = min(ew[e] for e in match_u)
+        out.append(Matching(duration=Fraction(theta, scale),
+                            pairs=[edges[e][:2] for e in match_u
+                                   if e < n_real]))
+        left -= theta
+        free = []
+        for u, e in enumerate(match_u):
+            ew[e] -= theta
+            if ew[e] == 0:
+                adj[u].remove(e)
+                match_u[u] = match_v[ev[e]] = -1
+                free.append(u)
     return out
 
 
-def _perfect_matching(edges: List[_MEdge], senders: List[PortId],
-                      receivers: List[PortId]) -> List[_MEdge]:
-    """Perfect matching on the support of a regular bipartite multigraph.
+def _augment(root: int, adj: List[List[int]], eu: List[int], ev: List[int],
+             match_u: List[int], match_v: List[int], seen: List[int],
+             stamp: int) -> bool:
+    """Kuhn's augmenting-path search from the free sender ``root``.
 
-    Kuhn's augmenting-path algorithm over edge objects.  Existence is
-    guaranteed by regularity (Hall's condition); failure raises.
+    An iterative DFS: ``stack[k]`` is the sender at depth ``k`` and the next
+    position in its adjacency list, ``via[k]`` the edge taken out of it.  On
+    reaching a free receiver the path is flipped into the matching.
     """
-    adj: Dict[PortId, List[_MEdge]] = {u: [] for u in senders}
-    for e in edges:
-        adj[e.u].append(e)
-    match_v: Dict[PortId, _MEdge] = {}
-
-    def try_augment(u: PortId, visited: set) -> bool:
-        for e in adj[u]:
-            if e.v in visited:
+    stack = [[root, 0]]
+    via: List[int] = []
+    while stack:
+        frame = stack[-1]
+        out_edges = adj[frame[0]]
+        for i in range(frame[1], len(out_edges)):
+            e = out_edges[i]
+            v = ev[e]
+            if seen[v] == stamp:
                 continue
-            visited.add(e.v)
-            cur = match_v.get(e.v)
-            if cur is None or try_augment(cur.u, visited):
-                match_v[e.v] = e
+            seen[v] = stamp
+            via.append(e)
+            if match_v[v] < 0:
+                for f in via:
+                    match_u[eu[f]] = match_v[ev[f]] = f
                 return True
-        return False
-
-    import sys
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 4 * (len(senders) + len(receivers)) + 100))
-    try:
-        for u in senders:
-            if not try_augment(u, set()):
-                raise AssertionError(
-                    f"no perfect matching — graph not regular? stuck at {u!r}")
-    finally:
-        sys.setrecursionlimit(old_limit)
-    return list(match_v.values())
+            frame[1] = i + 1
+            stack.append([eu[match_v[v]], 0])
+            break
+        else:
+            stack.pop()
+            if via:
+                via.pop()
+    return False

@@ -60,8 +60,15 @@ def dijkstra(g: PlatformGraph, source: NodeId) -> Tuple[Dict[NodeId, object], Di
 
 def shortest_path(g: PlatformGraph, source: NodeId, target: NodeId) -> Optional[List[NodeId]]:
     """Minimum-cost node path ``source -> ... -> target``; ``None`` if unreachable."""
-    dist, parent = dijkstra(g, source)
-    if target not in dist:
+    return tree_path(dijkstra(g, source)[1], target)
+
+
+def tree_path(parent: Dict[NodeId, Optional[NodeId]],
+              target: NodeId) -> Optional[List[NodeId]]:
+    """The root-to-``target`` path of a :func:`dijkstra` parent map
+    (``None`` if ``target`` is unreachable).  One Dijkstra run thus routes
+    every destination of a source, on the same canonical tree."""
+    if target not in parent:
         return None
     path = [target]
     while parent[path[-1]] is not None:

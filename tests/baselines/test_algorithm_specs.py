@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from repro.collectives import (
-    resolve_collective, schedule_collective, solve_collective,
+    get_collective, resolve_collective, schedule_collective, solve_collective,
 )
 from repro.core.allgather import AllGatherProblem
 from repro.core.allreduce import AllReduceProblem
@@ -24,7 +24,9 @@ from repro.core.scatter import ScatterProblem
 from repro.platform.examples import (
     figure2_platform, figure2_targets, figure6_platform,
 )
-from repro.platform.generators import complete, fat_tree, ring
+from repro.platform.generators import clustered, complete, fat_tree, ring
+from repro.platform.graph import PlatformGraph
+from repro.platform.routing import shortest_path
 from repro.sim.executor import simulate_collective
 
 
@@ -172,6 +174,58 @@ def test_power_of_two_specs_reject_other_counts():
         assert not spec.applicable(problem)
         with pytest.raises(ValueError, match="power-of-two"):
             solve_collective(problem, collective=name)
+
+
+def _mixed_cost_ring(n: int = 12) -> PlatformGraph:
+    """A ring of int and Fraction link costs with equal-cost detours, so
+    the canonical tie-break picks many of the routes."""
+    costs = [1, Fraction(1, 2), 2, Fraction(3, 2)]
+    g = PlatformGraph("ring-mixed")
+    for i in range(n):
+        g.add_node(f"p{i}", 1)
+    for i in range(n):
+        g.add_link(f"p{i}", f"p{(i + 1) % n}", costs[i % len(costs)])
+    return g
+
+
+_CLUSTER = clustered(4, 4, seed=3)  # two levels: hosts behind a router ring
+_HOSTS = _CLUSTER.compute_nodes()
+_RING = _mixed_cost_ring()
+_PARTS = _RING.nodes()
+ROUTE_CASES = [
+    ("cluster", "direct-scatter", ScatterProblem(_CLUSTER, _HOSTS[0],
+                                                 _HOSTS[1:])),
+    ("cluster", "ring-all-gather", AllGatherProblem(_CLUSTER, _HOSTS[::2])),
+    ("cluster", "doubling-all-gather", AllGatherProblem(_CLUSTER, _HOSTS[:8])),
+    ("cluster", "binary-tree-reduce", ReduceProblem(_CLUSTER, _HOSTS[:8],
+                                                    _HOSTS[5])),
+    ("ring", "direct-scatter", ScatterProblem(_RING, _PARTS[0], _PARTS[1:])),
+    ("ring", "ring-reduce-scatter", ReduceScatterProblem(_RING, _PARTS)),
+    ("ring", "halving-reduce-scatter", ReduceScatterProblem(_RING, _PARTS[:8])),
+]
+
+
+@pytest.mark.parametrize("name,problem", [(n, p) for _l, n, p in ROUTE_CASES],
+                         ids=[f"{label}-{n}" for label, n, _p in ROUTE_CASES])
+def test_plan_routes_equal_per_pair_shortest_paths(name, problem):
+    """One Dijkstra tree per source routes every plan item exactly as a
+    per-pair ``shortest_path`` call would, canonical tie-break included."""
+    plan = resolve_collective(problem, name).plan(problem)
+    for tr in plan.transfers:
+        assert plan.routes[tr.item] == tuple(
+            shortest_path(problem.platform, tr.src, tr.dst))
+
+
+def test_unreachable_destination_raises_value_error():
+    g = PlatformGraph("split")
+    for node in "abc":
+        g.add_node(node, 1)
+    g.add_link("a", "b", 1)
+    problem = ScatterProblem(g, "a", ["b", "c"])
+    spec = get_collective("direct-scatter")
+    with pytest.raises(ValueError, match="'a' cannot reach 'c'"):
+        spec.build_plan(problem)
+    assert not spec.applicable(problem)
 
 
 def test_baselines_never_capture_type_resolution():

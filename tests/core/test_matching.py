@@ -1,10 +1,17 @@
 """Unit tests for the bipartite matching decomposition."""
 
+import sys
+from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core import matching
 from repro.core.matching import decompose_matchings, weighted_degrees
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def check_decomposition(edges, matchings, cap):
@@ -26,6 +33,15 @@ def check_decomposition(edges, matchings, cap):
     for (u, v, w) in edges:
         want[(u, v)] = want.get((u, v), 0) + w
     assert shipped == want
+
+
+def check_certificate(edges, matchings, cap):
+    """The invariants above plus the polynomial slot bound
+    ``len(ms) <= |E| + |U| + |V|`` (each peel retires an edge)."""
+    check_decomposition(edges, matchings, cap)
+    n_edges = len({(u, v) for u, v, _ in edges})
+    n_ports = len({u for u, _, _ in edges}) + len({v for _, v, _ in edges})
+    assert len(matchings) <= n_edges + n_ports
 
 
 class TestDecompose:
@@ -97,6 +113,90 @@ class TestDecompose:
         for m in ms:
             assert len(m.pairs) == 2
         check_decomposition(edges, ms, 2)
+
+
+@st.composite
+def large_bipartite(draw):
+    """Up to 40 ports per side, Fraction weights, ``cap`` at or above the
+    maximum weighted degree."""
+    ns = draw(st.integers(min_value=1, max_value=40))
+    nr = draw(st.integers(min_value=1, max_value=40))
+    weight = st.fractions(min_value=Fraction(1, 30), max_value=Fraction(5),
+                          max_denominator=30)
+    pairs = draw(st.lists(st.tuples(st.integers(0, ns - 1),
+                                    st.integers(0, nr - 1)),
+                          min_size=1, max_size=160, unique=True))
+    edges = [(f"s{u}", f"r{v}", draw(weight)) for u, v in pairs]
+    du, dv = weighted_degrees(edges)
+    slack = draw(st.fractions(min_value=0, max_value=Fraction(3),
+                              max_denominator=7))
+    return edges, max([*du.values(), *dv.values()]) + slack
+
+
+class TestCertificate:
+    @given(large_bipartite())
+    @settings(max_examples=40, deadline=None)
+    def test_large_fraction_instances(self, case):
+        edges, cap = case
+        check_certificate(edges, decompose_matchings(edges, cap=cap), cap)
+
+    def test_cluster1025_rate_set(self):
+        """The 1025-node clustered distribution of the compiled-replay
+        tier: a hub ships 31 unit messages per period to each of 32
+        relays, and each relay one to each of its 31 leaves; T = 1024."""
+        edges = []
+        for r in range(32):
+            edges.append((("S", "hub"), ("R", f"R{r:02d}"), Fraction(31)))
+            edges += [(("S", f"R{r:02d}"), ("R", f"L{r:02d}_{k:02d}"),
+                       Fraction(1)) for k in range(31)]
+        cap = Fraction(1024)
+        check_certificate(edges, decompose_matchings(edges, cap=cap), cap)
+
+    def test_deep_chain_needs_no_recursion_limit(self):
+        """A 3000-port chain whose greedy first choices force one
+        augmenting path through every sender: ``s_i`` prefers ``r_{i-1}``
+        and ``s_0`` is searched last, so it must shift the whole chain."""
+        n = 3000
+        edges = []
+        for i in range(1, n):
+            edges += [(f"s{i}", f"r{i - 1}", 1), (f"s{i}", f"r{i}", 2)]
+        edges.append(("s0", "r0", 2))
+        limit = sys.getrecursionlimit()
+        ms = decompose_matchings(edges)
+        assert sys.getrecursionlimit() == limit
+        check_certificate(edges, ms, 3)
+
+    def test_no_recursion_limit_hack_in_src(self):
+        offenders = [str(p) for p in SRC.rglob("*.py")
+                     if "setrecursionlimit" in p.read_text()]
+        assert offenders == []
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("bad", [0.5, Decimal("0.5"), "1", None])
+    def test_non_rational_weight_names_the_edge(self, bad):
+        edges = [("s1", "r1", 1), ("s2", "r2", bad)]
+        with pytest.raises(ValueError, match=r"\('s2', 'r2'\)"):
+            decompose_matchings(edges)
+
+    def test_float_cap_rejected(self):
+        with pytest.raises(ValueError, match="cap"):
+            decompose_matchings([("s", "r", 1)], cap=2.0)
+
+    def test_padding_failure_is_a_runtime_error(self, monkeypatch):
+        # a sender degree that disagrees with the edges unbalances the
+        # deficits the padding has to fill
+        monkeypatch.setattr(matching, "weighted_degrees",
+                            lambda edges: ({"s": 1}, {"r": 2}))
+        with pytest.raises(RuntimeError, match="padding failed"):
+            decompose_matchings([("s", "r", 2)])
+
+    def test_missing_perfect_matching_is_a_runtime_error(self, monkeypatch):
+        # a phantom sender with full degree but no edge can never match
+        monkeypatch.setattr(matching, "weighted_degrees", lambda edges: (
+            {"s": 1, "ghost": 1}, {"r": 1, "phantom": 1}))
+        with pytest.raises(RuntimeError, match="no perfect matching"):
+            decompose_matchings([("s", "r", 1)])
 
 
 class TestWeightedDegrees:

@@ -32,6 +32,8 @@ Also guards the PR 9 compiled-simulation tiers against the committed
 tier) and the fat-tree k=6 million-slot run must reproduce their
 recorded ops within 2× of the recorded compiled time, and every
 engine-pair record must hold the ≥10× bar with bit-identity asserted.
+The 1025-node tier's schedule build must also stay ≥10× under its
+recorded ``schedule_build_s``.
 
 Regenerate the baselines with ``PYTHONPATH=src python
 benchmarks/perf_report.py`` (``--replan`` for BENCH_PR6.json,
@@ -297,7 +299,8 @@ def test_sim_cluster1025_tier_within_2x_and_10x_recorded():
     engine ≥10× over the reference executor on the 1025-node clustered
     distribution with bit-identity asserted, and a live rebuild + replay
     must stay within 2× of the recorded compiled time with the recorded
-    ops and exact throughput reproduced."""
+    ops and exact throughput reproduced.  The schedule build itself must
+    be ≥10× faster than the recorded ``schedule_build_s``."""
     if not SIM_BASELINE_PATH.exists():
         pytest.skip("no BENCH_PR9.json baseline; run "
                     "benchmarks/perf_report.py --sim")
@@ -310,7 +313,7 @@ def test_sim_cluster1025_tier_within_2x_and_10x_recorded():
 
     from repro.sim.compiled import VectorizedExecutor
 
-    sched, supplies, _build_s = perf_report._sim_cluster1025()
+    sched, supplies, build_s = perf_report._sim_cluster1025()
     t0 = time.perf_counter()
     ex = VectorizedExecutor(sched, supplies)
     for _ in range(base["periods"]):
@@ -325,6 +328,10 @@ def test_sim_cluster1025_tier_within_2x_and_10x_recorded():
         f"cluster1025 compiled replay regressed: {elapsed:.3f}s vs baseline "
         f"{base['compiled_s']:.3f}s (budget {budget:.3f}s) — if intentional, "
         f"regenerate BENCH_PR9.json via benchmarks/perf_report.py --sim")
+    build_budget = base["schedule_build_s"] / 10 * _budget_factor()
+    assert build_s <= build_budget, (
+        f"cluster1025 schedule build took {build_s:.3f}s, over a tenth of "
+        f"the recorded {base['schedule_build_s']:.3f}s")
 
 
 @pytest.mark.perf_smoke
