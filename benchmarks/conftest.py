@@ -3,7 +3,7 @@
 Every benchmark appends paper-vs-measured rows via the ``report`` fixture;
 they are printed in the terminal summary so that
 ``pytest benchmarks/ --benchmark-only`` shows both the timing table and the
-reproduction record (the same rows land in EXPERIMENTS.md).
+paper-vs-measured reproduction record.
 """
 
 from __future__ import annotations

@@ -10,10 +10,11 @@
 
 from fractions import Fraction
 
+from repro.collectives import schedule_collective, solve_collective
 from repro.core.matching import decompose_matchings
-from repro.core.scatter import (ScatterProblem, build_scatter_schedule, solve_scatter)
+from repro.core.scatter import ScatterProblem
 from repro.platform.examples import figure2_platform, figure2_targets
-from repro.sim.executor import simulate_scatter
+from repro.sim.executor import simulate_collective
 
 
 def _problem():
@@ -22,7 +23,7 @@ def _problem():
 
 def test_fig2_lp_throughput(benchmark, report):
     problem = _problem()
-    sol = benchmark(lambda: solve_scatter(problem, backend="exact"))
+    sol = benchmark(lambda: solve_collective(problem, backend="exact"))
     report.row("Fig 2: steady-state scatter throughput TP", "1/2",
                sol.throughput)
     report.row("Fig 2: messages per target per 12 time-units", 6,
@@ -52,8 +53,8 @@ def test_fig3_matching_decomposition(benchmark, report):
 def test_fig4_schedules(benchmark, report):
     problem = _problem()
     # canonical: the asserted periods pin one optimal vertex's schedule
-    sol = solve_scatter(problem, backend="exact", canonical=True)
-    sched = benchmark(lambda: build_scatter_schedule(sol))
+    sol = solve_collective(problem, backend="exact", canonical=True)
+    sched = benchmark(lambda: schedule_collective(sol))
     nosplit = sched.without_splits()
     report.row("Fig 4a: period with split messages", 12, sched.period,
                "our LP vertex routes all m0 via Pa, so a smaller period works")
@@ -63,9 +64,9 @@ def test_fig4_schedules(benchmark, report):
                len(sched.validate()) + len(nosplit.validate()))
     assert sched.validate() == [] and nosplit.validate() == []
     # both schedules deliver at the same steady rate
-    res = simulate_scatter(sched, problem, n_periods=40, record_trace=False)
-    res2 = simulate_scatter(nosplit, problem, n_periods=40 * int(sched.period)
-                            // int(nosplit.period) + 2, record_trace=False)
+    res = simulate_collective(sched, problem, n_periods=40, record_trace=False)
+    res2 = simulate_collective(nosplit, problem, n_periods=40 * int(sched.period)
+                               // int(nosplit.period) + 2, record_trace=False)
     assert res.errors == [] and res2.errors == []
     report.row("Fig 4: simulated throughput (split schedule)", "1/2",
                round(float(res.measured_throughput()), 4))

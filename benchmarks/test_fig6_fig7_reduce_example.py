@@ -9,12 +9,13 @@
 
 from fractions import Fraction
 
+from repro.collectives import solve_collective
 from repro.core import intervals as iv
-from repro.core.reduce_op import ReduceProblem, solve_reduce
+from repro.core.reduce_op import ReduceProblem
 from repro.core.schedule import build_reduce_schedule
 from repro.core.trees import extract_trees, trees_weight_sum
 from repro.platform.examples import figure6_platform
-from repro.sim.executor import simulate_reduce
+from repro.sim.executor import simulate_collective
 from repro.sim.operators import MatMul2x2Mod
 
 
@@ -24,7 +25,7 @@ def _problem():
 
 def test_fig6_lp_throughput(benchmark, report):
     problem = _problem()
-    sol = benchmark(lambda: solve_reduce(problem, backend="exact", canonical=True))
+    sol = benchmark(lambda: solve_collective(problem, backend="exact", canonical=True))
     report.row("Fig 6: steady-state reduce throughput TP", 1, sol.throughput)
     report.row("Fig 6: reductions per 3 time-units", 3, sol.throughput * 3)
     assert sol.throughput == 1
@@ -33,10 +34,10 @@ def test_fig6_lp_throughput(benchmark, report):
 
 def test_fig6_pipelined_schedule(benchmark, report):
     problem = _problem()
-    sol = solve_reduce(problem, backend="exact", canonical=True)
+    sol = solve_collective(problem, backend="exact", canonical=True)
     sched = build_reduce_schedule(sol)
-    res = benchmark(lambda: simulate_reduce(sched, problem, n_periods=60,
-                                            record_trace=False))
+    res = benchmark(lambda: simulate_collective(sched, problem, n_periods=60,
+                                                record_trace=False))
     bound = float(sol.throughput) * float(res.horizon)
     report.row("Fig 6e: simulated ops vs TP*K bound",
                f"{bound:.0f}", res.completed_ops(),
@@ -49,7 +50,7 @@ def test_fig6_pipelined_schedule(benchmark, report):
 
 def test_fig7_reduction_trees(benchmark, report):
     problem = _problem()
-    sol = solve_reduce(problem, backend="exact", canonical=True)
+    sol = solve_collective(problem, backend="exact", canonical=True)
     trees = benchmark(lambda: extract_trees(sol))
     weights = sorted(Fraction(t.weight) for t in trees)
     report.row("Fig 7: tree throughputs sum to TP", 1, trees_weight_sum(trees))
@@ -64,11 +65,11 @@ def test_fig7_reduction_trees(benchmark, report):
 
 def test_fig6_matmul_validation(benchmark, report):
     problem = _problem()
-    sol = solve_reduce(problem, backend="exact", canonical=True)
+    sol = solve_collective(problem, backend="exact", canonical=True)
     sched = build_reduce_schedule(sol)
-    res = benchmark(lambda: simulate_reduce(sched, problem, n_periods=40,
-                                            op=MatMul2x2Mod,
-                                            record_trace=False))
+    res = benchmark(lambda: simulate_collective(sched, problem, n_periods=40,
+                                                op=MatMul2x2Mod,
+                                                record_trace=False))
     report.row("Fig 6: matrix-product operator delivers same count",
                "same as SeqConcat", res.completed_ops())
     assert res.errors == []

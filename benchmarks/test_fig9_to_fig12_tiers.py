@@ -15,13 +15,14 @@ that the reconstruction is faithful.
 from fractions import Fraction
 
 from repro.baselines.reduce_baselines import best_single_tree_throughput
-from repro.core.reduce_op import ReduceProblem, build_reduce_lp, solve_reduce
+from repro.collectives import solve_collective
+from repro.core.reduce_op import ReduceProblem, build_reduce_lp
 from repro.core.schedule import build_reduce_schedule
 from repro.core.trees import extract_trees
 from repro.platform.examples import (
     FIGURE9_SPEEDS, figure9_participants, figure9_platform, figure9_target,
 )
-from repro.sim.executor import simulate_reduce
+from repro.sim.executor import simulate_collective
 
 
 def _problem():
@@ -42,7 +43,7 @@ def test_fig9_platform_reconstruction(benchmark, report):
 def test_fig10_lp_throughput(benchmark, report):
     problem = _problem()
     lp = build_reduce_lp(problem)
-    sol = benchmark(lambda: solve_reduce(problem))
+    sol = benchmark(lambda: solve_collective(problem))
     report.row("Fig 10: LP size (vars, constraints)", "(not reported)",
                f"({lp.num_vars()}, {lp.num_constraints()})")
     report.row("Fig 10: steady-state reduce throughput TP", "2/9",
@@ -58,7 +59,7 @@ def test_fig11_12_trees(benchmark, report):
     # rule.  The paper's Figure 11/12 presents a two-tree optimal vertex
     # (1/9 each); the canonical vertex concentrates into one 2/9 tree —
     # both are optimal mixes, and the weights always sum to TP.
-    sol = solve_reduce(_problem(), canonical=True)
+    sol = solve_collective(_problem(), canonical=True)
     trees = benchmark(lambda: extract_trees(sol))
     report.row("Fig 11/12: reduction-tree weights sum to TP", "2/9",
                str(sum(Fraction(t.weight) for t in trees)))
@@ -74,10 +75,10 @@ def test_fig11_12_trees(benchmark, report):
 
 def test_fig9_schedule_simulation(benchmark, report):
     problem = _problem()
-    sol = solve_reduce(problem)
+    sol = solve_collective(problem)
     sched = build_reduce_schedule(sol)
-    res = benchmark(lambda: simulate_reduce(sched, problem, n_periods=120,
-                                            record_trace=False))
+    res = benchmark(lambda: simulate_collective(sched, problem, n_periods=120,
+                                                record_trace=False))
     bound = float(sol.throughput) * float(res.horizon)
     report.row("Fig 9-12: simulated ops / TP*K over 120 periods",
                "-> 1 as K grows", round(res.completed_ops() / bound, 3))

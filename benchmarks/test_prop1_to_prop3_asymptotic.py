@@ -6,16 +6,17 @@ schedule over growing horizons and report the ratio series — it must be
 nondecreasing toward 1 and never exceed the bound.
 """
 
-from repro.core.gossip import GossipProblem, build_gossip_schedule, solve_gossip
+from repro.collectives import schedule_collective, solve_collective
+from repro.core.gossip import GossipProblem
 from repro.core.optimality import is_monotone_nondecreasing, upper_bound_ops
-from repro.core.reduce_op import ReduceProblem, solve_reduce
-from repro.core.scatter import ScatterProblem, build_scatter_schedule, solve_scatter
+from repro.core.reduce_op import ReduceProblem
+from repro.core.scatter import ScatterProblem
 from repro.core.schedule import build_reduce_schedule
 from repro.platform.examples import (
     figure2_platform, figure2_targets, figure6_platform,
 )
 from repro.platform.generators import complete
-from repro.sim.executor import simulate_gossip, simulate_reduce, simulate_scatter
+from repro.sim.executor import simulate_collective
 
 HORIZON_PERIODS = (5, 10, 20, 40, 80)
 
@@ -32,9 +33,9 @@ def _ratio_series(sched, problem, simulate, throughput):
 
 def test_prop1_scatter_asymptotic(benchmark, report):
     problem = ScatterProblem(figure2_platform(), "Ps", figure2_targets())
-    sol = solve_scatter(problem, backend="exact")
-    sched = build_scatter_schedule(sol)
-    ratios = benchmark(lambda: _ratio_series(sched, problem, simulate_scatter,
+    sol = solve_collective(problem, backend="exact")
+    sched = schedule_collective(sol)
+    ratios = benchmark(lambda: _ratio_series(sched, problem, simulate_collective,
                                              sol.throughput))
     report.row("Prop 1: steady/opt ratio over K = 5..80 periods", "-> 1",
                [round(r, 3) for r in ratios])
@@ -46,9 +47,9 @@ def test_prop2_gossip_asymptotic(benchmark, report):
     g = complete(3, cost=1)
     nodes = g.nodes()
     problem = GossipProblem(g, nodes, nodes)
-    sol = solve_gossip(problem, backend="exact")
-    sched = build_gossip_schedule(sol)
-    ratios = benchmark(lambda: _ratio_series(sched, problem, simulate_gossip,
+    sol = solve_collective(problem, backend="exact")
+    sched = schedule_collective(sol)
+    ratios = benchmark(lambda: _ratio_series(sched, problem, simulate_collective,
                                              sol.throughput))
     report.row("Prop 2: gossip TP on K3 (all-to-all)", "(not reported)",
                sol.throughput)
@@ -61,9 +62,9 @@ def test_prop2_gossip_asymptotic(benchmark, report):
 def test_prop3_reduce_asymptotic(benchmark, report):
     problem = ReduceProblem(figure6_platform(), participants=[0, 1, 2],
                             target=0)
-    sol = solve_reduce(problem, backend="exact")
+    sol = solve_collective(problem, backend="exact")
     sched = build_reduce_schedule(sol)
-    ratios = benchmark(lambda: _ratio_series(sched, problem, simulate_reduce,
+    ratios = benchmark(lambda: _ratio_series(sched, problem, simulate_collective,
                                              sol.throughput))
     report.row("Prop 3: steady/opt ratio over K = 5..80 periods", "-> 1",
                [round(r, 3) for r in ratios])

@@ -7,8 +7,9 @@ and on a synthetic instance with awkward (non-dividing) weights.
 
 from fractions import Fraction
 
+from repro.collectives import solve_collective
 from repro.core.fixed_period import fixed_period_approximation
-from repro.core.reduce_op import ReduceProblem, solve_reduce
+from repro.core.reduce_op import ReduceProblem
 from repro.core.trees import ReductionTree
 from repro.platform.examples import (
     figure9_participants, figure9_platform, figure9_target,
@@ -21,7 +22,7 @@ def test_prop4_fig9_sweep(benchmark, report):
     problem = ReduceProblem(figure9_platform(),
                             participants=figure9_participants(),
                             target=figure9_target(), msg_size=10, task_work=10)
-    sol = solve_reduce(problem)
+    sol = solve_collective(problem)
     trees = sol.extract()
 
     def sweep():

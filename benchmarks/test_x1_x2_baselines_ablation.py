@@ -15,23 +15,23 @@ from fractions import Fraction
 
 from repro.baselines.reduce_baselines import best_single_tree_throughput
 from repro.baselines.scatter_baselines import spt_scatter_throughput
-from repro.collectives import solve_collective
-from repro.core.reduce_op import ReduceProblem, solve_reduce
-from repro.core.scatter import ScatterProblem, build_scatter_schedule, solve_scatter
+from repro.collectives import schedule_collective, solve_collective
+from repro.core.reduce_op import ReduceProblem
+from repro.core.scatter import ScatterProblem
 from repro.core.schedule import build_reduce_schedule
 from repro.platform.examples import (
     figure2_platform, figure2_targets, figure6_platform,
     figure9_participants, figure9_platform, figure9_target,
 )
 from repro.platform.graph import PlatformGraph
-from repro.sim.executor import simulate_reduce, simulate_scatter
+from repro.sim.executor import simulate_collective
 
 
 def test_x1_scatter_lp_vs_direct(benchmark, report):
     problem = ScatterProblem(figure2_platform(), "Ps", figure2_targets())
-    sol = solve_scatter(problem, backend="exact")
-    sched = build_scatter_schedule(sol)
-    lp_run = simulate_scatter(sched, problem, n_periods=60, record_trace=False)
+    sol = solve_collective(problem, backend="exact")
+    sched = schedule_collective(sol)
+    lp_run = simulate_collective(sched, problem, n_periods=60, record_trace=False)
     direct = benchmark(lambda: solve_collective(problem,
                                                 collective="direct-scatter"))
     report.row("X1 scatter (Fig 2): LP steady throughput", "1/2 (optimal)",
@@ -45,9 +45,9 @@ def test_x1_scatter_lp_vs_direct(benchmark, report):
 def test_x1_reduce_lp_vs_trees(benchmark, report):
     problem = ReduceProblem(figure6_platform(), participants=[0, 1, 2],
                             target=0)
-    sol = solve_reduce(problem, backend="exact")
+    sol = solve_collective(problem, backend="exact")
     sched = build_reduce_schedule(sol)
-    lp_run = simulate_reduce(sched, problem, n_periods=60, record_trace=False)
+    lp_run = simulate_collective(sched, problem, n_periods=60, record_trace=False)
 
     def run_baselines():
         return (solve_collective(problem, collective="flat-tree-reduce"),
@@ -75,7 +75,7 @@ def test_x2_multiroute_ablation(benchmark, report):
     g.add_edge("a", "t2", 1)
     g.add_edge("b", "t2", 3)
     problem = ScatterProblem(g, "s", ["t1", "t2"])
-    full = solve_scatter(problem, backend="exact").throughput
+    full = solve_collective(problem, backend="exact").throughput
     spt = benchmark(lambda: spt_scatter_throughput(problem))
     report.row("X2a: multi-route LP throughput", "3/5", full)
     report.row("X2a: single shortest-path-tree throughput", "1/2", spt)
@@ -88,7 +88,7 @@ def test_x2_multitree_ablation(benchmark, report):
     problem = ReduceProblem(figure9_platform(),
                             participants=figure9_participants(),
                             target=figure9_target(), msg_size=10, task_work=10)
-    sol = solve_reduce(problem)
+    sol = solve_collective(problem)
     trees = sol.extract()
     single, _tree = benchmark(lambda: best_single_tree_throughput(trees, problem))
     report.row("X2b (Fig 9): optimal multi-tree TP", "2/9", sol.throughput)

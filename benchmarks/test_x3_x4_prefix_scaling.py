@@ -10,8 +10,8 @@ LPs (the reason the library auto-dispatches by size).
 
 import time
 
-from repro.core.prefix import solve_prefix
-from repro.core.reduce_op import ReduceProblem, build_reduce_lp, solve_reduce
+from repro.collectives import solve_collective
+from repro.core.reduce_op import ReduceProblem, build_reduce_lp
 from repro.lp import ExactSimplexSolver, HighsSolver, dispatch
 from repro.platform.examples import figure6_platform
 from repro.platform.generators import complete
@@ -20,8 +20,9 @@ from repro.platform.generators import complete
 def test_x3_prefix_vs_reduce(benchmark, report):
     problem = ReduceProblem(figure6_platform(), participants=[0, 1, 2],
                             target=0)
-    reduce_tp = solve_reduce(problem, backend="exact").throughput
-    prefix = benchmark(lambda: solve_prefix(problem, backend="exact"))
+    reduce_tp = solve_collective(problem, backend="exact").throughput
+    prefix = benchmark(lambda: solve_collective(problem, collective="prefix",
+                                                backend="exact"))
     report.row("X3: plain reduce TP (Fig 6)", 1, reduce_tp)
     report.row("X3: parallel-prefix TP (deliver v[0,i] to every rank)",
                "<= reduce TP", prefix.throughput)
@@ -33,10 +34,10 @@ def test_x3_prefix_vs_reduce(benchmark, report):
 def test_x4_lp_scaling_exact_vs_highs(benchmark, report):
     """Exact-solver scaling on the growing ``SSR(complete-n)`` family.
 
-    Also exercises the dispatch warm start: the first solve of each size
-    records its optimal basis under the family slot; the re-solve
-    crash-pivots that basis back in and skips Phase 1 entirely (the memo
-    cache is bypassed to measure the simplex, not the cache).
+    Also exercises the dispatch warm start: the re-solve of each size
+    passes the cold solve's optimal basis as ``warm_basis``, crash-pivots
+    it back in and skips Phase 1 entirely (the memo cache is bypassed to
+    measure the simplex, not the cache).
     """
     dispatch.clear_cache()
     rows = []
@@ -46,13 +47,11 @@ def test_x4_lp_scaling_exact_vs_highs(benchmark, report):
         problem = ReduceProblem(g, nodes, nodes[0])
         lp = build_reduce_lp(problem)
         t0 = time.perf_counter()
-        cold = dispatch.solve(lp, backend="exact", cache=False,
-                              warm_start=True, family=f"X4-SSR-{n}")
+        cold = dispatch.solve(lp, backend="exact", cache=False)
         t_cold = time.perf_counter() - t0
         t0 = time.perf_counter()
         warm = dispatch.solve(build_reduce_lp(problem), backend="exact",
-                              cache=False, warm_start=True,
-                              family=f"X4-SSR-{n}")
+                              cache=False, warm_basis=cold.basis_labels)
         t_warm = time.perf_counter() - t0
         t0 = time.perf_counter()
         approx = HighsSolver().solve(lp)
@@ -75,5 +74,5 @@ def test_x4_lp_scaling_exact_vs_highs(benchmark, report):
     report.line("X4: the sparse fraction-free simplex keeps the whole "
                 "family exact (dispatch limit "
                 f"{dispatch.EXACT_VAR_LIMIT} vars); re-solves warm-start "
-                "from the family's recorded basis and skip Phase 1, HiGHS "
+                "from the cold solve's basis and skip Phase 1, HiGHS "
                 "remains the float fallback beyond the limit.")

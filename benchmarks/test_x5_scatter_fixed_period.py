@@ -5,11 +5,13 @@ to the per-target *path* decomposition of a scatter solution, and doubles as
 the bridge from float (HiGHS) LP solutions to exact periodic schedules.
 """
 
+from repro.collectives import solve_collective
 from repro.core.scatter import (
-    ScatterProblem, build_scatter_schedule_fixed_period, solve_scatter,
+    ScatterProblem,
+    build_scatter_schedule_fixed_period,
 )
 from repro.platform.generators import clustered
-from repro.sim.executor import simulate_scatter
+from repro.sim.executor import simulate_collective
 
 PERIODS = (10, 100, 1000)
 
@@ -18,7 +20,7 @@ def test_x5_scatter_fixed_period_sweep(benchmark, report):
     g = clustered(3, 2, seed=4)
     hosts = g.compute_nodes()
     problem = ScatterProblem(g, hosts[0], hosts[1:5])
-    sol = solve_scatter(problem, backend="highs")
+    sol = solve_collective(problem, backend="highs")
 
     def sweep():
         return [build_scatter_schedule_fixed_period(sol, p) for p in PERIODS]
@@ -33,7 +35,7 @@ def test_x5_scatter_fixed_period_sweep(benchmark, report):
         assert fp.loss_within_bound()
         assert sched.validate() == []
     sched, fp = results[-1]
-    res = simulate_scatter(sched, problem, n_periods=30, record_trace=False)
+    res = simulate_collective(sched, problem, n_periods=30, record_trace=False)
     assert res.errors == []
     report.row("X5: simulated ops vs rounded bound (30 periods)",
                "-> 1 as K grows",

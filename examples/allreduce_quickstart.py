@@ -26,11 +26,10 @@ Run:  python examples/allreduce_quickstart.py
 
 from fractions import Fraction
 
-from repro.core.allgather import AllGatherProblem, solve_all_gather
-from repro.core.allreduce import (
-    AllReduceProblem, build_all_reduce_schedule, solve_all_reduce,
-)
-from repro.core.reduce_scatter import ReduceScatterProblem, solve_reduce_scatter
+from repro.collectives import schedule_collective, solve_collective
+from repro.core.allgather import AllGatherProblem
+from repro.core.allreduce import AllReduceProblem
+from repro.core.reduce_scatter import ReduceScatterProblem
 from repro.platform.examples import figure6_platform
 from repro.sim.executor import simulate_collective
 from repro.viz.gantt import ascii_gantt
@@ -45,10 +44,10 @@ def main() -> None:
     problem = AllReduceProblem(platform, participants, task_work=2)
 
     # 1. the stage optima (two independent exact LP solves)
-    rs = solve_reduce_scatter(
+    rs = solve_collective(
         ReduceScatterProblem(platform, participants, task_work=2),
         backend="exact")
-    ag = solve_all_gather(AllGatherProblem(platform, participants),
+    ag = solve_collective(AllGatherProblem(platform, participants),
                           backend="exact")
     print(f"platform: {platform!r}")
     print(f"reduce-scatter stage: TP = {rs.throughput} (compute-bound)")
@@ -56,9 +55,9 @@ def main() -> None:
           f"(joint LP over {len(participants)} shared-capacity broadcasts)")
 
     # 2. the three composition modes side by side
-    sequential = solve_all_reduce(problem, backend="exact")
-    pipelined = solve_all_reduce(problem, backend="exact", mode="pipelined")
-    joint = solve_all_reduce(problem, backend="exact", mode="joint")
+    sequential = solve_collective(problem, backend="exact")
+    pipelined = solve_collective(problem, backend="exact", mode="pipelined")
+    joint = solve_collective(problem, backend="exact", mode="joint")
     print()
     print(format_table(
         ["mode", "TP", "how"],
@@ -80,10 +79,10 @@ def main() -> None:
 
     # 3. the pipelined periodic schedule: ONE period carries both phases,
     # retimed so reduced blocks land before they are re-broadcast
-    schedule = build_all_reduce_schedule(pipelined)
+    schedule = schedule_collective(pipelined)
     print()
     print(ascii_gantt(schedule))
-    seq_schedule = build_all_reduce_schedule(sequential)
+    seq_schedule = schedule_collective(sequential)
     print(f"pipelined period {schedule.period} vs sequential "
           f"{seq_schedule.period} for "
           f"{schedule.throughput * schedule.period} op(s)")

@@ -17,10 +17,10 @@ from fractions import Fraction
 
 from repro.baselines.reduce_baselines import best_single_tree_throughput
 from repro.collectives import solve_collective
-from repro.core.reduce_op import ReduceProblem, solve_reduce
+from repro.core.reduce_op import ReduceProblem
 from repro.core.schedule import build_reduce_schedule
 from repro.platform.generators import tiers
-from repro.sim.executor import simulate_reduce
+from repro.sim.executor import simulate_collective
 from repro.viz.tables import format_table
 
 
@@ -33,13 +33,13 @@ def main() -> None:
     print(f"platform: {g!r}")
     print(f"participants: {hosts} -> target {hosts[0]}\n")
 
-    solution = solve_reduce(problem)
+    solution = solve_collective(problem)
     schedule = build_reduce_schedule(solution) if solution.exact else None
     rows = []
 
     if schedule is not None:
-        run = simulate_reduce(schedule, problem, n_periods=80,
-                              record_trace=False)
+        run = simulate_collective(schedule, problem, n_periods=80,
+                                  record_trace=False)
         rows.append(["steady-state LP (this paper)",
                      f"{float(run.measured_throughput()):.4f}",
                      f"{solution.throughput} (optimal)"])

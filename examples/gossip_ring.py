@@ -9,11 +9,10 @@ rates into a conflict-free periodic schedule.
 Run:  python examples/gossip_ring.py
 """
 
-from repro.core.gossip import (
-    GossipProblem, build_gossip_schedule, solve_gossip,
-)
+from repro.collectives import schedule_collective, solve_collective
+from repro.core.gossip import GossipProblem
 from repro.platform.generators import heterogenize, ring
-from repro.sim.executor import simulate_gossip
+from repro.sim.executor import simulate_collective
 from repro.viz.gantt import ascii_gantt
 
 
@@ -24,7 +23,7 @@ def main() -> None:
     problem = GossipProblem(g, sources=nodes, targets=nodes)
     print(f"platform: {g!r} (ring, heterogeneous link costs)")
 
-    solution = solve_gossip(problem, backend="exact")
+    solution = solve_collective(problem, backend="exact")
     print(f"optimal gossip throughput TP = {solution.throughput} "
           f"({len(problem.pairs())} message types)\n")
     print("routes per (source, target) pair:")
@@ -32,11 +31,11 @@ def main() -> None:
         for path, rate in paths:
             print(f"  m({k},{l}): {' -> '.join(str(p) for p in path)}  rate {rate}")
 
-    schedule = build_gossip_schedule(solution)
+    schedule = schedule_collective(solution)
     print()
     print(ascii_gantt(schedule))
 
-    result = simulate_gossip(schedule, problem, n_periods=40)
+    result = simulate_collective(schedule, problem, n_periods=40)
     bound = float(solution.throughput) * float(result.horizon)
     print(f"\nsimulated {result.completed_ops()} complete gossip ops "
           f"(bound {bound:.0f}); correct={result.correct}")

@@ -8,11 +8,10 @@ chart, and replays it in the simulator to confirm the throughput.
 Run:  python examples/quickstart.py
 """
 
-from repro.core.scatter import (
-    ScatterProblem, build_scatter_schedule, solve_scatter,
-)
+from repro.collectives import schedule_collective, solve_collective
+from repro.core.scatter import ScatterProblem
 from repro.platform.examples import figure2_platform, figure2_targets
-from repro.sim.executor import simulate_scatter
+from repro.sim.executor import simulate_collective
 from repro.viz.gantt import ascii_gantt
 
 
@@ -21,7 +20,7 @@ def main() -> None:
     problem = ScatterProblem(platform, source="Ps", targets=figure2_targets())
 
     # 1. the steady-state LP (Section 3.1) — solved in exact rationals
-    solution = solve_scatter(problem, backend="exact")
+    solution = solve_collective(problem, backend="exact")
     print(f"platform: {platform!r}")
     print(f"optimal steady-state throughput TP = {solution.throughput} "
           f"(paper: 1/2)\n")
@@ -31,12 +30,12 @@ def main() -> None:
             print(f"  m[{target}]: {' -> '.join(path)}   rate {rate}")
 
     # 2. the periodic schedule (Section 3.3, matching decomposition)
-    schedule = build_scatter_schedule(solution)
+    schedule = schedule_collective(solution)
     print()
     print(ascii_gantt(schedule))
 
     # 3. replay under the one-port model (init phase emerges by itself)
-    result = simulate_scatter(schedule, problem, n_periods=50)
+    result = simulate_collective(schedule, problem, n_periods=50)
     bound = float(solution.throughput) * float(result.horizon)
     print()
     print(f"simulated {result.completed_ops()} scatter ops over "

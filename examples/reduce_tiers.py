@@ -12,13 +12,14 @@ Run:  python examples/reduce_tiers.py
 """
 
 
+from repro.collectives import solve_collective
 from repro.core.fixed_period import fixed_period_approximation
-from repro.core.reduce_op import ReduceProblem, solve_reduce
+from repro.core.reduce_op import ReduceProblem
 from repro.core.schedule import build_reduce_schedule
 from repro.platform.examples import (
     figure9_participants, figure9_platform, figure9_target,
 )
-from repro.sim.executor import simulate_reduce
+from repro.sim.executor import simulate_collective
 from repro.sim.operators import MatMul2x2Mod
 
 
@@ -30,7 +31,7 @@ def main() -> None:
         msg_size=10, task_work=10)
     print(f"platform: {problem.platform!r}")
 
-    solution = solve_reduce(problem)
+    solution = solve_collective(problem)
     print(f"LP backend: {solution.lp_solution.backend}")
     print(f"optimal steady-state throughput TP = {solution.throughput} "
           f"(paper Figure 10: 2/9)\n")
@@ -48,8 +49,8 @@ def main() -> None:
           f"loss {fp.loss} <= bound {fp.bound}")
 
     schedule = build_reduce_schedule(solution, trees=fp.items)
-    result = simulate_reduce(schedule, problem, n_periods=100,
-                             op=MatMul2x2Mod, record_trace=False)
+    result = simulate_collective(schedule, problem, n_periods=100,
+                                 op=MatMul2x2Mod, record_trace=False)
     bound = float(fp.throughput) * float(result.horizon)
     print(f"simulated {result.completed_ops()} reduces over "
           f"{result.horizon} time-units (bound {bound:.0f}); "

@@ -8,17 +8,20 @@ throughput of scatter and reduce operations on heterogeneous platforms"*
 Quickstart::
 
     from repro.platform import figure2_platform
-    from repro.core import ScatterProblem, solve_scatter, build_scatter_schedule
-    from repro.sim.executor import simulate_scatter
+    from repro.core import ScatterProblem
+    from repro.collectives import schedule_collective, solve_collective
+    from repro.sim.executor import simulate_collective
 
     problem = ScatterProblem(figure2_platform(), "Ps", ["P0", "P1"])
-    solution = solve_scatter(problem)           # TP == 1/2, exact
-    schedule = build_scatter_schedule(solution) # periodic one-port schedule
-    result = simulate_scatter(schedule, problem, n_periods=50)
+    solution = solve_collective(problem)        # TP == 1/2, exact
+    schedule = schedule_collective(solution)    # periodic one-port schedule
+    result = simulate_collective(schedule, problem, n_periods=50)
     assert result.correct
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every figure.
+Every collective runs this one chain — steady-state LP, periodic
+one-port schedule, replay — with the spec resolved from the problem type
+(:mod:`repro.collectives`).  ``benchmarks/`` holds the paper-vs-measured
+record of every figure.
 """
 
 __version__ = "1.0.0"

@@ -44,10 +44,7 @@ The optimality-gap auto-tuner (:mod:`repro.tune`, CLI ``repro tune``)
     steady-window rate matching its analytic rate bit-exactly.
 """
 
-from repro.baselines.scatter_baselines import (
-    direct_scatter_solution,
-    spt_scatter_throughput,
-)
+from repro.baselines.scatter_baselines import spt_scatter_throughput
 from repro.baselines.reduce_baselines import (
     best_single_tree_throughput,
     single_tree_resource_load,
@@ -55,7 +52,6 @@ from repro.baselines.reduce_baselines import (
 )
 
 __all__ = [
-    "direct_scatter_solution",
     "spt_scatter_throughput",
     "best_single_tree_throughput",
     "single_tree_resource_load",

@@ -292,8 +292,8 @@ class AlgorithmSpec(CollectiveSpec):
         self.plan(problem)  # raises ValueError when inapplicable
 
     # ------------------------------------------------------------ solve
-    def solve(self, problem, backend: str = "auto", eps: float = 1e-9,
-              passes=None, **solve_kwargs) -> CollectiveSolution:
+    def solve(self, problem, backend: str = "auto", passes=None,
+              **solve_kwargs) -> CollectiveSolution:
         """Analytic solve: no LP — every backend returns the same exact
         rational plan rates (extra LP keywords are accepted and ignored
         so the orchestrator/conformance call sites work unchanged)."""

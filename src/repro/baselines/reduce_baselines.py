@@ -18,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
+from repro.collectives.base import FLOAT_EPS
 from repro.core.reduce_op import ReduceProblem
 from repro.core.trees import ReductionTree
 from repro.platform.graph import NodeId
@@ -93,7 +94,7 @@ def best_single_tree_throughput(trees: Sequence[ReductionTree],
         if worst is None or worst <= 0:
             continue
         sol = single_tree_solution(tree, problem)
-        errors = sol.verify(tol=0 if sol.exact else 1e-9)
+        errors = sol.verify(tol=0 if sol.exact else FLOAT_EPS)
         if errors:
             raise ValueError(
                 f"single-tree baseline fails shared verification: {errors[:3]}")

@@ -1,11 +1,8 @@
-"""Scatter baselines.
+"""Scatter ablation.
 
-``direct_scatter_solution`` is what a naive MPI implementation does for a
-series of scatters: the source pushes each message itself, hop by hop along
-a fixed shortest path (the registered ``direct-scatter`` spec).  It ignores
-multi-route splitting and relay parallelism, which is exactly what the
-steady-state LP exploits — the gap between the two is the paper's
-motivation.
+(The naive MPI scatter — the source pushes each message itself, hop by
+hop along a fixed shortest path — is the registered ``direct-scatter``
+spec: ``solve_collective(problem, collective="direct-scatter")``.)
 
 ``spt_scatter_throughput`` is the single-route *ablation*: the full
 steady-state machinery, but restricted to the edges of one shortest-path
@@ -15,22 +12,9 @@ tree.  Comparing it with ``TP(G)`` isolates the value of multiple routes
 
 from __future__ import annotations
 
-from repro.core.scatter import ScatterProblem, solve_scatter
+from repro.collectives import solve_collective
+from repro.core.scatter import ScatterProblem
 from repro.platform.routing import shortest_path_tree
-
-
-def direct_scatter_solution(problem: ScatterProblem):
-    """Direct scatter as a shared-pipeline solution.
-
-    Solves the registered ``"direct-scatter"`` baseline spec
-    (:mod:`repro.baselines.algorithms`): fixed canonical shortest-path
-    routes, pipelined at the analytic rate ``1 / max port load``, as a
-    ``CollectiveSolution`` — so it verifies, schedules and simulates
-    through the exact machinery the LP solutions use.
-    """
-    from repro.collectives import solve_collective
-
-    return solve_collective(problem, collective="direct-scatter")
 
 
 def spt_scatter_throughput(problem: ScatterProblem,
@@ -46,4 +30,4 @@ def spt_scatter_throughput(problem: ScatterProblem,
         if k not in tree:
             raise ValueError(f"target {k!r} unreachable from source")
     sub_problem = ScatterProblem(tree, problem.source, problem.targets)
-    return solve_scatter(sub_problem, backend=backend).throughput
+    return solve_collective(sub_problem, backend=backend).throughput

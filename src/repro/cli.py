@@ -56,10 +56,6 @@ def parse_nodes(tokens: str) -> List[object]:
     return [parse_node(t) for t in tokens.split(",")]
 
 
-# backward-compatible alias (pre-registry name)
-_parse_node = parse_node
-
-
 # ----------------------------------------------------------------------
 # registry-generated solve subcommands
 # ----------------------------------------------------------------------
@@ -77,8 +73,8 @@ def _add_solve_subcommand(sub, spec) -> None:
                              "colgen"])
     sp.add_argument("--jobs", type=int, default=None, metavar="N",
                     help="pricing worker processes for the colgen backend "
-                         "(default: REPRO_JOBS or the CPU count; results "
-                         "are identical for any value)")
+                         "(default: REPRO_JOBS, else 1; results are "
+                         "identical for any value)")
     sp.add_argument("--lp-stats", action="store_true",
                     help="print solver statistics (pivot counts, LU "
                          "refactorizations, crash path, per-phase timings) "
@@ -303,26 +299,25 @@ DEMOS = ["fig2", "fig6", "fig9", "reduce-scatter", "broadcast",
 
 
 def _cmd_demo(args) -> int:
-    from repro.core.reduce_op import ReduceProblem, solve_reduce
-    from repro.core.reduce_scatter import (ReduceScatterProblem,
-                                           build_reduce_scatter_schedule,
-                                           solve_reduce_scatter)
-    from repro.core.scatter import ScatterProblem, build_scatter_schedule, \
-        solve_scatter
+    from repro.core.allgather import AllGatherProblem
+    from repro.core.allreduce import AllReduceProblem
+    from repro.core.broadcast import BroadcastProblem
+    from repro.core.reduce_op import ReduceProblem
+    from repro.core.reduce_scatter import ReduceScatterProblem
+    from repro.core.scatter import ScatterProblem
     from repro.core.schedule import build_reduce_schedule
     from repro.platform.examples import (figure2_platform, figure2_targets,
                                          figure6_platform, figure9_platform,
                                          figure9_participants, figure9_target)
     if args.which == "fig2":
         problem = ScatterProblem(figure2_platform(), "Ps", figure2_targets())
-        sol = solve_scatter(problem, backend="exact")
+        sol = solve_collective(problem, backend="exact")
         print(f"Figure 2 — Series of Scatters: TP = {sol.throughput} "
               f"(paper: 1/2)")
-        sched = build_scatter_schedule(sol)
-        print(ascii_gantt(sched))
+        print(ascii_gantt(schedule_collective(sol)))
     elif args.which == "fig6":
         problem = ReduceProblem(figure6_platform(), [0, 1, 2], target=0)
-        sol = solve_reduce(problem, backend="exact")
+        sol = solve_collective(problem, backend="exact")
         print(f"Figure 6 — Series of Reduces: TP = {sol.throughput} (paper: 1)")
         for t in sol.extract():
             print(t.describe())
@@ -331,59 +326,50 @@ def _cmd_demo(args) -> int:
         problem = ReduceProblem(figure9_platform(), figure9_participants(),
                                 target=figure9_target(), msg_size=10,
                                 task_work=10)
-        sol = solve_reduce(problem)
+        sol = solve_collective(problem)
         print(f"Figure 9/10 — Tiers platform reduce: TP = {sol.throughput} "
               f"(paper: 2/9)")
         for t in sol.extract():
             print(t.describe())
     elif args.which == "reduce-scatter":
         problem = ReduceScatterProblem(figure6_platform(), [0, 1, 2])
-        sol = solve_reduce_scatter(problem, backend="exact")
+        sol = solve_collective(problem, backend="exact")
         print(f"Reduce-scatter on the Figure 6 triangle: TP = {sol.throughput}")
         for b, trees in sorted(sol.extract().items()):
             print(f"block {b} -> node {problem.block_target(b)}: "
                   f"{len(trees)} reduction tree(s)")
             for t in trees:
                 print(t.describe())
-        print(ascii_gantt(build_reduce_scatter_schedule(sol)))
+        print(ascii_gantt(schedule_collective(sol)))
     elif args.which == "broadcast":
-        from repro.core.broadcast import (BroadcastProblem,
-                                          build_broadcast_schedule,
-                                          solve_broadcast)
         problem = BroadcastProblem(figure2_platform(), "Ps",
                                    figure2_targets())
-        sol = solve_broadcast(problem, backend="exact")
+        sol = solve_collective(problem, backend="exact")
         print(f"Broadcast on the Figure 2 platform: TP = {sol.throughput} "
               f"(every target gets the full message; scatter managed 1/2)")
         for tree in sol.arborescences():
             print(tree.describe())
-        print(ascii_gantt(build_broadcast_schedule(sol)))
+        print(ascii_gantt(schedule_collective(sol)))
     elif args.which == "all-gather":
-        from repro.core.allgather import (AllGatherProblem,
-                                          build_all_gather_schedule,
-                                          solve_all_gather)
         problem = AllGatherProblem(figure6_platform(), [0, 1, 2])
-        sol = solve_all_gather(problem, backend="exact")
+        sol = solve_collective(problem, backend="exact")
         print(f"All-gather on the Figure 6 triangle: TP = {sol.throughput} "
               f"(joint LP over {len(sol.stage_solutions or ())} broadcasts "
               f"sharing the port budgets)")
-        print(ascii_gantt(build_all_gather_schedule(sol)))
+        print(ascii_gantt(schedule_collective(sol)))
     elif args.which == "all-reduce":
-        from repro.core.allreduce import (AllReduceProblem,
-                                          build_all_reduce_schedule,
-                                          solve_all_reduce)
         problem = AllReduceProblem(figure6_platform(), [0, 1, 2])
-        sol = solve_all_reduce(problem, backend="exact")
+        sol = solve_collective(problem, backend="exact")
         rs, ag = sol.stage_solutions
         print(f"All-reduce on the Figure 6 triangle: TP = {sol.throughput} "
               f"= 1/(1/({rs.throughput}) + 1/({ag.throughput}))")
         print(f"  stage 0 reduce-scatter: TP = {rs.throughput}")
         print(f"  stage 1 all-gather:     TP = {ag.throughput} "
               f"(joint LP over 3 broadcasts)")
-        piped = solve_all_reduce(problem, backend="exact", mode="pipelined")
+        piped = solve_collective(problem, backend="exact", mode="pipelined")
         print(f"  pipelined (overlapped phases): TP = {piped.throughput} "
               f">= sequential {sol.throughput}")
-        print(ascii_gantt(build_all_reduce_schedule(sol)))
+        print(ascii_gantt(schedule_collective(sol)))
     else:
         print(f"unknown demo {args.which!r}", file=sys.stderr)
         return 2

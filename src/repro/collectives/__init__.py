@@ -9,8 +9,8 @@ One pipeline serves every steady-state collective::
 
 :func:`solve_collective` runs the first half, :func:`schedule_collective`
 the schedule step, and :func:`repro.sim.executor.simulate_collective` the
-replay.  The classic per-collective entry points (``solve_scatter`` &
-co.) are thin wrappers kept for compatibility.
+replay.  They are the only entry points: the spec resolves from the
+problem type (or from ``collective=`` by name).
 
 The built-in specs (scatter, reduce, gossip, prefix, reduce-scatter,
 broadcast, all-gather, all-reduce) self-register on first registry

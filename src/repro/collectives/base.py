@@ -74,6 +74,10 @@ if TYPE_CHECKING:  # flowclean sits under repro.core, whose package
 Item = Hashable
 EdgeKey = Tuple[NodeId, NodeId]
 
+#: Zero threshold for flows read off a float (HiGHS) optimum; rates at or
+#: below it are solver noise.  Exact optima are cleaned with threshold 0.
+FLOAT_EPS = 1e-9
+
 
 @dataclass
 class CollectiveSolution:
@@ -199,8 +203,8 @@ class CollectiveSpec:
     def build_lp(self, problem) -> LinearProgram:
         raise NotImplementedError
 
-    def solve(self, problem, backend: str = "auto", eps: float = 1e-9,
-              passes=None, **solve_kwargs) -> "CollectiveSolution":
+    def solve(self, problem, backend: str = "auto", passes=None,
+              **solve_kwargs) -> "CollectiveSolution":
         """The default solve pipeline: build the LP, solve, extract.
 
         :func:`repro.collectives.solve_collective` dispatches here, so a
@@ -215,7 +219,7 @@ class CollectiveSpec:
         sol = lp_solve(lp, backend=backend, **solve_kwargs)
         if not sol.optimal:
             raise RuntimeError(f"LP solve failed: {sol.status}")
-        tol = 0 if sol.exact else eps
+        tol = 0 if sol.exact else FLOAT_EPS
         if passes is None:
             passes = self.default_passes()
         return self.extract(problem, lp, sol, tol, passes)
@@ -711,8 +715,8 @@ class CompositeCollectiveSpec(CollectiveSpec):
         return compose_joint_lp(f"{self.name}({problem.platform.name})",
                                 stage_lps, chain_rows=chain)
 
-    def solve(self, problem, backend: str = "auto", eps: float = 1e-9,
-              passes=None, mode: Optional[str] = None,
+    def solve(self, problem, backend: str = "auto", passes=None,
+              mode: Optional[str] = None,
               **solve_kwargs) -> CompositeSolution:
         mode = self._check_mode(mode or self.mode)
         if mode in ("joint", "pipelined"):
@@ -723,7 +727,7 @@ class CompositeCollectiveSpec(CollectiveSpec):
             sol = lp_solve(lp, backend=backend, **solve_kwargs)
             if not sol.optimal:
                 raise RuntimeError(f"LP solve failed: {sol.status}")
-            tol = 0 if sol.exact else eps
+            tol = 0 if sol.exact else FLOAT_EPS
             # passes stay None by default so each stage applies its own
             out = self.extract(problem, lp, sol, tol, passes)
             out.mode = mode
@@ -735,8 +739,8 @@ class CompositeCollectiveSpec(CollectiveSpec):
         subs = []
         for spec, sub in self.stage_specs(problem):
             subs.append(solve_collective(sub, collective=spec.name,
-                                         backend=backend, eps=eps,
-                                         passes=passes, **solve_kwargs))
+                                         backend=backend, passes=passes,
+                                         **solve_kwargs))
         inv = sum((Fraction(1) / s.throughput if s.exact
                    else 1.0 / s.throughput for s in subs), 0)
         tp = (Fraction(1) if all(s.exact for s in subs) else 1.0) / inv

@@ -1,7 +1,7 @@
 """The single solve pipeline every collective goes through.
 
-``solve_collective`` replaces the four near-identical ``solve_*``
-functions: resolve the spec, validate the problem, and dispatch to the
+``solve_collective`` is the one solve entry point for every collective:
+resolve the spec, validate the problem, and dispatch to the
 spec's :meth:`~repro.collectives.base.CollectiveSpec.solve` — by default
 the classic build-LP / solve / extract pipeline with a configurable
 flow-cleaning pass pipeline; composites override it to solve a joint LP
@@ -22,7 +22,7 @@ if TYPE_CHECKING:  # lazy: repro.core's package __init__ imports back here
 
 
 def solve_collective(problem, collective: Optional[str] = None,
-                     backend: str = "auto", eps: float = 1e-9,
+                     backend: str = "auto",
                      passes: Optional[Sequence["FlowPass"]] = None,
                      mode: Optional[str] = None,
                      on_infeasible: Optional[str] = None,
@@ -39,8 +39,6 @@ def solve_collective(problem, collective: Optional[str] = None,
         collectives (``ReduceProblem`` -> ``"reduce"`` or ``"prefix"``).
     backend:
         LP backend (``"auto"`` / ``"exact"`` / ``"highs"``).
-    eps:
-        Zero threshold for float solutions (exact solves use 0).
     passes:
         Flow post-processing pipeline; defaults to the spec's
         ``default_passes()``.
@@ -55,8 +53,8 @@ def solve_collective(problem, collective: Optional[str] = None,
         ``solution.sacrificed``; ``None``/``"error"`` (default) — solve
         the problem exactly as given.
     solve_kwargs:
-        Forwarded to :func:`repro.lp.solve` (``warm_start``, ``canonical``,
-        ``cache``, ``warm_basis``, ``cache_tag``, ...).
+        Forwarded to :func:`repro.lp.solve` (``canonical``, ``cache``,
+        ``warm_basis``, ``cache_tag``, ...).
     """
     sacrificed = ()
     if on_infeasible not in (None, "error", "degrade"):
@@ -73,10 +71,10 @@ def solve_collective(problem, collective: Optional[str] = None,
         if not isinstance(spec, CompositeCollectiveSpec):
             raise ValueError(f"{spec.name!r} is not a composite collective; "
                              "the mode option does not apply")
-        sol = spec.solve(problem, backend=backend, eps=eps, passes=passes,
+        sol = spec.solve(problem, backend=backend, passes=passes,
                          mode=mode, **solve_kwargs)
     else:
-        sol = spec.solve(problem, backend=backend, eps=eps, passes=passes,
+        sol = spec.solve(problem, backend=backend, passes=passes,
                          **solve_kwargs)
     if sacrificed:
         sol.sacrificed = sacrificed

@@ -52,8 +52,9 @@ class ReduceSpec(CollectiveSpec):
     # ----------------------------------------------------- extraction
     def default_passes(self):
         # Per-interval transfer cycles are cancelled so tree extraction
-        # terminates (DESIGN.md decision 3); intervals have many
-        # producers/consumers, so no source→sink path cleaning applies.
+        # terminates: FIND_TREE can chase its own tail around a cycle
+        # (see repro.core.trees); intervals have many producers/consumers,
+        # so no source→sink path cleaning applies.
         return (PruneEpsilonRatesPass(), RemoveCyclesPass())
 
     def finalize(self, problem, throughput, send, paths, lp, sol, tol):

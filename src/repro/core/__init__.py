@@ -1,11 +1,12 @@
-"""The paper's primary contribution: steady-state collective scheduling.
+"""The paper's primary contribution: the steady-state collective models.
 
-Pipelines, one per collective:
+One module per collective, each holding its ``*Problem`` /
+``*Solution`` pair, its LP builder and (where the schedule is not
+generic) its schedule reconstruction:
 
-- **Series of Scatters** (Section 3): :func:`repro.core.scatter.solve_scatter`
-  builds and solves ``SSSP(G)``, :func:`repro.core.scatter.build_scatter_schedule`
-  turns the rational optimum into a periodic one-port schedule via bipartite
-  matching decomposition.
+- **Series of Scatters** (Section 3): :mod:`repro.core.scatter` —
+  ``SSSP(G)``; the periodic one-port schedule comes from the bipartite
+  matching decomposition of :mod:`repro.core.matching`.
 - **Series of Gossips** (Section 3.5): :mod:`repro.core.gossip` — the
   personalized all-to-all generalization ``SSPA2A(G)``.
 - **Series of Reduces** (Section 4): :mod:`repro.core.reduce_op` builds
@@ -24,58 +25,44 @@ Pipelines, one per collective:
 - **Series of All-reduces**: :mod:`repro.core.allreduce` — a *sequential*
   composite, reduce-scatter then all-gather, harmonic throughput.
 
-All of them run through the one registry-driven pipeline in
-:mod:`repro.collectives`; the ``solve_*`` functions here are thin
-registry-backed wrappers kept for compatibility.  Composed collectives
-share the schedule superposition/concatenation machinery of
-:mod:`repro.core.schedule`.
+Nothing here is an entry point: every collective is solved, scheduled
+and replayed through :func:`repro.collectives.solve_collective`,
+:func:`repro.collectives.schedule_collective` and
+:func:`repro.sim.executor.simulate_collective`, which resolve the spec
+from the problem type (``collective="prefix"`` picks the prefix LP for a
+``ReduceProblem``).  Composed collectives share the schedule
+superposition/concatenation machinery of :mod:`repro.core.schedule`.
 """
 
 from repro.core.scatter import (
     ScatterProblem,
     ScatterSolution,
     build_scatter_lp,
-    build_scatter_schedule,
-    solve_scatter,
 )
 from repro.core.gossip import (
     GossipProblem,
     GossipSolution,
     build_gossip_lp,
-    build_gossip_schedule,
-    solve_gossip,
 )
 from repro.core.reduce_op import (
     ReduceProblem,
     ReduceSolution,
     build_reduce_lp,
-    solve_reduce,
 )
-from repro.core.prefix import PrefixSolution, build_prefix_lp, solve_prefix
+from repro.core.prefix import PrefixSolution, build_prefix_lp
 from repro.core.reduce_scatter import (
     ReduceScatterProblem,
     ReduceScatterSolution,
     build_reduce_scatter_lp,
     build_reduce_scatter_schedule,
-    solve_reduce_scatter,
 )
 from repro.core.broadcast import (
     BroadcastProblem,
     BroadcastSolution,
     build_broadcast_lp,
-    build_broadcast_schedule,
-    solve_broadcast,
 )
-from repro.core.allgather import (
-    AllGatherProblem,
-    build_all_gather_schedule,
-    solve_all_gather,
-)
-from repro.core.allreduce import (
-    AllReduceProblem,
-    build_all_reduce_schedule,
-    solve_all_reduce,
-)
+from repro.core.allgather import AllGatherProblem
+from repro.core.allreduce import AllReduceProblem
 from repro.core.arborescence import Arborescence, pack_arborescences
 from repro.core.trees import ReductionTree, extract_trees
 from repro.core.schedule import (
@@ -91,36 +78,23 @@ __all__ = [
     "ScatterProblem",
     "ScatterSolution",
     "build_scatter_lp",
-    "build_scatter_schedule",
-    "solve_scatter",
     "GossipProblem",
     "GossipSolution",
     "build_gossip_lp",
-    "build_gossip_schedule",
-    "solve_gossip",
     "ReduceProblem",
     "ReduceSolution",
     "build_reduce_lp",
-    "solve_reduce",
     "PrefixSolution",
     "build_prefix_lp",
-    "solve_prefix",
     "ReduceScatterProblem",
     "ReduceScatterSolution",
     "build_reduce_scatter_lp",
     "build_reduce_scatter_schedule",
-    "solve_reduce_scatter",
     "BroadcastProblem",
     "BroadcastSolution",
     "build_broadcast_lp",
-    "build_broadcast_schedule",
-    "solve_broadcast",
     "AllGatherProblem",
-    "build_all_gather_schedule",
-    "solve_all_gather",
     "AllReduceProblem",
-    "build_all_reduce_schedule",
-    "solve_all_reduce",
     "Arborescence",
     "pack_arborescences",
     "ReductionTree",

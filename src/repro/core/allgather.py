@@ -65,19 +65,3 @@ class AllGatherProblem:
     def block_targets(self, b: int) -> List[NodeId]:
         """Everyone but the owner receives block ``b``."""
         return [p for p in self.participants if p != self.owner(b)]
-
-
-def solve_all_gather(problem: AllGatherProblem, backend: str = "auto",
-                     eps: float = 1e-9, **solve_kwargs):
-    """Solve the joint all-gather LP (registry-backed wrapper)."""
-    from repro.collectives import solve_collective
-
-    return solve_collective(problem, collective="all-gather",
-                            backend=backend, eps=eps, **solve_kwargs)
-
-
-def build_all_gather_schedule(solution):
-    """Superposed periodic schedule (registry-backed wrapper)."""
-    from repro.collectives import schedule_collective
-
-    return schedule_collective(solution)

@@ -16,7 +16,7 @@ what :class:`repro.collectives.base.CompositeCollectiveSpec` in
 
 The harmonic value is a *bound*, not the optimum: both phases are priced
 against the same one-port/alpha capacities, so nothing forces them to
-alternate.  ``solve_all_reduce(problem, mode="pipelined")`` instead
+alternate.  ``solve_collective(problem, mode="pipelined")`` instead
 solves ONE joint LP in which both phases run concurrently at a single
 common ``TP`` — the all-gather broadcasts sourcing from the
 reduce-scatter block sinks through explicit ``chain[..]`` precedence
@@ -69,24 +69,3 @@ class AllReduceProblem:
 
     def owner(self, j: int) -> NodeId:
         return self.participants[j]
-
-
-def solve_all_reduce(problem: AllReduceProblem, backend: str = "auto",
-                     eps: float = 1e-9, **solve_kwargs):
-    """Solve and compose (registry-backed wrapper).
-
-    ``mode="sequential"`` (default) solves both stage LPs and composes
-    harmonically; ``mode="pipelined"`` solves the chained joint LP that
-    overlaps the phases (never below the harmonic value).
-    """
-    from repro.collectives import solve_collective
-
-    return solve_collective(problem, collective="all-reduce",
-                            backend=backend, eps=eps, **solve_kwargs)
-
-
-def build_all_reduce_schedule(solution):
-    """Concatenated two-phase periodic schedule (registry-backed wrapper)."""
-    from repro.collectives import schedule_collective
-
-    return schedule_collective(solution)

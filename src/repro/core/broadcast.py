@@ -162,21 +162,3 @@ class BroadcastSolution(CollectiveSolution):
                 dict(self.send), self.problem.source,
                 list(self.problem.targets), self.throughput)
         return self.trees
-
-
-def solve_broadcast(problem: BroadcastProblem, backend: str = "auto",
-                    eps: float = 1e-9, **solve_kwargs) -> BroadcastSolution:
-    """Solve the broadcast LP (registry-backed wrapper; extra keywords
-    reach :func:`repro.lp.solve`)."""
-    from repro.collectives import solve_collective
-
-    return solve_collective(problem, collective="broadcast", backend=backend,
-                            eps=eps, **solve_kwargs)
-
-
-def build_broadcast_schedule(solution: BroadcastSolution):
-    """Periodic one-port schedule routing slices along packed
-    arborescences (registry-backed wrapper; exact solutions only)."""
-    from repro.collectives import schedule_collective
-
-    return schedule_collective(solution)

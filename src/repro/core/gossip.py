@@ -117,21 +117,3 @@ class GossipSolution(CollectiveSolution):
     """
 
     collective: str = "gossip"
-
-
-def solve_gossip(problem: GossipProblem, backend: str = "auto",
-                 eps: float = 1e-9, **solve_kwargs) -> GossipSolution:
-    """Solve ``SSPA2A(G)`` and clean each commodity's flow (registry-backed
-    wrapper over :func:`repro.collectives.solve_collective`; extra
-    keywords reach :func:`repro.lp.solve`)."""
-    from repro.collectives import solve_collective
-
-    return solve_collective(problem, collective="gossip", backend=backend,
-                            eps=eps, **solve_kwargs)
-
-
-def build_gossip_schedule(solution: GossipSolution):
-    """Periodic one-port schedule for the gossip (same machinery as scatter)."""
-    from repro.collectives import schedule_collective
-
-    return schedule_collective(solution)

@@ -104,15 +104,3 @@ def build_prefix_lp(problem: ReduceProblem) -> LinearProgram:
         lp.add(dvars[i] == tp, name=f"prefix-throughput[{i}]")
     lp.maximize(tp)
     return lp
-
-
-def solve_prefix(problem: ReduceProblem, backend: str = "auto",
-                 eps: float = 1e-9, **solve_kwargs) -> PrefixSolution:
-    """Solve the parallel-prefix LP (registry-backed wrapper; the spec
-    name ``"prefix"`` disambiguates from ``"reduce"``, which shares
-    :class:`ReduceProblem`; extra keywords reach
-    :func:`repro.lp.solve`)."""
-    from repro.collectives import solve_collective
-
-    return solve_collective(problem, collective="prefix", backend=backend,
-                            eps=eps, **solve_kwargs)

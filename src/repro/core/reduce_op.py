@@ -231,16 +231,3 @@ class ReduceSolution(CollectiveSolution):
         if self.trees is None:
             self.trees = extract_trees(self, eps=eps)
         return self.trees
-
-
-def solve_reduce(problem: ReduceProblem, backend: str = "auto",
-                 eps: float = 1e-9, **solve_kwargs) -> ReduceSolution:
-    """Solve ``SSR(G)``; per-interval transfer cycles are cancelled so tree
-    extraction terminates (see DESIGN.md decision 3).  Registry-backed
-    wrapper over :func:`repro.collectives.solve_collective`; extra
-    keywords (``canonical``, ``warm_start``, ...) reach
-    :func:`repro.lp.solve`."""
-    from repro.collectives import solve_collective
-
-    return solve_collective(problem, collective="reduce", backend=backend,
-                            eps=eps, **solve_kwargs)

@@ -246,17 +246,6 @@ class ReduceScatterSolution(CollectiveSolution):
         return self.trees
 
 
-def solve_reduce_scatter(problem: ReduceScatterProblem, backend: str = "auto",
-                         eps: float = 1e-9,
-                         **solve_kwargs) -> ReduceScatterSolution:
-    """Solve ``SSRS(G)`` (registry-backed wrapper; extra keywords reach
-    :func:`repro.lp.solve`)."""
-    from repro.collectives import solve_collective
-
-    return solve_collective(problem, collective="reduce-scatter",
-                            backend=backend, eps=eps, **solve_kwargs)
-
-
 def build_reduce_scatter_schedule(solution: ReduceScatterSolution,
                                   trees: Optional[Dict[int, list]] = None):
     """Periodic schedule superposing every block's reduction trees.

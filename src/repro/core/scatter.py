@@ -152,31 +152,6 @@ class ScatterSolution(CollectiveSolution):
     collective: str = "scatter"
 
 
-def solve_scatter(problem: ScatterProblem, backend: str = "auto",
-                  eps: float = 1e-9, **solve_kwargs) -> ScatterSolution:
-    """Solve ``SSSP(G)`` and return cleaned per-type flows.
-
-    Thin registry-backed wrapper over
-    :func:`repro.collectives.solve_collective`; ``eps`` is the zero
-    threshold used when the LP came back in floats; extra keywords
-    (``canonical``, ``warm_start``, ...) reach :func:`repro.lp.solve`.
-    """
-    from repro.collectives import solve_collective
-
-    return solve_collective(problem, collective="scatter", backend=backend,
-                            eps=eps, **solve_kwargs)
-
-
-def build_scatter_schedule(solution: ScatterSolution):
-    """Periodic one-port schedule achieving ``TP`` (Section 3.3).
-
-    Registry-backed wrapper; requires an exact (rational) solution.
-    """
-    from repro.collectives import schedule_collective
-
-    return schedule_collective(solution)
-
-
 def build_scatter_schedule_fixed_period(solution: ScatterSolution,
                                         period: int):
     """Exact schedule from a *float* scatter solution via Section 4.6.

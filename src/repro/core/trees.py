@@ -11,9 +11,10 @@ of its tasks, subtract, repeat until the whole throughput ``TP`` is
 accounted for.  Theorem 1: at most ``2 n^4`` trees, each extraction in
 polynomial time, and the weighted trees sum exactly to the solution used.
 
-Termination safeguard (DESIGN.md decision 3): ``FIND_TREE`` as printed can
-chase its own tail on solutions containing per-interval transfer cycles.
-:func:`repro.core.reduce_op.solve_reduce` cancels those cycles up front, and
+Termination safeguard: ``FIND_TREE`` as printed can chase its own tail on
+solutions containing per-interval transfer cycles.  The reduce spec's flow
+passes (``RemoveCyclesPass``, run by ``solve_collective``) cancel those
+cycles up front, and
 the resolver below prefers in-place production over transfers; under those
 two conditions every resolution step either strictly shrinks the interval or
 walks an acyclic flow, so the walk terminates.
@@ -24,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.collectives.base import FLOAT_EPS
 from repro.core import intervals as iv
 from repro.platform.graph import NodeId
 
@@ -176,12 +178,12 @@ def extract_trees(solution, eps: Optional[float] = None) -> List[ReductionTree]:
 
     For exact solutions the weights sum to exactly ``TP``; for float
     solutions the loop stops when the remaining throughput is below ``eps``
-    (default ``1e-9``) and weights are capped so they never exceed the
+    (default :data:`repro.collectives.base.FLOAT_EPS`) and weights are capped so they never exceed the
     remaining throughput.
     """
     exact = solution.exact
     if eps is None:
-        eps = 0 if exact else 1e-9
+        eps = 0 if exact else FLOAT_EPS
     a = solution_op_values(solution)
     remaining = solution.throughput
     trees: List[ReductionTree] = []

@@ -45,7 +45,7 @@ provides the substrate from scratch:
 - :mod:`repro.lp.rationalize` — snapping float solutions to rationals with
   exact feasibility verification.
 - :func:`repro.lp.solve` — auto-dispatch plus a solve memo-cache and
-  warm-start bookkeeping.
+  ``warm_basis=`` warm starts.
 
 Backend selection and warm starts
 ---------------------------------
@@ -65,12 +65,13 @@ generation (:mod:`repro.lp.colgen`) first — same exact optima, masters
 orders of magnitude smaller.
 Identical models are memoized
 under a canonical hash (:func:`repro.lp.dispatch.canonical_key`), so the
-pipeline's repeated ``solve_reduce`` calls cost one simplex run.  Exact
-solves also record their optimal basis per LP *family* (name up to the
-first ``"(``") as ``("v", var-name)`` / ``("s", constraint-name)`` labels;
-the next solve in the family crash-pivots that basis in and skips Phase 1
-when it is still primal feasible.  ``repro.lp.dispatch.clear_cache()``
-resets both layers (benchmarks do this to measure cold solves).
+pipeline's repeated ``solve_collective`` calls cost one simplex run.
+Exact solves return their optimal basis as ``("v", var-name)`` /
+``("s", constraint-name)`` labels (``LPSolution.basis_labels``); passing
+them back as ``solve(lp, warm_basis=...)`` crash-pivots that basis in and
+skips Phase 1 when it is still primal feasible.
+``repro.lp.dispatch.clear_cache()`` resets the memo (benchmarks do this
+to measure cold solves).
 """
 
 from repro.lp.model import Constraint, LinearProgram, LinExpr, Variable, lin_sum

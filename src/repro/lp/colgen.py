@@ -87,10 +87,6 @@ MAX_ROUNDS = 10_000
 
 ZERO = Fraction(0)
 
-#: ``REPRO_COLGEN_DEBUG=1`` prints a one-line per-round trace.
-_DEBUG = os.environ.get("REPRO_COLGEN_DEBUG") == "1"
-
-
 def resolve_jobs(jobs: Optional[int] = None) -> int:
     """Worker count: explicit ``jobs``, else ``REPRO_JOBS``, else 1."""
     if jobs is None:
@@ -104,19 +100,12 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 def resolve_chunksize(n_tasks: int, njobs: int) -> int:
     """Pricing-pool ``pool.map`` chunk size for one round.
 
-    ``REPRO_COLGEN_CHUNK`` pins it; the default heuristic hands each
-    worker ~4 chunks per round (``ceil(n_tasks / (4 * njobs))``), which
-    amortizes per-task pickling/IPC on wide rounds while still letting
-    fast workers steal from stragglers.  Chunking only reorders *when*
+    Each worker gets ~4 chunks per round (``ceil(n_tasks / (4 * njobs))``),
+    which amortizes per-task pickling/IPC on wide rounds while still
+    letting fast workers steal from stragglers.  Chunking only reorders *when*
     results come back, never *what* they are — column admission sorts by
     key, so the optimum stays jobs- and chunk-invariant.
     """
-    try:
-        pinned = int(os.environ.get("REPRO_COLGEN_CHUNK", "0"))
-    except ValueError:
-        pinned = 0
-    if pinned > 0:
-        return pinned
     return max(1, -(-n_tasks // (4 * max(1, njobs))))
 
 
@@ -811,10 +800,9 @@ def solve_colgen(lp: LinearProgram,
                 res = pricers[task[0]].price(task[1], task[2],
                                              want_any=task[3])
                 results.append((task[0], res, perf_counter() - t1))
-        wall = perf_counter() - t0
-        stats["pricing_s"] += wall
+        stats["pricing_s"] += perf_counter() - t0
         stats["pricing_serial_s"] += sum(r[2] for r in results)
-        return results, wall
+        return results
 
     def harvest(results, live):
         fresh: List[_Column] = []
@@ -864,7 +852,7 @@ def solve_colgen(lp: LinearProgram,
                         if p in tp_set},
                        None, True)
                       for bid in alive for s in (-1, 1)]
-        seed_results, _ = run_tasks(seed_tasks)
+        seed_results = run_tasks(seed_tasks)
         stats["seed_columns"] = len(harvest(seed_results, alive))
         stats["columns"] = len(columns)
 
@@ -919,13 +907,7 @@ def solve_colgen(lp: LinearProgram,
                     continue
                 last_key[bid] = key
                 tasks.append((bid, duals, warm_of[bid], False))
-            results, wall = run_tasks(tasks)
-            fresh = harvest(results, alive)
-            if _DEBUG:
-                print(f"[colgen] {lp.name} round {rnd}: "
-                      f"obj={res.objective} fresh={len(fresh)} "
-                      f"priced={len(tasks)} alive={len(alive)} "
-                      f"wall={wall:.3f}s", flush=True)
+            fresh = harvest(run_tasks(tasks), alive)
             if not fresh:
                 break
             pending = fresh

@@ -42,7 +42,7 @@ Three layers of reuse sit in front of the solvers:
   model (variables with bounds, constraints with sorted coefficients,
   objective, sense).  The paper pipeline re-solves the same LP repeatedly
   (throughput, tree extraction, scheduling, simulation all start from
-  ``solve_reduce``), so identical rebuilds hit the cache instead of the
+  ``solve_collective``), so identical rebuilds hit the cache instead of the
   simplex.  Bounded FIFO (:data:`CACHE_SIZE` entries); ``clear_cache()``
   resets it (useful in benchmarks).
 - **Disk cache** (:mod:`repro.lp.diskcache`, opt-in).  The same keys,
@@ -50,15 +50,14 @@ Three layers of reuse sit in front of the solvers:
   (``REPRO_LP_CACHE_DIR`` or ``repro.lp.diskcache.set_cache_dir``).
   Memory misses fall through to disk before the solver runs; fresh
   optima are written back.  ``repro cache`` inspects/clears the store.
-- **Warm starts.**  After an exact solve, the optimal basis is remembered
-  per *family* (default: the LP name up to the first ``"("``, so e.g.
-  every ``SSR(...)`` instance shares one slot) as a tuple of stable
-  variable/constraint-name labels.  A ``warm_start=True`` solve in the
-  family crash-pivots that basis in; labels that don't exist in the new LP
-  are skipped, so warm starts transfer across growing platform families
-  (see ``benchmarks/test_x3_x4_prefix_scaling.py``).  A failed crash falls
-  back to a cold start, so the *objective* is never affected — but the
-  returned vertex can differ from a cold solve's, hence opt-in.
+- **Warm starts.**  A solve may pass ``warm_basis=`` — the
+  ``basis_labels`` of an earlier optimum, stable variable/constraint-name
+  labels — and the exact engine crash-pivots that basis in; labels that
+  don't exist in the new LP are skipped, so a basis transfers across
+  growing platform families.  :func:`repro.lp.resolve.replan` uses it
+  for perturbed re-solves.  A failed crash falls back to a cold start, so
+  the *objective* is never affected — but the returned vertex can differ
+  from a cold solve's, so warm solves get their own cache tag.
 """
 
 from __future__ import annotations
@@ -110,7 +109,6 @@ COLGEN_VAR_LIMIT = 6000
 CACHE_SIZE = 128
 
 _memo: "OrderedDict[str, LPSolution]" = OrderedDict()
-_warm_bases: Dict[str, Tuple] = {}
 _disk_hits = 0
 
 
@@ -141,51 +139,25 @@ def canonical_key(lp: LinearProgram) -> str:
 
 
 def clear_cache() -> None:
-    """Drop all in-process memoized solutions and warm-start bases.
+    """Drop all in-process memoized solutions.
 
     The on-disk store (when enabled) is intentionally untouched — clear
     it with :func:`repro.lp.diskcache.clear` or ``repro cache clear``.
     """
     _memo.clear()
-    _warm_bases.clear()
 
 
 def cache_stats() -> Dict[str, object]:
     disk = diskcache.stats()
-    return {"memo_entries": len(_memo), "warm_families": len(_warm_bases),
+    return {"memo_entries": len(_memo),
             "disk_enabled": disk["enabled"], "disk_entries": disk["entries"],
             "disk_hits": _disk_hits}
 
 
-def _family_of(lp: LinearProgram) -> str:
-    return lp.name.split("(", 1)[0]
-
-
-def _solve_exact(lp: LinearProgram, warm_start: bool,
-                 family: Optional[str], canonical: bool,
-                 warm_basis: Optional[Tuple] = None,
-                 engine: str = "tableau",
-                 dual: bool = False) -> LPSolution:
-    fam = family if family is not None else _family_of(lp)
-    warm = warm_basis if warm_basis is not None else (
-        _warm_bases.get(fam) if warm_start else None)
-    if engine == "revised":
-        sol = RevisedSimplexSolver().solve(lp, warm_basis=warm, dual=dual)
-    else:
-        sol = ExactSimplexSolver().solve(lp, warm_basis=warm,
-                                         canonical=canonical)
-    if sol.optimal and sol.basis_labels is not None:
-        _warm_bases[fam] = sol.basis_labels
-    return sol
-
-
 @paused_gc()
 def solve(lp: LinearProgram, backend: str = "auto",
-          exact_var_limit: int = EXACT_VAR_LIMIT,
-          rationalize: bool = True, cache: bool = True,
-          warm_start: bool = False,
+          cache: bool = True,
           warm_basis: Optional[Tuple] = None,
-          family: Optional[str] = None,
           canonical: bool = False,
           cache_tag: Optional[str] = None,
           presolve: bool = True,
@@ -208,7 +180,10 @@ def solve(lp: LinearProgram, backend: str = "auto",
         structure);
         ``"highs"`` — scipy/HiGHS float solve;
         ``"auto"`` — exact when the LP is rational and (after presolve)
-        has at most ``exact_var_limit`` variables, HiGHS otherwise.
+        has at most :data:`EXACT_VAR_LIMIT` variables, HiGHS otherwise
+        (HiGHS optima of rational LPs are then snapped to exact
+        rationals when :func:`repro.lp.rationalize.rationalize_solution`
+        verifies them, and come back with ``exact=True``).
         Within the exact window, models above :data:`COLGEN_VAR_LIMIT`
         presolved variables that decompose into >= 2 commodity blocks
         route to column generation instead of the monolithic revised
@@ -230,34 +205,23 @@ def solve(lp: LinearProgram, backend: str = "auto",
         optimal basis, which stays dual feasible when constraints only
         tighten).  Forces the revised engine, which owns the dual
         method; incompatible with ``canonical=True``.
-    rationalize:
-        After a HiGHS solve of a rational LP, attempt to snap the solution
-        to exact rationals (verified); on success the returned solution has
-        ``exact=True``.
     cache:
         Memoize solutions under :func:`canonical_key`; repeated solves of
         an identical model return the cached solution (re-attached to the
         caller's LP object so ``by_name`` etc. keep working).
-    warm_start:
-        Seed the exact solver with the last optimal basis recorded for this
-        LP's ``family`` (and record this solve's basis on success).
-        Off by default: a warm start may land on a *different optimal
-        vertex* than a cold solve, and downstream artifacts (tree
-        extraction, schedules) depend on which vertex they get — opt in
-        where only the objective/speed matters.
     warm_basis:
-        Explicit basis-label tuple to crash in (overrides the ``family``
-        slot) — the incremental re-solve path of :mod:`repro.lp.resolve`
-        passes the previous solution's ``basis_labels`` here.  Implies a
-        ``cache_tag`` of ``"warm"`` unless one is given, so the possibly
-        different optimal vertex never collides with cold cache entries.
+        Basis-label tuple (an earlier solution's ``basis_labels``) for the
+        exact engine to crash in — the incremental re-solve path of
+        :mod:`repro.lp.resolve` passes the previous solution's basis here.
+        A warm start may land on a *different optimal vertex* than a cold
+        solve, and downstream artifacts (tree extraction, schedules)
+        depend on which vertex they get, so it implies a ``cache_tag`` of
+        ``"warm"`` unless one is given and the warm vertex never collides
+        with cold cache entries.
     cache_tag:
         Extra discriminator folded into the memo/disk cache key (``None``
         leaves the key exactly as before).  Perturbed-platform re-solves
         tag their entries with the perturbation-delta fingerprint.
-    family:
-        Warm-start slot name; defaults to ``lp.name`` up to the first
-        ``"("`` so same-shape LPs on different platforms share a slot.
     canonical:
         Exact backend only: lexicographically tie-break among optimal
         vertices (see :class:`repro.lp.exact_simplex.ExactSimplexSolver`),
@@ -303,8 +267,8 @@ def solve(lp: LinearProgram, backend: str = "auto",
         # the key on the colgen-capable routes; ``jobs`` never does
         gtag = ("g;" if pricing is not None
                 and backend in ("auto", "colgen") else "")
-        key = (f"{backend};{exact_var_limit};{TABLEAU_VAR_LIMIT};"
-               f"d{int(dual)};{rationalize};{int(canonical)};"
+        key = (f"{backend};{EXACT_VAR_LIMIT};{TABLEAU_VAR_LIMIT};"
+               f"d{int(dual)};{int(canonical)};"
                f"p{int(use_presolve)};{gtag}{tag}{canonical_key(lp)}")
         hit = _memo.get(key)
         if hit is not None:
@@ -329,7 +293,7 @@ def solve(lp: LinearProgram, backend: str = "auto",
 
     exact_route = backend in ("exact", "tableau", "revised") or (
         backend == "auto" and rational
-        and model.num_vars() <= exact_var_limit)
+        and model.num_vars() <= EXACT_VAR_LIMIT)
 
     colgen_route = backend == "colgen"
     colgen_struct = None
@@ -355,15 +319,16 @@ def solve(lp: LinearProgram, backend: str = "auto",
             engine = "tableau"
         else:
             engine = "revised"
-        # family defaulting happens inside _solve_exact; presolve keeps
-        # lp.name, so the reduced model resolves to the same family
-        sol = _solve_exact(model, warm_start, family, canonical,
-                           warm_basis=warm_basis, engine=engine, dual=dual)
+        if engine == "revised":
+            sol = RevisedSimplexSolver().solve(model, warm_basis=warm_basis,
+                                               dual=dual)
+        else:
+            sol = ExactSimplexSolver().solve(model, warm_basis=warm_basis,
+                                             canonical=canonical)
     else:
         sol = HighsSolver().solve(model)
 
-    if (sol.backend == "highs" and rationalize and sol.optimal
-            and rational):
+    if sol.backend == "highs" and sol.optimal and rational:
         snapped: Optional[LPSolution] = rationalize_solution(sol)
         if snapped is not None:
             sol = snapped

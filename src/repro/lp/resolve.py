@@ -182,23 +182,6 @@ class ReplanReport:
         return ", ".join(parts)
 
 
-def warm_solve_lp(lp, previous, backend: str = "exact",
-                  cache_tag: Optional[str] = "warm", **kwargs):
-    """Re-solve a row-edited LP warm from ``previous.basis_labels``.
-
-    Thin wrapper over :func:`repro.lp.solve` for callers that hold raw
-    LPs rather than collective solutions; falls back to a cold solve
-    when the previous solution carries no basis.
-    """
-    from repro.lp import solve as lp_solve
-
-    basis = getattr(previous, "basis_labels", None)
-    if basis is None:
-        return lp_solve(lp, backend=backend, **kwargs)
-    return lp_solve(lp, backend=backend, warm_basis=basis,
-                    cache_tag=cache_tag, **kwargs)
-
-
 def _extract_from_lp(solution, new_problem, lp2, backend, mode, kwargs):
     """Solve the delta-edited LP warm and run the spec's own extractor.
 
@@ -206,14 +189,14 @@ def _extract_from_lp(solution, new_problem, lp2, backend, mode, kwargs):
     from (``lp_solve`` then ``extract``), just without ``build_lp`` —
     the edited model *is* the perturbed LP.
     """
-    from repro.collectives.base import CompositeCollectiveSpec
+    from repro.collectives.base import FLOAT_EPS, CompositeCollectiveSpec
     from repro.lp import solve as lp_solve
 
     spec = solution.spec
     sol2 = lp_solve(lp2, backend=backend, **kwargs)
     if not sol2.optimal:
         raise RuntimeError(f"incremental re-solve failed: {sol2.status}")
-    tol = 0 if sol2.exact else 1e-9
+    tol = 0 if sol2.exact else FLOAT_EPS
     if isinstance(spec, CompositeCollectiveSpec):
         out = spec.extract(new_problem, lp2, sol2, tol, None)
         out.mode = mode or spec.mode
@@ -264,17 +247,15 @@ def replan(solution, events: Tuple[Event, ...], backend: str = "exact",
     if crash:
         warm_kwargs["warm_basis"] = basis
         warm_kwargs["cache_tag"] = f"perturb:{delta.fingerprint}"
+        # a removed link deletes its (usually tight) capacity row,
+        # which moves every reduced cost through that row's dual
+        # multiplier — the old basis is rarely dual feasible, so the
+        # dual entry would pay for a failed crash and fall back.
+        # The tableau's feasibility-restoring repair shines here
+        # instead: the dead columns pin at 0, presolve shreds them,
+        # and the repair re-solves the shrunk LP in a few pivots.
         dropped = any(ed.kind == "drop" for ed in delta.row_edits)
-        if dropped:
-            # a removed link deletes its (usually tight) capacity row,
-            # which moves every reduced cost through that row's dual
-            # multiplier — the old basis is rarely dual feasible, so the
-            # dual entry would pay for a failed crash and fall back.
-            # The tableau's feasibility-restoring repair shines here
-            # instead: the dead columns pin at 0, presolve shreds them,
-            # and the repair re-solves the shrunk LP in a few pivots.
-            pass
-        else:
+        if not dropped:
             if backend == "exact":
                 # scale edits keep the structure: the revised engine
                 # owns the fast re-solve routes — the dual entry from

@@ -18,11 +18,10 @@ from typing import List, Optional, Sequence, Tuple
 from repro.collectives import (
     resolve_collective, schedule_collective, solve_collective,
 )
-from repro.core.reduce_op import ReduceProblem, solve_reduce
-from repro.core.scatter import ScatterProblem, solve_scatter, build_scatter_schedule
-from repro.core.schedule import build_reduce_schedule
+from repro.core.reduce_op import ReduceProblem
+from repro.core.scatter import ScatterProblem
 from repro.platform.graph import NodeId, PlatformGraph
-from repro.sim.executor import simulate_collective, simulate_reduce, simulate_scatter
+from repro.sim.executor import simulate_collective
 from repro.sim.operators import SeqConcat, noncommutative_reduce
 
 
@@ -117,11 +116,11 @@ class SimComm:
         src = self.node_of(root)
         targets = [n for n in self.ranks if n != src]
         problem = ScatterProblem(self.platform, src, targets)
-        sol = solve_scatter(problem, backend=backend)
+        sol = solve_collective(problem, backend=backend)
         if not sol.exact:
             raise RuntimeError("series execution needs an exact LP solution")
-        sched = build_scatter_schedule(sol)
-        res = simulate_scatter(sched, problem, n_periods=n_periods)
+        res = simulate_collective(schedule_collective(sol), problem,
+                                  n_periods=n_periods)
         return SeriesReport(kind="scatter", lp_throughput=sol.throughput,
                             measured_throughput=float(res.measured_throughput()),
                             completed_ops=res.completed_ops(),
@@ -134,11 +133,11 @@ class SimComm:
         problem = ReduceProblem(self.platform, participants=self.ranks,
                                 target=self.node_of(root), msg_size=msg_size,
                                 task_work=task_work)
-        sol = solve_reduce(problem, backend=backend)
+        sol = solve_collective(problem, backend=backend)
         if not sol.exact:
             raise RuntimeError("series execution needs an exact LP solution")
-        sched = build_reduce_schedule(sol)
-        res = simulate_reduce(sched, problem, n_periods=n_periods, op=op)
+        res = simulate_collective(schedule_collective(sol), problem,
+                                  n_periods=n_periods, op=op)
         return SeriesReport(kind="reduce", lp_throughput=sol.throughput,
                             measured_throughput=float(res.measured_throughput()),
                             completed_ops=res.completed_ops(),

@@ -50,7 +50,6 @@ from fractions import Fraction
 from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.core.schedule import PeriodicSchedule
-from repro.sim.operators import SeqConcat
 from repro.sim.trace import Trace, TraceEvent, validate_one_port
 
 NodeId = Hashable
@@ -690,7 +689,7 @@ def simulate_schedule(schedule: PeriodicSchedule,
 
 
 # ----------------------------------------------------------------------
-# registry dispatch + compatibility wrappers
+# registry dispatch
 # ----------------------------------------------------------------------
 
 def simulate_collective(schedule: PeriodicSchedule, problem, n_periods: int,
@@ -703,10 +702,11 @@ def simulate_collective(schedule: PeriodicSchedule, problem, n_periods: int,
     ``collective``) supplies the item semantics: where stamped instances
     enter the platform, what each delivery must contain, and the combine
     operator for compute tasks.  ``op`` overrides the reduction operator
-    for computing collectives (default :class:`SeqConcat`).  ``engine``
-    picks the replay implementation (``"auto"``/``"compiled"``/
-    ``"reference"``) — value-checked semantics (a combine operator) always
-    run on the reference executor.
+    for computing collectives (default
+    :class:`repro.sim.operators.SeqConcat`).  ``engine`` picks the replay
+    implementation (``"auto"``/``"compiled"``/``"reference"``) —
+    value-checked semantics (a combine operator) always run on the
+    reference executor.
     """
     from repro.collectives import resolve_collective
 
@@ -762,30 +762,3 @@ def chain_semantics(stage_semantics):
     return SimSemantics(supplies=supplies,
                         expected=expected if expected_by_stage else None,
                         combine=combine)
-
-
-def simulate_scatter(schedule: PeriodicSchedule, problem, n_periods: int,
-                     record_trace: bool = True) -> SimulationResult:
-    """Replay a scatter schedule: source supplies ``(k, seq)`` payloads and
-    each delivery is checked for content and order."""
-    return simulate_collective(schedule, problem, n_periods,
-                               collective="scatter", record_trace=record_trace)
-
-
-def simulate_gossip(schedule: PeriodicSchedule, problem, n_periods: int,
-                    record_trace: bool = True) -> SimulationResult:
-    """Replay a gossip schedule (supply at each emitting source)."""
-    return simulate_collective(schedule, problem, n_periods,
-                               collective="gossip", record_trace=record_trace)
-
-
-def simulate_reduce(schedule: PeriodicSchedule, problem, n_periods: int,
-                    op=SeqConcat, record_trace: bool = True) -> SimulationResult:
-    """Replay a reduce schedule with a non-commutative operator.
-
-    Leaf values are stamped per tree; every delivered ``v[0, n-1]`` must
-    equal the sequential left-to-right reference reduction.
-    """
-    return simulate_collective(schedule, problem, n_periods,
-                               collective="reduce", op=op,
-                               record_trace=record_trace)

@@ -260,9 +260,7 @@ def test_verify_flags_off_plan_and_missing_rates():
 # seed-baseline bridges (ISSUE 10 satellite: shared verify path)
 # ----------------------------------------------------------------------
 def test_direct_scatter_run_passes_shared_verification(fig2_problem):
-    from repro.baselines import direct_scatter_solution
-
-    sol = direct_scatter_solution(fig2_problem)
+    sol = solve_collective(fig2_problem, collective="direct-scatter")
     assert sol.exact
     assert sol.verify() == []
     assert sol.throughput == Fraction(1, 2)

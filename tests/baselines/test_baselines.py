@@ -13,7 +13,7 @@ from repro.collectives import (
     resolve_collective, schedule_collective, solve_collective,
 )
 from repro.core.reduce_op import ReduceProblem
-from repro.core.scatter import ScatterProblem, solve_scatter
+from repro.core.scatter import ScatterProblem
 from repro.platform.examples import (
     figure6_platform, figure9_participants, figure9_platform, figure9_target,
 )
@@ -57,7 +57,7 @@ class TestDirectScatter:
         sol, res = _replay(problem, "direct-scatter")
         assert sol.verify() == [] and sol.throughput > 0
         assert res.correct
-        assert solve_scatter(problem, backend="exact").throughput \
+        assert solve_collective(problem, backend="exact").throughput \
             >= sol.throughput
 
 
@@ -88,7 +88,7 @@ class TestSptScatter:
         g.add_edge("a", "t2", 1)
         g.add_edge("b", "t2", 3)
         problem = ScatterProblem(g, "s", ["t1", "t2"])
-        full = solve_scatter(problem, backend="exact").throughput
+        full = solve_collective(problem, backend="exact").throughput
         spt = spt_scatter_throughput(problem)
         assert full == Fraction(3, 5)
         assert spt == Fraction(1, 2)

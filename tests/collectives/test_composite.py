@@ -14,11 +14,11 @@ from repro.collectives import (
     solve_collective,
     unregister_collective,
 )
-from repro.core.allgather import AllGatherProblem, solve_all_gather
-from repro.core.allreduce import AllReduceProblem, solve_all_reduce
+from repro.core.allgather import AllGatherProblem
+from repro.core.allreduce import AllReduceProblem
 from repro.core.broadcast import BroadcastProblem
 from repro.core.reduce_op import ReduceProblem
-from repro.core.reduce_scatter import ReduceScatterProblem, solve_reduce_scatter
+from repro.core.reduce_scatter import ReduceScatterProblem
 from repro.core.scatter import ScatterProblem
 from repro.lp import solve as lp_solve
 from repro.platform.examples import figure2_platform, figure6_platform
@@ -39,8 +39,8 @@ class TestComposeJointLP:
         ]
         joint = compose_joint_lp("joint-reduces", stage_lps)
         a = lp_solve(joint, backend="exact")
-        b = solve_reduce_scatter(ReduceScatterProblem(tri, parts),
-                                 backend="exact")
+        b = solve_collective(ReduceScatterProblem(tri, parts),
+                             backend="exact")
         assert a.optimal
         assert a.by_name("TP") == b.throughput
 
@@ -109,10 +109,10 @@ class TestSequentialComposition:
     def test_harmonic_throughput_identity(self):
         tri = figure6_platform()
         p = AllReduceProblem(tri, [0, 1, 2])
-        sol = solve_all_reduce(p, backend="exact")
+        sol = solve_collective(p, backend="exact")
         rs = solve_collective(ReduceScatterProblem(tri, [0, 1, 2]),
                               backend="exact")
-        ag = solve_all_gather(AllGatherProblem(tri, [0, 1, 2]),
+        ag = solve_collective(AllGatherProblem(tri, [0, 1, 2]),
                               backend="exact")
         assert sol.throughput == \
             1 / (1 / Fraction(rs.throughput) + 1 / Fraction(ag.throughput))
@@ -121,13 +121,13 @@ class TestSequentialComposition:
         """Sequential composite send rates are long-run averages: the
         union must still respect the one-port budget."""
         p = AllReduceProblem(figure6_platform(), [0, 1, 2])
-        sol = solve_all_reduce(p, backend="exact")
+        sol = solve_collective(p, backend="exact")
         for o in sol.edge_occupation().values():
             assert 0 < o <= 1
 
     def test_concatenated_schedule_period_is_sum_of_phases(self):
         p = AllReduceProblem(figure6_platform(), [0, 1, 2])
-        sol = solve_all_reduce(p, backend="exact")
+        sol = solve_collective(p, backend="exact")
         sched = schedule_collective(sol)
         spec = get_collective("all-reduce")
         stage_periods = []
@@ -147,7 +147,7 @@ class TestSequentialComposition:
         from repro.sim.operators import SeqConcat
 
         p = AllReduceProblem(figure6_platform(), [0, 1, 2])
-        sol = solve_all_reduce(p, backend="exact")
+        sol = solve_collective(p, backend="exact")
         sched = schedule_collective(sol)
         sem = get_collective("all-reduce").simulation(sched, p, op=SeqConcat)
         # stage 1 delivery items are tagged ("stg", 1, <all-gather item>)
@@ -170,7 +170,7 @@ class TestCompleteTier:
     def test_all_gather_complete4(self):
         g = complete(4, cost=1)
         p = AllGatherProblem(g, g.nodes())
-        sol = solve_all_gather(p, backend="exact")
+        sol = solve_collective(p, backend="exact")
         # every node receives n-1 = 3 blocks through one in-port: TP <= 1/3,
         # and a ring rotation achieves it
         assert sol.throughput == Fraction(1, 3)
@@ -183,7 +183,7 @@ class TestCompleteTier:
     def test_all_reduce_complete4(self):
         g = complete(4, cost=1)
         p = AllReduceProblem(g, g.nodes())
-        sol = solve_all_reduce(p, backend="exact")
+        sol = solve_collective(p, backend="exact")
         assert sol.exact and sol.throughput > 0
         assert sol.verify() == []
         rs, ag = sol.stage_solutions
@@ -198,7 +198,7 @@ class TestCompositeReporting:
         from repro.viz.tables import rates_table
 
         p = AllGatherProblem(figure6_platform(), [0, 1, 2])
-        sol = solve_all_gather(p, backend="exact")
+        sol = solve_collective(p, backend="exact")
         table = rates_table(sol)
         assert "s0:broadcast" in table and "s2:broadcast" in table
 
@@ -206,11 +206,11 @@ class TestCompositeReporting:
         from repro.viz.tables import composition_table
 
         p = AllReduceProblem(figure6_platform(), [0, 1, 2])
-        sol = solve_all_reduce(p, backend="exact")
+        sol = solve_collective(p, backend="exact")
         table = composition_table(sol)
         assert "reduce-scatter" in table and "all-gather" in table
         assert "of period" in table  # sequential: phase fractions
-        ag = solve_all_gather(AllGatherProblem(figure6_platform(),
+        ag = solve_collective(AllGatherProblem(figure6_platform(),
                                                [0, 1, 2]), backend="exact")
         assert "full period" in composition_table(ag)  # joint: concurrent
 

@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from repro.collectives import solve_collective
 from repro.core.reduce_scatter import (
     ReduceScatterProblem,
     build_reduce_scatter_lp,
     build_reduce_scatter_schedule,
-    solve_reduce_scatter,
 )
 from repro.core.trees import trees_weight_sum
 from repro.platform.examples import figure6_platform, triangle_platform
@@ -20,7 +20,7 @@ from repro.sim.operators import MatMul2x2Mod
 @pytest.fixture(scope="module")
 def tri_solution():
     problem = ReduceScatterProblem(figure6_platform(), [0, 1, 2])
-    return problem, solve_reduce_scatter(problem, backend="exact")
+    return problem, solve_collective(problem, backend="exact")
 
 
 class TestProblem:
@@ -126,7 +126,7 @@ class TestHeterogeneousVariant:
         p = ReduceScatterProblem(triangle_platform(speeds=(4, 1, 1),
                                                    cost=Fraction(1, 2)),
                                  [0, 1, 2], msg_size=1, task_work=2)
-        sol = solve_reduce_scatter(p, backend="exact")
+        sol = solve_collective(p, backend="exact")
         assert sol.verify() == []
         sched = build_reduce_scatter_schedule(sol)
         assert sched.validate() == []

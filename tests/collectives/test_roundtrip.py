@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from repro.collectives import (
+    CompositeSolution,
     get_collective,
     schedule_collective,
     solve_collective,
@@ -19,16 +20,15 @@ from repro.core.flowclean import (
 )
 from repro.core.allgather import AllGatherProblem
 from repro.core.allreduce import AllReduceProblem
-from repro.core.broadcast import BroadcastProblem
-from repro.core.gossip import GossipProblem, GossipSolution, solve_gossip
-from repro.core.prefix import PrefixSolution, solve_prefix
-from repro.core.reduce_op import ReduceProblem, ReduceSolution, solve_reduce
+from repro.core.broadcast import BroadcastProblem, BroadcastSolution
+from repro.core.gossip import GossipProblem, GossipSolution
+from repro.core.prefix import PrefixSolution
+from repro.core.reduce_op import ReduceProblem, ReduceSolution
 from repro.core.reduce_scatter import (
     ReduceScatterProblem,
     ReduceScatterSolution,
-    solve_reduce_scatter,
 )
-from repro.core.scatter import ScatterProblem, ScatterSolution, solve_scatter
+from repro.core.scatter import ScatterProblem, ScatterSolution
 from repro.platform.examples import (
     figure2_platform,
     figure2_targets,
@@ -65,6 +65,22 @@ EXPECTED_TP = {
     "all-reduce": Fraction(1, 4),
 }
 
+SOLUTION_TYPES = {
+    "scatter": ScatterSolution,
+    "reduce": ReduceSolution,
+    "gossip": GossipSolution,
+    "prefix": PrefixSolution,
+    "reduce-scatter": ReduceScatterSolution,
+    "broadcast": BroadcastSolution,
+    "all-gather": CompositeSolution,
+    "all-reduce": CompositeSolution,
+}
+
+STAGES = {
+    "all-gather": ["broadcast"] * 3,
+    "all-reduce": ["reduce-scatter", "all-gather"],
+}
+
 ALL_COLLECTIVES = ["scatter", "reduce", "gossip", "prefix", "reduce-scatter",
                    "broadcast", "all-gather", "all-reduce"]
 
@@ -82,6 +98,17 @@ class TestRoundTrip:
             assert sol.throughput == EXPECTED_TP[name]
         occ = sol.edge_occupation()
         assert all(0 < o <= 1 for o in occ.values())
+
+    def test_resolves_solution_class(self, name):
+        """The spec comes from the problem type alone; only prefix, which
+        shares ``ReduceProblem`` with reduce, has to be named."""
+        problem = _problems()[name]
+        kw = {"collective": "prefix"} if name == "prefix" else {}
+        sol = solve_collective(problem, backend="exact", **kw)
+        assert type(sol) is SOLUTION_TYPES[name]
+        assert sol.collective == name
+        if name in STAGES:
+            assert [s.collective for s in sol.stage_solutions] == STAGES[name]
 
     def test_schedule_and_simulate(self, name):
         problem = _problems()[name]
@@ -103,80 +130,6 @@ class TestRoundTrip:
         streams = spec.ops_bound_factor(problem)
         bound = float(sol.throughput) * float(res.horizon) * streams
         assert res.completed_ops() <= bound + 1e-9
-
-
-class TestWrapperEquivalence:
-    """The classic solve_* entry points are thin registry wrappers: same
-    types, same rates as the orchestrator."""
-
-    def test_scatter(self):
-        p = _problems()["scatter"]
-        a = solve_scatter(p, backend="exact")
-        b = solve_collective(p, backend="exact")  # resolved by type
-        assert isinstance(a, ScatterSolution) and isinstance(b, ScatterSolution)
-        assert a.throughput == b.throughput and a.send == b.send
-        assert a.paths.keys() == b.paths.keys()
-
-    def test_reduce(self):
-        p = _problems()["reduce"]
-        a = solve_reduce(p, backend="exact")
-        b = solve_collective(p, backend="exact")
-        assert isinstance(a, ReduceSolution) and isinstance(b, ReduceSolution)
-        assert a.send == b.send and a.cons == b.cons
-
-    def test_gossip(self):
-        p = _problems()["gossip"]
-        a = solve_gossip(p, backend="exact")
-        assert isinstance(a, GossipSolution)
-        assert a.verify() == []
-
-    def test_prefix(self):
-        p = _problems()["prefix"]
-        a = solve_prefix(p, backend="exact")
-        b = solve_collective(p, collective="prefix", backend="exact")
-        assert isinstance(a, PrefixSolution) and isinstance(b, PrefixSolution)
-        assert a.throughput == b.throughput and a.send == b.send
-
-    def test_reduce_scatter(self):
-        p = _problems()["reduce-scatter"]
-        a = solve_reduce_scatter(p, backend="exact")
-        assert isinstance(a, ReduceScatterSolution)
-        assert a.verify() == []
-
-    def test_broadcast(self):
-        from repro.core.broadcast import BroadcastSolution, solve_broadcast
-
-        p = _problems()["broadcast"]
-        a = solve_broadcast(p, backend="exact")
-        b = solve_collective(p, backend="exact")  # resolved by type
-        assert isinstance(a, BroadcastSolution)
-        assert isinstance(b, BroadcastSolution)
-        assert a.throughput == b.throughput and a.send == b.send
-        assert a.flows.keys() == b.flows.keys()
-
-    def test_all_gather(self):
-        from repro.collectives import CompositeSolution
-        from repro.core.allgather import solve_all_gather
-
-        p = _problems()["all-gather"]
-        a = solve_all_gather(p, backend="exact")
-        b = solve_collective(p, backend="exact")  # resolved by type
-        assert isinstance(a, CompositeSolution)
-        assert a.throughput == b.throughput and a.send == b.send
-        assert len(a.stage_solutions) == p.n_values
-        assert all(s.collective == "broadcast" for s in a.stage_solutions)
-
-    def test_all_reduce(self):
-        from repro.collectives import CompositeSolution
-        from repro.core.allreduce import solve_all_reduce
-
-        p = _problems()["all-reduce"]
-        a = solve_all_reduce(p, backend="exact")
-        b = solve_collective(p, backend="exact")  # resolved by type
-        assert isinstance(a, CompositeSolution)
-        assert a.throughput == b.throughput
-        assert [s.collective for s in a.stage_solutions] == \
-            ["reduce-scatter", "all-gather"]
 
 
 class TestPassOverrides:

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.reduce_op import ReduceProblem, solve_reduce
-from repro.core.scatter import ScatterProblem, solve_scatter
+from repro.collectives import solve_collective
+from repro.core.reduce_op import ReduceProblem
+from repro.core.scatter import ScatterProblem
 from repro.platform.examples import (
     figure2_platform,
     figure2_targets,
@@ -32,7 +33,7 @@ def fig2_solution():
     # canonical=True: the lex-smallest optimal vertex, so tests that pin
     # schedule/flow artifacts cannot break when the pricing rule changes
     problem = ScatterProblem(figure2_platform(), "Ps", figure2_targets())
-    return solve_scatter(problem, backend="exact", canonical=True)
+    return solve_collective(problem, backend="exact", canonical=True)
 
 
 @pytest.fixture
@@ -48,7 +49,7 @@ def fig6_problem(fig6):
 @pytest.fixture(scope="session")
 def fig6_solution():
     problem = ReduceProblem(figure6_platform(), participants=[0, 1, 2], target=0)
-    return solve_reduce(problem, backend="exact", canonical=True)
+    return solve_collective(problem, backend="exact", canonical=True)
 
 
 @pytest.fixture(scope="session")
@@ -56,7 +57,7 @@ def fig9_solution():
     problem = ReduceProblem(figure9_platform(),
                             participants=figure9_participants(),
                             target=figure9_target(), msg_size=10, task_work=10)
-    return solve_reduce(problem)
+    return solve_collective(problem)
 
 
 @pytest.fixture(scope="session")
@@ -66,7 +67,7 @@ def fig9_canonical_solution():
     problem = ReduceProblem(figure9_platform(),
                             participants=figure9_participants(),
                             target=figure9_target(), msg_size=10, task_work=10)
-    return solve_reduce(problem, canonical=True)
+    return solve_collective(problem, canonical=True)
 
 
 @pytest.fixture

@@ -4,19 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+from repro.collectives import schedule_collective, solve_collective
 from repro.core.arborescence import (
     Arborescence,
     ArborescencePackingError,
     max_flow,
     pack_arborescences,
 )
-from repro.core.broadcast import (
-    BroadcastProblem,
-    build_broadcast_lp,
-    build_broadcast_schedule,
-    solve_broadcast,
-)
-from repro.core.scatter import ScatterProblem, solve_scatter
+from repro.core.broadcast import BroadcastProblem, build_broadcast_lp
+from repro.core.scatter import ScatterProblem
 from repro.platform.examples import (
     figure2_platform,
     figure2_targets,
@@ -46,9 +42,9 @@ class TestBroadcastLP:
         platform: 7/12 > 1/2 (hand-derivable from the out[Ps] and
         out[Pb] budgets)."""
         p = BroadcastProblem(figure2_platform(), "Ps", figure2_targets())
-        sol = solve_broadcast(p, backend="exact")
+        sol = solve_collective(p, backend="exact")
         assert sol.throughput == Fraction(7, 12)
-        scat = solve_scatter(
+        scat = solve_collective(
             ScatterProblem(figure2_platform(), "Ps", figure2_targets()),
             backend="exact")
         assert sol.throughput > scat.throughput
@@ -58,13 +54,13 @@ class TestBroadcastLP:
         """On the unit triangle a relay chain 0 -> 1 -> 2 streams one
         message per time-unit."""
         p = BroadcastProblem(figure6_platform(), 0, [1, 2])
-        sol = solve_broadcast(p, backend="exact")
+        sol = solve_collective(p, backend="exact")
         assert sol.throughput == 1
         assert sol.verify() == []
 
     def test_content_dominates_every_flow(self):
         p = BroadcastProblem(figure2_platform(), "Ps", figure2_targets())
-        sol = solve_broadcast(p, backend="exact")
+        sol = solve_collective(p, backend="exact")
         for t, flow in sol.flows.items():
             for e, f in flow.items():
                 assert f <= sol.send[e]
@@ -84,7 +80,7 @@ class TestBroadcastLP:
 class TestArborescencePacking:
     def test_weights_sum_to_demand_and_respect_caps(self):
         p = BroadcastProblem(figure2_platform(), "Ps", figure2_targets())
-        sol = solve_broadcast(p, backend="exact")
+        sol = solve_collective(p, backend="exact")
         arbs = sol.arborescences()
         assert sum(a.weight for a in arbs) == sol.throughput
         usage = {}
@@ -96,7 +92,7 @@ class TestArborescencePacking:
 
     def test_every_arborescence_covers_all_targets(self):
         p = BroadcastProblem(figure2_platform(), "Ps", figure2_targets())
-        sol = solve_broadcast(p, backend="exact")
+        sol = solve_collective(p, backend="exact")
         for a in sol.arborescences():
             children = a.children()
             # walk from the source: every target must be reachable
@@ -156,8 +152,8 @@ class TestMaxFlow:
 class TestBroadcastSchedule:
     def test_fig2_schedule_and_replicated_simulation(self):
         p = BroadcastProblem(figure2_platform(), "Ps", figure2_targets())
-        sol = solve_broadcast(p, backend="exact")
-        sched = build_broadcast_schedule(sol)
+        sol = solve_collective(p, backend="exact")
+        sched = schedule_collective(sol)
         assert sched.validate() == []
         assert sched.delivery_mode == "sum"
         assert sched.replicas  # fan-out rules present
@@ -171,9 +167,9 @@ class TestBroadcastSchedule:
         g = complete(5, cost=1)
         nodes = g.nodes()
         p = BroadcastProblem(g, nodes[0], nodes[1:])
-        sol = solve_broadcast(p, backend="exact")
+        sol = solve_collective(p, backend="exact")
         assert sol.throughput == 1  # relay chain saturates every in-port
-        sched = build_broadcast_schedule(sol)
+        sched = schedule_collective(sol)
         assert sched.validate() == []
         res = simulate_collective(sched, p, n_periods=25)
         assert res.correct and res.completed_ops() > 0

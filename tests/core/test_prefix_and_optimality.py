@@ -4,15 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+from repro.collectives import solve_collective
 from repro.core.optimality import (is_monotone_nondecreasing, ratio_curve, steady_state_lower_bound, upper_bound_ops)
-from repro.core.prefix import solve_prefix
-from repro.core.reduce_op import ReduceProblem, solve_reduce
+from repro.core.reduce_op import ReduceProblem
 
 
 class TestPrefix:
     def test_prefix_lp_solves_on_triangle(self, fig6):
         problem = ReduceProblem(fig6, participants=[0, 1, 2], target=0)
-        sol = solve_prefix(problem, backend="exact")
+        sol = solve_collective(problem, collective="prefix", backend="exact")
         assert sol.throughput > 0
         assert sol.exact
 
@@ -20,13 +20,14 @@ class TestPrefix:
         # prefix must also deliver v[0,1] to rank 1's owner and v[0,2] to
         # rank 2's owner: strictly more work than one reduce
         problem = ReduceProblem(fig6, participants=[0, 1, 2], target=2)
-        reduce_tp = solve_reduce(problem, backend="exact").throughput
-        prefix_tp = solve_prefix(problem, backend="exact").throughput
+        reduce_tp = solve_collective(problem, backend="exact").throughput
+        prefix_tp = solve_collective(problem, collective="prefix",
+                                     backend="exact").throughput
         assert prefix_tp <= reduce_tp
 
     def test_prefix_needs_transfers(self, fig6):
         problem = ReduceProblem(fig6, participants=[0, 1, 2], target=0)
-        sol = solve_prefix(problem, backend="exact")
+        sol = solve_collective(problem, collective="prefix", backend="exact")
         assert sol.send  # some communication is unavoidable
 
     def test_two_nodes_prefix(self):
@@ -37,7 +38,7 @@ class TestPrefix:
         g.add_node("b", 1)
         g.add_link("a", "b", 1)
         problem = ReduceProblem(g, ["a", "b"], "a")
-        sol = solve_prefix(problem, backend="exact")
+        sol = solve_collective(problem, collective="prefix", backend="exact")
         # v[0,1] must be delivered at b: one transfer + one merge per op
         assert sol.throughput == 1
 

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from repro.core.reduce_op import ReduceProblem, build_reduce_lp, solve_reduce
+from repro.collectives import solve_collective
+from repro.core.reduce_op import ReduceProblem, build_reduce_lp
 from repro.platform.examples import triangle_platform
 from repro.platform.generators import chain, clustered
 from repro.platform.graph import PlatformGraph
@@ -82,7 +83,7 @@ class TestFigure6:
             assert 0 <= fig6_solution.alpha(node) <= 1
 
     def test_highs_agrees(self, fig6_problem):
-        sol = solve_reduce(fig6_problem, backend="highs")
+        sol = solve_collective(fig6_problem, backend="highs")
         assert abs(float(sol.throughput) - 1.0) < 1e-9
 
     def test_target_receives_exactly_tp(self, fig6_solution):
@@ -100,7 +101,7 @@ class TestOtherInstances:
         g.add_node("a", 1)
         g.add_node("b", 1)
         g.add_link("a", "b", 1)
-        sol = solve_reduce(ReduceProblem(g, ["a", "b"], "a"), backend="exact")
+        sol = solve_collective(ReduceProblem(g, ["a", "b"], "a"), backend="exact")
         # b sends v1 to a (1 time-unit), a merges (1 time-unit, overlapped)
         assert sol.throughput == 1
 
@@ -109,21 +110,21 @@ class TestOtherInstances:
         g.add_node("a", 100)
         g.add_node("b", 100)
         g.add_link("a", "b", 4)
-        sol = solve_reduce(ReduceProblem(g, ["a", "b"], "a"), backend="exact")
+        sol = solve_collective(ReduceProblem(g, ["a", "b"], "a"), backend="exact")
         assert sol.throughput == Fraction(1, 4)
 
     def test_slow_cpu_bottleneck(self):
         g = triangle_platform(speeds=(Fraction(1, 4), Fraction(1, 4), Fraction(1, 4)),
                               cost=Fraction(1, 100))
-        sol = solve_reduce(ReduceProblem(g, [0, 1, 2], 0), backend="exact")
+        sol = solve_collective(ReduceProblem(g, [0, 1, 2], 0), backend="exact")
         # 2 merges per reduce, each takes 4 time-units, 3 CPUs available:
         # TP <= 3/8 from compute; communication is nearly free
         assert sol.throughput == Fraction(3, 8)
 
     def test_chain_reduce(self):
         g = chain(3, cost=1)
-        sol = solve_reduce(ReduceProblem(g, ["p0", "p1", "p2"], "p0"),
-                           backend="exact")
+        sol = solve_collective(ReduceProblem(g, ["p0", "p1", "p2"], "p0"),
+                               backend="exact")
         assert sol.throughput > 0
         assert sol.verify() == []
 
@@ -131,7 +132,7 @@ class TestOtherInstances:
         g = clustered(2, 1, seed=0)
         hosts = g.compute_nodes()
         problem = ReduceProblem(g, hosts, "r0")
-        sol = solve_reduce(problem, backend="exact")
+        sol = solve_collective(problem, backend="exact")
         assert sol.throughput > 0
 
     def test_logical_order_matters(self):
@@ -144,8 +145,8 @@ class TestOtherInstances:
         g.add_link("a1", "a2", Fraction(1, 10))
         g.add_link("a1", "b1", 5)
         g.add_link("a2", "b1", 5)
-        fast_adjacent = solve_reduce(
+        fast_adjacent = solve_collective(
             ReduceProblem(g, ["a1", "a2", "b1"], "a1"), backend="exact")
-        split_order = solve_reduce(
+        split_order = solve_collective(
             ReduceProblem(g, ["a1", "b1", "a2"], "a1"), backend="exact")
         assert fast_adjacent.throughput >= split_order.throughput

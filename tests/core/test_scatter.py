@@ -4,9 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from repro.core.scatter import (
-    ScatterProblem, build_scatter_lp, build_scatter_schedule, solve_scatter,
-)
+from repro.collectives import schedule_collective, solve_collective
+from repro.core.scatter import ScatterProblem, build_scatter_lp
 from repro.platform.generators import chain, random_connected, star
 from repro.platform.graph import PlatformGraph
 
@@ -78,35 +77,35 @@ class TestFigure2:
             assert 0 < occ <= 1
 
     def test_highs_backend_agrees(self, fig2_problem):
-        sol = solve_scatter(fig2_problem, backend="highs")
+        sol = solve_collective(fig2_problem, backend="highs")
         assert abs(float(sol.throughput) - 0.5) < 1e-9
 
 
 class TestSchedule:
     def test_schedule_valid(self, fig2_solution):
-        sched = build_scatter_schedule(fig2_solution)
+        sched = schedule_collective(fig2_solution)
         assert sched.validate() == []
 
     def test_ops_per_period_integral(self, fig2_solution):
-        sched = build_scatter_schedule(fig2_solution)
+        sched = schedule_collective(fig2_solution)
         opp = sched.ops_per_period()
         assert opp == int(opp) and opp >= 1
 
     def test_per_period_counts_match_tp(self, fig2_solution):
-        sched = build_scatter_schedule(fig2_solution)
+        sched = schedule_collective(fig2_solution)
         for item, count in sched.per_period.items():
             # each target receives TP * T messages per period, and relays
             # may add transit counts; delivery items match exactly
             assert count >= sched.ops_per_period()
 
     def test_one_port_within_period(self, fig2_solution):
-        sched = build_scatter_schedule(fig2_solution)
+        sched = schedule_collective(fig2_solution)
         for node in ("Ps", "Pa", "Pb", "P0", "P1"):
             snd, rcv = sched.busy_time(node)
             assert snd <= sched.period and rcv <= sched.period
 
     def test_without_splits_scales_period(self, fig2_solution):
-        sched = build_scatter_schedule(fig2_solution)
+        sched = schedule_collective(fig2_solution)
         ns = sched.without_splits()
         assert ns.period % sched.period == 0
         assert ns.validate() == []
@@ -119,14 +118,14 @@ class TestOtherPlatforms:
     def test_star_throughput_limited_by_source_port(self):
         g = star(3, cost=1)
         problem = ScatterProblem(g, "c", [f"l{i}" for i in range(3)])
-        sol = solve_scatter(problem, backend="exact")
+        sol = solve_collective(problem, backend="exact")
         # source must push 3 unit messages per op through one port
         assert sol.throughput == Fraction(1, 3)
 
     def test_chain_bottleneck_is_first_link(self):
         g = chain(4, cost=2)
         problem = ScatterProblem(g, "p0", ["p1", "p2", "p3"])
-        sol = solve_scatter(problem, backend="exact")
+        sol = solve_collective(problem, backend="exact")
         # all three messages cross p0->p1 at cost 2 each
         assert sol.throughput == Fraction(1, 6)
 
@@ -137,11 +136,11 @@ class TestOtherPlatforms:
             g.add_node(n, 1)
         g.add_edge("s", "a", 1)
         g.add_edge("a", "t", 1)
-        sol1 = solve_scatter(ScatterProblem(g, "s", ["t"]), backend="exact")
+        sol1 = solve_collective(ScatterProblem(g, "s", ["t"]), backend="exact")
         g2 = g.copy()
         g2.add_edge("s", "b", 1)
         g2.add_edge("b", "t", 1)
-        sol2 = solve_scatter(ScatterProblem(g2, "s", ["t"]), backend="exact")
+        sol2 = solve_collective(ScatterProblem(g2, "s", ["t"]), backend="exact")
         assert sol1.throughput == Fraction(1, 1)
         assert sol2.throughput == Fraction(1, 1)  # recv port of t caps at 1
 
@@ -154,7 +153,7 @@ class TestOtherPlatforms:
         g.add_edge("a", "t", 2)
         g.add_edge("s", "b", 2)
         g.add_edge("b", "t", 2)
-        sol = solve_scatter(ScatterProblem(g, "s", ["t"]), backend="exact")
+        sol = solve_collective(ScatterProblem(g, "s", ["t"]), backend="exact")
         # single route: 1/2; split across both: out-port of s allows 1/2 too;
         # but each edge carries half the traffic -> edge occupation 1/2
         assert sol.throughput == Fraction(1, 2)
@@ -165,7 +164,7 @@ class TestOtherPlatforms:
         g = random_connected(8, extra_edges=4, seed=13)
         nodes = g.nodes()
         problem = ScatterProblem(g, nodes[0], nodes[1:5])
-        sol = solve_scatter(problem)
+        sol = solve_collective(problem)
         assert sol.throughput > 0
         assert sol.verify(tol=0 if sol.exact else 1e-9) == []
 
@@ -174,5 +173,5 @@ class TestOtherPlatforms:
         g.add_node("s", 1)
         g.add_node("t", 1)
         g.add_edge("t", "s", 1)  # wrong direction only
-        sol = solve_scatter(ScatterProblem(g, "s", ["t"]), backend="exact")
+        sol = solve_collective(ScatterProblem(g, "s", ["t"]), backend="exact")
         assert sol.throughput == 0 and sol.send == {}

@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from repro.core.reduce_op import ReduceProblem, solve_reduce
+from repro.collectives import solve_collective
+from repro.core.reduce_op import ReduceProblem
 from repro.core.reduce_scatter import (
     ReduceScatterProblem,
     build_reduce_scatter_schedule,
-    solve_reduce_scatter,
 )
 from repro.core.schedule import (
     RateBundle,
@@ -68,7 +68,7 @@ class TestSuperpose:
         """Satellite check: the hoisted machinery reproduces the schedule
         the private reduce-scatter loop used to build."""
         problem = ReduceScatterProblem(figure6_platform(), [0, 1, 2])
-        sol = solve_reduce_scatter(problem, backend="exact")
+        sol = solve_collective(problem, backend="exact")
         via_module = build_reduce_scatter_schedule(sol)
         bundles = [tree_rate_bundle(problem, trees,
                                     target=problem.block_target(b),
@@ -81,7 +81,7 @@ class TestSuperpose:
 
     def test_tree_rate_bundle_matches_reduce_schedule(self):
         problem = ReduceProblem(figure6_platform(), [0, 1, 2], target=0)
-        sol = solve_reduce(problem, backend="exact")
+        sol = solve_collective(problem, backend="exact")
         trees = sol.extract()
         bundle = tree_rate_bundle(problem, trees, target=0)
         assert set(bundle.deliveries.values()) == {0}

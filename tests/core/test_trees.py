@@ -3,8 +3,9 @@
 from fractions import Fraction
 
 
+from repro.collectives import solve_collective
 from repro.core import intervals as iv
-from repro.core.reduce_op import ReduceProblem, solve_reduce
+from repro.core.reduce_op import ReduceProblem
 from repro.core.trees import (ReductionTree, TreeTask, TreeTransfer, extract_trees, find_tree, incidence, solution_op_values, trees_weight_sum)
 from repro.platform.generators import complete
 from repro.platform.graph import PlatformGraph
@@ -100,7 +101,7 @@ class TestExtractProperties:
         g = complete(4, cost=1)
         nodes = g.nodes()
         problem = ReduceProblem(g, nodes, nodes[0])
-        sol = solve_reduce(problem, backend="exact")
+        sol = solve_collective(problem, backend="exact")
         trees = extract_trees(sol)
         assert trees_weight_sum(trees) == sol.throughput
         inc = incidence(trees)
@@ -113,6 +114,6 @@ class TestExtractProperties:
         assert (fig6_solution.send, fig6_solution.cons) == before
 
     def test_extract_caches_on_solution(self, fig6_problem):
-        sol = solve_reduce(fig6_problem, backend="exact")
+        sol = solve_collective(fig6_problem, backend="exact")
         t1 = sol.extract()
         assert sol.extract() is t1

@@ -6,14 +6,15 @@ from fractions import Fraction
 import pytest
 
 from repro.baselines.reduce_baselines import best_single_tree_throughput
+from repro.collectives import schedule_collective, solve_collective
 from repro.core.fixed_period import fixed_period_approximation
-from repro.core.gossip import GossipProblem, build_gossip_schedule, solve_gossip
-from repro.core.reduce_op import ReduceProblem, solve_reduce
-from repro.core.scatter import ScatterProblem, build_scatter_schedule, solve_scatter
+from repro.core.gossip import GossipProblem
+from repro.core.reduce_op import ReduceProblem
+from repro.core.scatter import ScatterProblem
 from repro.core.schedule import build_reduce_schedule
 from repro.core.trees import trees_weight_sum
 from repro.platform.generators import clustered, tiers
-from repro.sim.executor import simulate_gossip, simulate_reduce, simulate_scatter
+from repro.sim.executor import simulate_collective
 from repro.sim.operators import MatMul2x2Mod
 
 
@@ -60,8 +61,8 @@ class TestFig9EndToEnd:
     def test_schedule_simulation_converges(self, fig9_solution):
         sched = build_reduce_schedule(fig9_solution)
         assert sched.validate() == []
-        res = simulate_reduce(sched, fig9_solution.problem, n_periods=120,
-                              record_trace=False)
+        res = simulate_collective(sched, fig9_solution.problem, n_periods=120,
+                                  record_trace=False)
         assert res.errors == []
         bound = float(fig9_solution.throughput) * float(res.horizon)
         assert res.completed_ops() >= 0.7 * bound
@@ -88,7 +89,7 @@ class TestGeneratedPlatforms:
                   hosts_per_lan=2)
         hosts = g.compute_nodes()[:4]
         problem = ReduceProblem(g, hosts, hosts[0], msg_size=2, task_work=10)
-        sol = solve_reduce(problem)
+        sol = solve_collective(problem)
         assert sol.throughput > 0
         assert sol.verify(tol=0 if sol.exact else 1e-7) == []
         trees = sol.extract()
@@ -102,9 +103,9 @@ class TestGeneratedPlatforms:
         g = clustered(3, 2, seed=2)
         hosts = g.compute_nodes()
         problem = ScatterProblem(g, hosts[0], hosts[1:5])
-        sol = solve_scatter(problem, backend="exact")
-        sched = build_scatter_schedule(sol)
-        res = simulate_scatter(sched, problem, n_periods=30)
+        sol = solve_collective(problem, backend="exact")
+        sched = schedule_collective(sol)
+        res = simulate_collective(sched, problem, n_periods=30)
         assert res.correct
         bound = float(sol.throughput) * float(res.horizon)
         assert res.completed_ops() >= 0.6 * bound
@@ -113,27 +114,27 @@ class TestGeneratedPlatforms:
         g = clustered(2, 2, seed=1)
         hosts = g.compute_nodes()
         problem = GossipProblem(g, hosts, hosts)
-        sol = solve_gossip(problem, backend="exact")
-        sched = build_gossip_schedule(sol)
-        res = simulate_gossip(sched, problem, n_periods=25)
+        sol = solve_collective(problem, backend="exact")
+        sched = schedule_collective(sol)
+        res = simulate_collective(sched, problem, n_periods=25)
         assert res.correct
 
 
 class TestCrossChecks:
     def test_scatter_tp_equals_gossip_with_one_source(self, fig2_problem):
-        scatter_tp = solve_scatter(fig2_problem, backend="exact").throughput
+        scatter_tp = solve_collective(fig2_problem, backend="exact").throughput
         gossip = GossipProblem(fig2_problem.platform, ["Ps"],
                                ["Ps", "P0", "P1"])
-        gossip_tp = solve_gossip(gossip, backend="exact").throughput
+        gossip_tp = solve_collective(gossip, backend="exact").throughput
         assert scatter_tp == gossip_tp
 
     def test_reduce_order_reversal_symmetric_platform(self, fig6_problem):
         # the triangle is symmetric between nodes 1 and 2, so reversing
         # their logical order cannot change the optimum
-        sol_a = solve_reduce(fig6_problem, backend="exact")
+        sol_a = solve_collective(fig6_problem, backend="exact")
         problem_b = ReduceProblem(fig6_problem.platform,
                                   participants=[0, 2, 1], target=0)
-        sol_b = solve_reduce(problem_b, backend="exact")
+        sol_b = solve_collective(problem_b, backend="exact")
         assert sol_a.throughput == sol_b.throughput
 
     def test_noncommutative_correctness_on_fig9_fixed_period(self, fig9_solution):
@@ -141,7 +142,7 @@ class TestCrossChecks:
             fig9_solution.extract(), period=9,
             original_throughput=fig9_solution.throughput)
         sched = build_reduce_schedule(fig9_solution, trees=fp.items)
-        res = simulate_reduce(sched, fig9_solution.problem, n_periods=80,
-                              op=MatMul2x2Mod, record_trace=False)
+        res = simulate_collective(sched, fig9_solution.problem, n_periods=80,
+                                  op=MatMul2x2Mod, record_trace=False)
         assert res.errors == []
         assert res.completed_ops() > 0

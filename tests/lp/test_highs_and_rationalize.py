@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from repro.lp import dispatch
 from repro.lp.dispatch import solve
 from repro.lp.highs import HighsSolver
 from repro.lp.model import LinearProgram
@@ -98,16 +99,20 @@ class TestDispatch:
         s = solve(lp, backend="auto")
         assert s.backend == "exact-simplex" and s.exact
 
-    def test_auto_uses_highs_beyond_limit(self):
+    def test_auto_uses_highs_beyond_limit(self, monkeypatch):
+        monkeypatch.setattr(dispatch, "EXACT_VAR_LIMIT", 1)
         lp, *_ = make_lp()
-        s = solve(lp, backend="auto", exact_var_limit=1)
+        s = solve(lp, backend="auto")
         assert s.backend.startswith("highs")
         assert s.exact  # rationalization succeeded
 
     def test_explicit_backends(self):
         lp, *_ = make_lp()
         assert solve(lp, backend="exact").backend == "exact-simplex"
-        assert solve(lp, backend="highs", rationalize=False).backend == "highs"
+        # HiGHS optima of rational LPs always come back rationalized; the
+        # raw float answer is the solver class itself
+        assert solve(lp, backend="highs").backend == "highs+rationalized"
+        assert HighsSolver().solve(lp).backend == "highs"
 
     def test_unknown_backend_rejected(self):
         lp, *_ = make_lp()

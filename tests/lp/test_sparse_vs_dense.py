@@ -258,9 +258,9 @@ class TestDispatchCache:
 
     def test_explicit_backend_not_served_from_other_backends_cache(self):
         s_exact = dispatch.solve(self._lp(), backend="exact")
-        s_highs = dispatch.solve(self._lp(), backend="highs", rationalize=False)
+        s_highs = dispatch.solve(self._lp(), backend="highs")
         assert s_exact.backend == "exact-simplex"
-        assert s_highs.backend == "highs"
+        assert s_highs.backend == "highs+rationalized"
 
     def test_cache_can_be_disabled(self):
         dispatch.solve(self._lp(), cache=False)

@@ -18,8 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.collectives import schedule_collective, solve_collective
 from repro.core.allreduce import AllReduceProblem
-from repro.core.broadcast import BroadcastProblem, solve_broadcast
-from repro.core.scatter import ScatterProblem, solve_scatter
+from repro.core.broadcast import BroadcastProblem
+from repro.core.scatter import ScatterProblem
 from repro.platform.generators import heterogenize, random_connected
 from repro.sim.executor import simulate_collective
 
@@ -54,16 +54,16 @@ class TestBroadcastProperties:
     @given(broadcast_instances())
     @settings(max_examples=10, deadline=None)
     def test_content_sharing_dominates_scatter(self, problem):
-        bc = solve_broadcast(problem, backend="exact")
-        sc = solve_scatter(ScatterProblem(problem.platform, problem.source,
-                                          problem.targets), backend="exact")
+        bc = solve_collective(problem, backend="exact")
+        sc = solve_collective(ScatterProblem(problem.platform, problem.source,
+                                             problem.targets), backend="exact")
         assert bc.throughput >= sc.throughput
         assert bc.verify() == []
 
     @given(broadcast_instances())
     @settings(max_examples=8, deadline=None)
     def test_packing_reconstructs_throughput_within_content(self, problem):
-        sol = solve_broadcast(problem, backend="exact")
+        sol = solve_collective(problem, backend="exact")
         arbs = sol.arborescences()
         assert sum(a.weight for a in arbs) == sol.throughput
         usage = {}
@@ -75,7 +75,7 @@ class TestBroadcastProperties:
     @given(broadcast_instances())
     @settings(max_examples=6, deadline=None)
     def test_schedule_and_replicated_simulation(self, problem):
-        sol = solve_broadcast(problem, backend="exact")
+        sol = solve_collective(problem, backend="exact")
         sched = schedule_collective(sol)
         assert sched.validate() == []
         res = simulate_collective(sched, problem, n_periods=15,

@@ -13,12 +13,13 @@ These are the reproduction's load-bearing guarantees:
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.reduce_op import ReduceProblem, solve_reduce
-from repro.core.scatter import ScatterProblem, build_scatter_schedule, solve_scatter
+from repro.collectives import schedule_collective, solve_collective
+from repro.core.reduce_op import ReduceProblem
+from repro.core.scatter import ScatterProblem
 from repro.core.schedule import build_reduce_schedule
 from repro.core.trees import incidence, solution_op_values, trees_weight_sum
 from repro.platform.generators import random_connected
-from repro.sim.executor import simulate_reduce, simulate_scatter
+from repro.sim.executor import simulate_collective
 from repro.sim.operators import MatMul2x2Mod
 
 
@@ -50,17 +51,17 @@ class TestScatterPipelineProperties:
     @given(scatter_instances())
     @settings(max_examples=12, deadline=None)
     def test_lp_invariants(self, problem):
-        sol = solve_scatter(problem, backend="exact")
+        sol = solve_collective(problem, backend="exact")
         assert sol.throughput > 0
         assert sol.verify() == []
 
     @given(scatter_instances())
     @settings(max_examples=8, deadline=None)
     def test_schedule_and_simulation(self, problem):
-        sol = solve_scatter(problem, backend="exact")
-        sched = build_scatter_schedule(sol)
+        sol = solve_collective(problem, backend="exact")
+        sched = schedule_collective(sol)
         assert sched.validate() == []
-        res = simulate_scatter(sched, problem, n_periods=20)
+        res = simulate_collective(sched, problem, n_periods=20)
         assert res.errors == []
         assert res.one_port_violations == []
         bound = float(sol.throughput) * float(res.horizon)
@@ -71,7 +72,7 @@ class TestReducePipelineProperties:
     @given(reduce_instances())
     @settings(max_examples=8, deadline=None)
     def test_lp_and_tree_invariants(self, problem):
-        sol = solve_reduce(problem, backend="exact")
+        sol = solve_collective(problem, backend="exact")
         assert sol.throughput > 0
         assert sol.verify() == []
         trees = sol.extract()
@@ -83,10 +84,10 @@ class TestReducePipelineProperties:
     @given(reduce_instances())
     @settings(max_examples=6, deadline=None)
     def test_schedule_and_noncommutative_simulation(self, problem):
-        sol = solve_reduce(problem, backend="exact")
+        sol = solve_collective(problem, backend="exact")
         sched = build_reduce_schedule(sol)
         assert sched.validate() == []
-        res = simulate_reduce(sched, problem, n_periods=25, op=MatMul2x2Mod)
+        res = simulate_collective(sched, problem, n_periods=25, op=MatMul2x2Mod)
         assert res.errors == []
         assert res.one_port_violations == []
         bound = float(sol.throughput) * float(res.horizon)

@@ -3,22 +3,21 @@
 
 import pytest
 
-from repro.core.reduce_op import ReduceProblem, solve_reduce
-from repro.core.scatter import ScatterProblem, build_scatter_schedule, solve_scatter
+from repro.collectives import schedule_collective, solve_collective
+from repro.core.reduce_op import ReduceProblem
+from repro.core.scatter import ScatterProblem
 from repro.core.schedule import build_reduce_schedule
 from repro.platform.examples import figure2_platform, figure2_targets
-from repro.sim.executor import (
-    simulate_reduce, simulate_scatter,
-)
+from repro.sim.executor import simulate_collective
 from repro.sim.operators import MatMul2x2Mod
 
 
 @pytest.fixture(scope="module")
 def fig2_run():
     problem = ScatterProblem(figure2_platform(), "Ps", figure2_targets())
-    sol = solve_scatter(problem, backend="exact")
-    sched = build_scatter_schedule(sol)
-    return problem, sol, sched, simulate_scatter(sched, problem, n_periods=40)
+    sol = solve_collective(problem, backend="exact")
+    sched = schedule_collective(sol)
+    return problem, sol, sched, simulate_collective(sched, problem, n_periods=40)
 
 
 @pytest.fixture(scope="module")
@@ -26,9 +25,9 @@ def fig6_run(fig6_solution_module=None):
     from repro.platform.examples import figure6_platform
 
     problem = ReduceProblem(figure6_platform(), participants=[0, 1, 2], target=0)
-    sol = solve_reduce(problem, backend="exact")
+    sol = solve_collective(problem, backend="exact")
     sched = build_reduce_schedule(sol)
-    return problem, sol, sched, simulate_reduce(sched, problem, n_periods=40)
+    return problem, sol, sched, simulate_collective(sched, problem, n_periods=40)
 
 
 class TestScatterExecution:
@@ -64,10 +63,10 @@ class TestScatterExecution:
 
     def test_measured_throughput_converges(self):
         problem = ScatterProblem(figure2_platform(), "Ps", figure2_targets())
-        sol = solve_scatter(problem, backend="exact")
-        sched = build_scatter_schedule(sol)
-        short = simulate_scatter(sched, problem, n_periods=10)
-        long_ = simulate_scatter(sched, problem, n_periods=60)
+        sol = solve_collective(problem, backend="exact")
+        sched = schedule_collective(sol)
+        short = simulate_collective(sched, problem, n_periods=10)
+        long_ = simulate_collective(sched, problem, n_periods=60)
         assert long_.measured_throughput() >= short.measured_throughput()
         assert abs(long_.measured_throughput() - 0.5) < 0.05
 
@@ -84,7 +83,7 @@ class TestReduceExecution:
 
     def test_correct_with_matmul(self, fig6_run):
         problem, sol, sched, _ = fig6_run
-        res = simulate_reduce(sched, problem, n_periods=25, op=MatMul2x2Mod)
+        res = simulate_collective(sched, problem, n_periods=25, op=MatMul2x2Mod)
         assert res.correct
 
     def test_ops_close_to_bound(self, fig6_run):
@@ -98,12 +97,12 @@ class TestReduceExecution:
 
     def test_no_trace_mode(self, fig6_run):
         problem, sol, sched, _ = fig6_run
-        res = simulate_reduce(sched, problem, n_periods=10, record_trace=False)
+        res = simulate_collective(sched, problem, n_periods=10, record_trace=False)
         assert res.trace is None and res.errors == []
 
     def test_lemma1_upper_bound_never_violated(self, fig6_run):
         """opt(G, K) <= TP x K — the schedule can never beat the LP bound."""
         problem, sol, sched, _ = fig6_run
         for periods in (5, 15, 30):
-            res = simulate_reduce(sched, problem, n_periods=periods)
+            res = simulate_collective(sched, problem, n_periods=periods)
             assert res.completed_ops() <= float(sol.throughput) * float(res.horizon) + 1e-9

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.scatter import build_scatter_schedule
+from repro.collectives import schedule_collective
 from repro.platform.examples import figure2_platform, figure9_platform
 from repro.viz.dot import platform_to_dot
 from repro.viz.gantt import ascii_gantt
@@ -32,14 +32,14 @@ class TestTables:
 
 class TestGantt:
     def test_fig2_gantt_has_all_edges(self, fig2_solution):
-        sched = build_scatter_schedule(fig2_solution)
+        sched = schedule_collective(fig2_solution)
         art = ascii_gantt(sched)
         for pair in ("Ps -> Pa", "Ps -> Pb", "Pa -> P0", "Pb -> P1"):
             assert pair in art
         assert "#" in art
 
     def test_gantt_mentions_period_and_throughput(self, fig2_solution):
-        sched = build_scatter_schedule(fig2_solution)
+        sched = schedule_collective(fig2_solution)
         art = ascii_gantt(sched)
         assert f"period = {sched.period}" in art
 
