@@ -334,9 +334,9 @@ def _colgen_cases() -> Dict[str, Callable[[], object]]:
     """name -> () -> solved collective, auto-routed to column generation.
 
     The PR 8 tiers: every case runs plain ``backend="auto"`` with no
-    hint — the presolved model sits past ``COLGEN_VAR_LIMIT`` and the
-    raw model decomposes into per-commodity blocks, so dispatch routes
-    it to the Dantzig-Wolfe column-generation loop.  ``fig9_8host`` and
+    hint — the raw model sits past ``COLGEN_VAR_LIMIT`` and decomposes
+    into per-commodity blocks, so dispatch routes it, without a
+    presolve, to the Dantzig-Wolfe column-generation loop.  ``fig9_8host`` and
     ``ring128`` are the PR 7 rungs re-run on the new route (their
     "before" is the revised-engine timing from ``BENCH_PR7.json``);
     ``fattree6_scatter`` is the first datacenter-scale tier the exact

@@ -161,38 +161,47 @@ def _print_lp_stats(sol) -> None:
             backend = lps.backend if lps is not None else "?"
             print(f"{lead}none recorded (backend {backend})")
             continue
-        if stats.get("engine") == "colgen":
-            print(f"{lead}{lps.backend}, {stats['blocks']} block(s) "
-                  f"({stats['path_blocks']} path-priced), "
-                  f"master {stats['master_rows']} rows")
-            print(f"    rounds: {stats['rounds']}, columns "
-                  f"{stats['columns']} ({stats['seed_columns']} seeded), "
-                  f"priced {stats['columns_priced']}, "
-                  f"skipped {stats['pricing_skipped']}")
-            print(f"    time: master {stats['master_s']:.3f}s "
-                  f"({stats['master_pivots']} pivots), pricing "
-                  f"{stats['pricing_s']:.3f}s on {stats['jobs']} job(s) "
-                  f"(speedup {stats['parallel_speedup']:.2f}x)")
-            continue
-        if "path" not in stats:
-            # tableau/HiGHS solves carry only the dispatch-stamped
-            # variable counts, not revised-engine counters
-            print(f"{lead}{lps.backend}, {stats['vars_raw']} vars "
-                  f"({stats['vars_presolved']} after presolve); "
-                  f"no engine counters recorded")
-            continue
-        print(f"{lead}{lps.backend}, path {stats['path']}, "
-              f"basis {stats['basis_m']} rows")
-        print(f"    pivots: {stats['pivots']} "
-              f"(phase1 {stats['phase1_pivots']}, "
-              f"phase2 {stats['phase2_pivots']}, "
-              f"dual {stats['dual_pivots']})")
-        print(f"    LU: {stats['refactorizations']} refactorization(s), "
-              f"{stats['ftran']} ftran, {stats['btran']} btran")
-        print(f"    time: factor {stats['factor_s']:.3f}s, "
-              f"phase1 {stats['phase1_s']:.3f}s, "
-              f"phase2 {stats['phase2_s']:.3f}s, "
-              f"dual {stats['dual_s']:.3f}s")
+        _print_engine_stats(lead, lps, stats)
+        if "route" in stats:
+            print(f"    route: {stats['route']} "
+                  f"({stats['route_reason']})")
+
+
+def _print_engine_stats(lead: str, lps, stats) -> None:
+    """The engine-specific lines of ``--lp-stats``."""
+    if stats.get("engine") == "colgen":
+        print(f"{lead}{lps.backend}, {stats['blocks']} block(s) "
+              f"({stats['path_blocks']} path-priced), "
+              f"master {stats['master_rows']} rows")
+        print(f"    rounds: {stats['rounds']}, columns "
+              f"{stats['columns']} ({stats['seed_columns']} seeded), "
+              f"priced {stats['columns_priced']}, "
+              f"skipped {stats['pricing_skipped']}, "
+              f"{stats['dijkstra_fallbacks']} Dijkstra fallback(s)")
+        print(f"    time: master {stats['master_s']:.3f}s "
+              f"({stats['master_pivots']} pivots), pricing "
+              f"{stats['pricing_s']:.3f}s on {stats['jobs']} job(s) "
+              f"(speedup {stats['parallel_speedup']:.2f}x)")
+        return
+    if "path" not in stats:
+        # tableau/HiGHS solves carry only the dispatch-stamped
+        # variable counts, not revised-engine counters
+        print(f"{lead}{lps.backend}, {stats['vars_raw']} vars "
+              f"({stats['vars_presolved']} after presolve); "
+              f"no engine counters recorded")
+        return
+    print(f"{lead}{lps.backend}, path {stats['path']}, "
+          f"basis {stats['basis_m']} rows")
+    print(f"    pivots: {stats['pivots']} "
+          f"(phase1 {stats['phase1_pivots']}, "
+          f"phase2 {stats['phase2_pivots']}, "
+          f"dual {stats['dual_pivots']})")
+    print(f"    LU: {stats['refactorizations']} refactorization(s), "
+          f"{stats['ftran']} ftran, {stats['btran']} btran")
+    print(f"    time: factor {stats['factor_s']:.3f}s, "
+          f"phase1 {stats['phase1_s']:.3f}s, "
+          f"phase2 {stats['phase2_s']:.3f}s, "
+          f"dual {stats['dual_s']:.3f}s")
 
 
 def _run_faulted(spec, sol, args) -> int:

@@ -455,6 +455,34 @@ class CollectiveSpec:
         return f"<CollectiveSpec {self.name!r}>"
 
 
+def send_balance(send: Dict[tuple, object]):
+    """Per-``(node, commodity)`` inflow and outflow of rates keyed
+    ``(i, j, commodity)``, accumulated in one pass over ``send`` (in its
+    iteration order, so each total equals the filtered ``sum``)."""
+    inflow: Dict[tuple, object] = {}
+    outflow: Dict[tuple, object] = {}
+    for (i, j, c), f in send.items():
+        inflow[(j, c)] = inflow.get((j, c), 0) + f
+        outflow[(i, c)] = outflow.get((i, c), 0) + f
+    return inflow, outflow
+
+
+def task_balance(cons: Dict[tuple, object]):
+    """Per-``(node, interval)`` production and consumption of the
+    reduction-task rates ``cons`` (keyed ``(node, task)``), accumulated
+    in one pass."""
+    from repro.core import intervals as iv
+
+    produced: Dict[tuple, object] = {}
+    consumed: Dict[tuple, object] = {}
+    for (h, t), r in cons.items():
+        out = (h, iv.task_output(t))
+        produced[out] = produced.get(out, 0) + r
+        for interval in iv.task_inputs(t):
+            consumed[(h, interval)] = consumed.get((h, interval), 0) + r
+    return produced, consumed
+
+
 # ----------------------------------------------------------------------
 # the composition layer
 # ----------------------------------------------------------------------

@@ -89,9 +89,13 @@ class BroadcastSpec(CollectiveSpec):
                 if f > solution.send.get(e, 0) + tol:
                     bad.append(f"content[{e[0]}->{e[1]},m{t}] flow {f} "
                                f"exceeds content {solution.send.get(e, 0)}")
+            inflows, outflows = {}, {}
+            for (i, j), f in flow.items():
+                inflows[j] = inflows.get(j, 0) + f
+                outflows[i] = outflows.get(i, 0) + f
             for p in g.nodes():
-                inflow = sum(f for (i, j), f in flow.items() if j == p)
-                outflow = sum(f for (i, j), f in flow.items() if i == p)
+                inflow = inflows.get(p, 0)
+                outflow = outflows.get(p, 0)
                 if p == problem.source:
                     continue
                 if p == t:

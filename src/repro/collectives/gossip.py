@@ -43,9 +43,12 @@ class GossipSpec(CollectiveSpec):
 
     def verify(self, solution: CollectiveSolution, tol=0) -> List[str]:
         bad = self._port_violations(solution, tol)
+        arrivals = {}
+        for (i, j, k, l), f in solution.send.items():
+            if j == l:
+                arrivals[(k, l)] = arrivals.get((k, l), 0) + f
         for (k, l) in solution.problem.pairs():
-            delivered = sum(f for (i, j, kk, ll), f in solution.send.items()
-                            if j == l and (kk, ll) == (k, l))
+            delivered = arrivals.get((k, l), 0)
             if abs(delivered - solution.throughput) > tol:
                 bad.append(
                     f"throughput[m({k},{l})] {delivered} != {solution.throughput}")

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.collectives.base import CollectiveSolution, CollectiveSpec
+from repro.collectives.base import (CollectiveSolution, CollectiveSpec,
+                                   send_balance, task_balance)
 from repro.collectives.registry import register_collective
 from repro.core import intervals as iv
 from repro.core.flowclean import PruneEpsilonRatesPass
@@ -77,6 +78,8 @@ class PrefixSpec(CollectiveSpec):
         bad = self._port_violations(solution, tol)
         p_ = solution.problem
         n = p_.n_values
+        inflow, outflow = send_balance(solution.send)
+        produced, consumed = task_balance(solution.cons)
         for h in p_.compute_hosts():
             a = solution.alpha(h)
             if a > 1 + tol:
@@ -85,19 +88,14 @@ class PrefixSpec(CollectiveSpec):
             for interval in iv.all_intervals(n):
                 if iv.is_leaf(interval) and p_.owner(interval[0]) == node:
                     continue
-                inflow = sum(f for (i, j, vv), f in solution.send.items()
-                             if j == node and vv == interval)
-                outflow = sum(f for (i, j, vv), f in solution.send.items()
-                              if i == node and vv == interval)
-                produced = sum(r for (h, t), r in solution.cons.items()
-                               if h == node and iv.task_output(t) == interval)
-                consumed = sum(r for (h, t), r in solution.cons.items()
-                               if h == node and interval in iv.task_inputs(t))
                 absorbed = 0
                 k, m = interval
                 if k == 0 and m >= 1 and p_.owner(m) == node:
                     absorbed = solution.throughput
-                lhs, rhs = inflow + produced, outflow + consumed + absorbed
+                key = (node, interval)
+                lhs = inflow.get(key, 0) + produced.get(key, 0)
+                rhs = (outflow.get(key, 0) + consumed.get(key, 0)
+                       + absorbed)
                 if abs(lhs - rhs) > tol:
                     bad.append(f"conserve[{node},v{interval}] {lhs} != {rhs}")
         return bad

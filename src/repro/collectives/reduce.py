@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.collectives.base import CollectiveSolution, CollectiveSpec, SimSemantics
+from repro.collectives.base import (CollectiveSolution, CollectiveSpec,
+                                   SimSemantics, send_balance, task_balance)
 from repro.collectives.registry import register_collective
 from repro.core import intervals as iv
 from repro.core.flowclean import PruneEpsilonRatesPass, RemoveCyclesPass
@@ -74,6 +75,8 @@ class ReduceSpec(CollectiveSpec):
         p_ = solution.problem
         g = p_.platform
         n = p_.n_values
+        inflow, outflow = send_balance(solution.send)
+        produced, consumed = task_balance(solution.cons)
         for h in p_.compute_hosts():
             a = solution.alpha(h)
             if a > 1 + tol:
@@ -85,21 +88,13 @@ class ReduceSpec(CollectiveSpec):
                     continue
                 if node == p_.target and interval == full:
                     continue
-                inflow = sum(f for (i, j, vv), f in solution.send.items()
-                             if j == node and vv == interval)
-                outflow = sum(f for (i, j, vv), f in solution.send.items()
-                              if i == node and vv == interval)
-                produced = sum(r for (h, t), r in solution.cons.items()
-                               if h == node and iv.task_output(t) == interval)
-                consumed = sum(r for (h, t), r in solution.cons.items()
-                               if h == node and interval in iv.task_inputs(t))
-                lhs, rhs = inflow + produced, outflow + consumed
+                key = (node, interval)
+                lhs = inflow.get(key, 0) + produced.get(key, 0)
+                rhs = outflow.get(key, 0) + consumed.get(key, 0)
                 if abs(lhs - rhs) > tol:
                     bad.append(f"conserve[{node},v{interval}] {lhs} != {rhs}")
-        arrived = sum(f for (i, j, vv), f in solution.send.items()
-                      if j == p_.target and vv == full)
-        local = sum(r for (h, t), r in solution.cons.items()
-                    if h == p_.target and iv.task_output(t) == full)
+        arrived = inflow.get((p_.target, full), 0)
+        local = produced.get((p_.target, full), 0)
         if abs(arrived + local - solution.throughput) > tol:
             bad.append(f"throughput {arrived + local} != {solution.throughput}")
         return bad

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.collectives.base import CollectiveSolution, CollectiveSpec, SimSemantics
+from repro.collectives.base import (CollectiveSolution, CollectiveSpec,
+                                   SimSemantics, send_balance, task_balance)
 from repro.collectives.registry import register_collective
 from repro.core import intervals as iv
 from repro.core.flowclean import PruneEpsilonRatesPass, RemoveCyclesPass
@@ -96,28 +97,22 @@ class ReduceScatterSpec(CollectiveSpec):
         for b in p_.blocks:
             block = solution.block_solution(b)
             tgt = p_.block_target(b)
+            inflow, outflow = send_balance(block.send)
+            produced, consumed = task_balance(block.cons)
             for node in p_.platform.nodes():
                 for interval in iv.all_intervals(n):
                     if iv.is_leaf(interval) and p_.owner(interval[0]) == node:
                         continue
                     if node == tgt and interval == full:
                         continue
-                    inflow = sum(f for (i, j, vv), f in block.send.items()
-                                 if j == node and vv == interval)
-                    outflow = sum(f for (i, j, vv), f in block.send.items()
-                                  if i == node and vv == interval)
-                    produced = sum(r for (h, t), r in block.cons.items()
-                                   if h == node and iv.task_output(t) == interval)
-                    consumed = sum(r for (h, t), r in block.cons.items()
-                                   if h == node and interval in iv.task_inputs(t))
-                    lhs, rhs = inflow + produced, outflow + consumed
+                    key = (node, interval)
+                    lhs = inflow.get(key, 0) + produced.get(key, 0)
+                    rhs = outflow.get(key, 0) + consumed.get(key, 0)
                     if abs(lhs - rhs) > tol:
                         bad.append(
                             f"conserve[{node},b{b}:v{interval}] {lhs} != {rhs}")
-            arrived = sum(f for (i, j, vv), f in block.send.items()
-                          if j == tgt and vv == full)
-            local = sum(r for (h, t), r in block.cons.items()
-                        if h == tgt and iv.task_output(t) == full)
+            arrived = inflow.get((tgt, full), 0)
+            local = produced.get((tgt, full), 0)
             if abs(arrived + local - solution.throughput) > tol:
                 bad.append(
                     f"throughput[b{b}] {arrived + local} != {solution.throughput}")

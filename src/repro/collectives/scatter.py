@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.collectives.base import CollectiveSolution, CollectiveSpec, SimSemantics
+from repro.collectives.base import (CollectiveSolution, CollectiveSpec,
+                                   SimSemantics, send_balance)
 from repro.collectives.registry import register_collective
 from repro.core.scatter import ScatterProblem, ScatterSolution, build_scatter_lp, _svar
 from repro.platform.graph import NodeId
@@ -46,12 +47,11 @@ class ScatterSpec(CollectiveSpec):
         problem = solution.problem
         g = problem.platform
         bad = self._port_violations(solution, tol)
+        inflows, outflows = send_balance(solution.send)
         for k in problem.targets:
             for p in g.nodes():
-                inflow = sum(f for (i, j, kk), f in solution.send.items()
-                             if j == p and kk == k)
-                outflow = sum(f for (i, j, kk), f in solution.send.items()
-                              if i == p and kk == k)
+                inflow = inflows.get((p, k), 0)
+                outflow = outflows.get((p, k), 0)
                 if p == problem.source:
                     continue
                 if p == k:

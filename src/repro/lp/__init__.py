@@ -59,10 +59,12 @@ fraction-free tableau serves models up to
 plus every ``canonical=True`` solve, and the revised simplex serves
 everything larger and every ``dual=True`` re-solve; both produce
 bit-identical objectives (enforced by the differential suite).  Models
-above :data:`repro.lp.dispatch.COLGEN_VAR_LIMIT` (6000) presolved
-variables that decompose into commodity blocks route to column
-generation (:mod:`repro.lp.colgen`) first — same exact optima, masters
-orders of magnitude smaller.
+above :data:`repro.lp.dispatch.COLGEN_VAR_LIMIT` (6000) raw variables
+whose raw LP decomposes into commodity blocks route to column
+generation (:mod:`repro.lp.colgen`) before presolve — same exact
+optima, masters orders of magnitude smaller.  Every dispatched solve
+records the engine it took and why in ``stats["route"]`` /
+``stats["route_reason"]``.
 Identical models are memoized
 under a canonical hash (:func:`repro.lp.dispatch.canonical_key`), so the
 pipeline's repeated ``solve_collective`` calls cost one simplex run.

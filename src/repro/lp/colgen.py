@@ -39,10 +39,12 @@ arrival.  ``jobs`` therefore changes wall-clock only, never the
 solution or the column set (enforced by ``tests/lp/test_colgen.py``).
 
 :func:`solve_colgen` is wired into :func:`repro.lp.dispatch.solve` as
-``backend="colgen"`` and picked automatically above
-:data:`repro.lp.dispatch.COLGEN_VAR_LIMIT` presolved variables when the
+``backend="colgen"`` and picked automatically, before presolve, above
+:data:`repro.lp.dispatch.COLGEN_VAR_LIMIT` raw variables when the raw
 LP decomposes; LPs without block structure (or minimization problems)
 fall back to a direct exact solve, tagged in ``stats["fallback"]``.
+``stats["dijkstra_fallbacks"]`` counts the pricings of path-priced
+blocks that Dijkstra declined and an LP priced instead.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ import heapq
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -222,16 +225,19 @@ def detect(lp: LinearProgram,
         return None
     if pricing:
         _attach_graphs(lp, blocks, pricing)
-    mrow_pos = {ci: pos for pos, ci in enumerate(master_rows)}
-    for b in blocks:
-        local = {j: lj for lj, j in enumerate(b.var_idx)}
-        mc: List[List[Tuple[int, object]]] = [[] for _ in b.var_idx]
-        for ci in master_rows:
-            pos = mrow_pos[ci]
-            for j, c in lp.constraints[ci].expr.coefs.items():
-                lj = local.get(j)
-                if lj is not None:
-                    mc[lj].append((pos, c))
+    # one pass over the master-row nonzeros, each routed to its block
+    # through a variable -> (block coefficient lists, local index) map
+    mcs: List[List[List[Tuple[int, object]]]] = [
+        [[] for _ in b.var_idx] for b in blocks]
+    owner: Dict[int, Tuple[List[List[Tuple[int, object]]], int]] = {
+        j: (mc, lj) for b, mc in zip(blocks, mcs)
+        for lj, j in enumerate(b.var_idx)}
+    for pos, ci in enumerate(master_rows):
+        for j, c in lp.constraints[ci].expr.coefs.items():
+            hit = owner.get(j)
+            if hit is not None:
+                hit[0][hit[1]].append((pos, c))
+    for b, mc in zip(blocks, mcs):
         b.master_coefs = tuple(tuple(e) for e in mc)
     master_idx = sorted([j for j in range(n) if master_var[j]]
                         + master_extra)
@@ -319,6 +325,9 @@ class _BlockPricer:
         self._dead = False
         self._float = None     # lazily built persistent scipy model
         self._by_row = None    # transposed master coefs: pos -> [(lj, c)]
+        # whether the last price() call had a graph but Dijkstra
+        # declined it, so the block was priced by an LP instead
+        self.dijkstra_bailed = False
 
     def _pricing_lp(self) -> LinearProgram:
         if self._lp is None:
@@ -528,6 +537,7 @@ class _BlockPricer:
         at local optimality, ``("dead", None)`` for an empty cone.
         ``want_any`` (the seed round) returns a ray regardless of its
         reduced cost, so every block enters the first master."""
+        self.dijkstra_bailed = False
         if self._dead:
             return ("dead", None)
         w = self.weights(duals)
@@ -535,6 +545,7 @@ class _BlockPricer:
             res = _dijkstra_price(self.p.graph, w, want_any=want_any)
             if res is not None:
                 return res + (warm,)    # graphs carry no warm basis
+            self.dijkstra_bailed = True
         if _HAVE_SCIPY and len(w) > FLOAT_PRICE_MIN:
             fwarm = (warm if isinstance(warm, tuple) and warm
                      and warm[0] == "fw" else None)
@@ -575,45 +586,55 @@ def _dijkstra_price(graph: dict, w: List[Fraction], want_any: bool = False):
     reduced cost and Dijkstra is exact.  Returns ``None`` to make the
     caller fall back to LP pricing when the preconditions fail,
     ``("none",)`` when no path improves, else ``("col", rc, vertex)``.
+    The search runs on integers: every arc cost is scaled by the common
+    denominator, a positive factor that keeps each comparison and tie.
     """
     source, sink = graph["source"], graph["sink"]
-    out: Dict[object, List[Tuple[object, int]]] = {}
-    sink_arcs: List[Tuple[object, int]] = []
-    for (i, j, lj) in graph["arcs"]:
+    arcs = graph["arcs"]
+    scale = 1
+    for (_i, _j, lj) in arcs:
+        den = w[lj].denominator
+        if scale % den:
+            scale = scale // gcd(scale, den) * den
+    out: Dict[object, List[Tuple[object, int, int]]] = {}
+    sink_arcs: List[Tuple[object, int, int]] = []
+    for (i, j, lj) in arcs:
         if i == sink:
             return None
+        cost = w[lj].numerator * (scale // w[lj].denominator)
         if j == sink:
-            sink_arcs.append((i, lj))
+            sink_arcs.append((i, lj, cost))
         else:
-            if w[lj] < 0:
+            if cost < 0:
                 return None
-            out.setdefault(i, []).append((j, lj))
-    dist: Dict[object, Fraction] = {source: ZERO}
+            out.setdefault(i, []).append((j, lj, cost))
+    dist: Dict[object, int] = {source: 0}
     prev: Dict[object, Tuple[object, int]] = {}
-    heap: List[Tuple[Fraction, str, object]] = [(ZERO, str(source), source)]
+    heap: List[Tuple[int, str, object]] = [(0, str(source), source)]
     done = set()
     while heap:
         d, _tie, u = heapq.heappop(heap)
         if u in done:
             continue
         done.add(u)
-        for (v, lj) in out.get(u, ()):
-            nd = d + w[lj]
+        for (v, lj, cost) in out.get(u, ()):
+            nd = d + cost
             if v not in dist or nd < dist[v]:
                 dist[v] = nd
                 prev[v] = (u, lj)
                 heapq.heappush(heap, (nd, str(v), v))
     best = None
-    for (q, lj) in sorted(sink_arcs, key=lambda a: a[1]):
+    for (q, lj, cost) in sorted(sink_arcs, key=lambda a: a[1]):
         dq = dist.get(q)
         if dq is None:
             continue
-        cost = dq + w[lj]
-        if best is None or cost < best[0]:
-            best = (cost, q, lj)
+        total = dq + cost
+        if best is None or total < best[0]:
+            best = (total, q, lj)
     if best is None or (best[0] >= 0 and not want_any):
         return ("none",)
-    rc, q, last = best
+    total, q, last = best
+    rc = Fraction(total, scale)
     vertex = {last: Fraction(1)}
     while q != source:
         u, lj = prev[q]
@@ -633,11 +654,16 @@ def _pool_init(payloads: Sequence[_BlockPayload]) -> None:
     _POOL_PRICERS = {p.bid: _BlockPricer(p) for p in payloads}
 
 
-def _pool_price(task):
+def _run_pricer(pricer: _BlockPricer, task):
+    """One pricing task: ``(bid, result, seconds, dijkstra bailed)``."""
     bid, duals, warm, want_any = task
     t0 = perf_counter()
-    res = _POOL_PRICERS[bid].price(duals, warm, want_any=want_any)
-    return bid, res, perf_counter() - t0
+    res = pricer.price(duals, warm, want_any=want_any)
+    return bid, res, perf_counter() - t0, pricer.dijkstra_bailed
+
+
+def _pool_price(task):
+    return _run_pricer(_POOL_PRICERS[task[0]], task)
 
 
 # ----------------------------------------------------------------------
@@ -660,8 +686,9 @@ def _column_from_vertex(payload: _BlockPayload,
     vertex = {payload.var_idx[lj]: v for lj, v in local_vertex.items()}
     rows: Dict[int, object] = {}
     for lj, v in local_vertex.items():
+        unit = v == 1       # path columns: skip the Fraction products
         for pos, c in payload.master_coefs[lj]:
-            acc = rows.get(pos, 0) + c * v
+            acc = rows.get(pos, 0) + (c if unit else c * v)
             if acc:
                 rows[pos] = acc
             elif pos in rows:
@@ -713,7 +740,8 @@ def _direct_fallback(lp: LinearProgram, reason: str) -> LPSolution:
         sol = RevisedSimplexSolver().solve(lp)
     stats = dict(sol.stats or {})
     stats.update({"engine": "colgen", "fallback": reason, "rounds": 0,
-                  "columns": 0, "columns_priced": 0, "blocks": 0})
+                  "columns": 0, "columns_priced": 0, "blocks": 0,
+                  "dijkstra_fallbacks": 0})
     sol.stats = stats
     sol.backend = "colgen"
     return sol
@@ -753,7 +781,7 @@ def solve_colgen(lp: LinearProgram,
         "master_rows": len(structure.master_rows),
         "master_vars": len(structure.master_var_idx),
         "jobs": njobs, "rounds": 0, "columns": 0, "columns_priced": 0,
-        "pricing_skipped": 0, "seed_columns": 0,
+        "pricing_skipped": 0, "seed_columns": 0, "dijkstra_fallbacks": 0,
         "master_s": 0.0, "pricing_s": 0.0, "pricing_serial_s": 0.0,
         "master_pivots": 0,
     }
@@ -794,20 +822,17 @@ def solve_colgen(lp: LinearProgram,
                                          chunk)
             results = list(pool.map(_pool_price, tasks, chunksize=chunk))
         else:
-            results = []
-            for task in tasks:
-                t1 = perf_counter()
-                res = pricers[task[0]].price(task[1], task[2],
-                                             want_any=task[3])
-                results.append((task[0], res, perf_counter() - t1))
+            results = [_run_pricer(pricers[task[0]], task)
+                       for task in tasks]
         stats["pricing_s"] += perf_counter() - t0
         stats["pricing_serial_s"] += sum(r[2] for r in results)
+        stats["dijkstra_fallbacks"] += sum(r[3] for r in results)
         return results
 
     def harvest(results, live):
         fresh: List[_Column] = []
         dead = set()
-        for bid, res, _secs in results:
+        for bid, res, _secs, _bailed in results:
             if res[0] == "dead":
                 dead.add(bid)
                 continue
@@ -828,15 +853,19 @@ def solve_colgen(lp: LinearProgram,
             live[:] = [bid for bid in live if bid not in dead]
         return fresh
 
-    # coupling rows: master rows touching a master variable (alpha /
-    # throughput rows tying commodity rates to the TP variable) plus
-    # the homogeneous master rows (cross-block ``chain[..]`` precedence
-    # rows — homogeneous no-master-var rows only stay in the master via
-    # the protected prefixes, everything else becomes a block row)
-    mset = set(structure.master_var_idx)
-    tp_pos = [pos for pos, ci in enumerate(structure.master_rows)
-              if lp.constraints[ci].expr.constant == 0
-              or any(j in mset for j in lp.constraints[ci].expr.coefs)]
+    # coupling rows: the homogeneous master rows that tie commodity
+    # rates to an objective variable (``throughput[..]``/TP rows) and
+    # the cross-block ``chain[..]`` precedence rows.  Capacity rows
+    # (nonzero constant) are left out even when a promoted direct
+    # source->sink arc makes them touch a master variable: a seed dual
+    # there would make non-sink arc weights negative and push every
+    # path-priced block off Dijkstra.
+    objective_vars = set(lp.objective.coefs)
+    seed_rows = {pos for pos, ci in enumerate(structure.master_rows)
+                 if lp.constraints[ci].expr.constant == 0
+                 and (lp.constraints[ci].name.startswith("chain[")
+                      or not objective_vars.isdisjoint(
+                          lp.constraints[ci].expr.coefs))}
 
     try:
         # seed round: rays of extremal rate per block (any reduced
@@ -846,10 +875,9 @@ def solve_colgen(lp: LinearProgram,
         # wake the stages up one by one.  Pricing minimizes
         # w.x = sum_r y_r a_rj x_j, so y = -1 (+1) on the rate rows
         # maximizes (minimizes) the block's coupling contribution.
-        tp_set = set(tp_pos)
         seed_tasks = [(bid,
                        {p: Fraction(s) for p in dual_rows[bid]
-                        if p in tp_set},
+                        if p in seed_rows},
                        None, True)
                       for bid in alive for s in (-1, 1)]
         seed_results = run_tasks(seed_tasks)

@@ -29,12 +29,15 @@ only thing that finishes.
 
 A third exact route sits on top for the largest collective LPs:
 Dantzig-Wolfe **column generation** (:mod:`repro.lp.colgen`,
-``backend="colgen"``).  Under ``"auto"``, rational models above
-:data:`COLGEN_VAR_LIMIT` presolved variables whose raw form decomposes
-into >= 2 commodity blocks route there instead of the monolithic
-revised solve; the restricted masters themselves reuse the revised
-engine.  Pricing parallelism (``jobs``) never changes the returned
-solution, so it is not part of the cache key.
+``backend="colgen"``).  Under ``"auto"``, rational models with more
+than :data:`COLGEN_VAR_LIMIT` (and at most :data:`EXACT_VAR_LIMIT`)
+*raw* variables are checked for block structure before presolve; when
+the raw LP decomposes into >= 2 commodity blocks it routes there, with
+no presolve, instead of to the monolithic revised solve; the restricted
+masters themselves reuse the revised engine.  Every dispatched solve
+stamps the engine it took and why into ``stats["route"]`` /
+``stats["route_reason"]``.  Pricing parallelism (``jobs``) never
+changes the returned solution, so it is not part of the cache key.
 
 Three layers of reuse sit in front of the solvers:
 
@@ -95,14 +98,14 @@ EXACT_VAR_LIMIT = 50000
 #: suite compares against; ``canonical=True`` solves always use it.
 TABLEAU_VAR_LIMIT = 5000
 
-#: Above this many presolved variables, ``backend="auto"`` tries the
-#: Dantzig-Wolfe column generation (:mod:`repro.lp.colgen`) before the
-#: monolithic revised simplex, provided the LP decomposes into at least
-#: two commodity blocks tied only by shared capacity rows.  The
-#: threshold sits above the tableau limit — colgen's restricted masters
-#: carry overhead per round that only pays off once the raw LP is large —
-#: and below the fig9 8-host pipelined composite (~6.5k presolved vars),
-#: the first model where the monolithic solve takes whole seconds.
+#: Above this many raw variables, ``backend="auto"`` tries the
+#: Dantzig-Wolfe column generation (:mod:`repro.lp.colgen`) before
+#: presolve and the monolithic revised simplex, provided the raw LP
+#: decomposes into at least two commodity blocks tied only by shared
+#: capacity rows.  The threshold sits above the tableau limit — colgen's
+#: restricted masters carry overhead per round that only pays off once
+#: the raw LP is large — and below the 64-node ring scatter (7939 raw
+#: vars), the smallest colgen-routed model of the datacenter tier.
 COLGEN_VAR_LIMIT = 6000
 
 #: Max entries kept in the solve memo cache (FIFO eviction).
@@ -184,10 +187,11 @@ def solve(lp: LinearProgram, backend: str = "auto",
         (HiGHS optima of rational LPs are then snapped to exact
         rationals when :func:`repro.lp.rationalize.rationalize_solution`
         verifies them, and come back with ``exact=True``).
-        Within the exact window, models above :data:`COLGEN_VAR_LIMIT`
-        presolved variables that decompose into >= 2 commodity blocks
-        route to column generation instead of the monolithic revised
-        simplex.
+        Rational models with more than :data:`COLGEN_VAR_LIMIT` raw
+        variables (at most :data:`EXACT_VAR_LIMIT`) whose raw LP
+        decomposes into >= 2 commodity blocks route to column
+        generation, skipping presolve, instead of the monolithic
+        revised simplex (never under ``dual`` or ``canonical``).
     pricing:
         Optional tuple of commodity pricing-graph descriptors (see
         :func:`repro.lp.colgen.solve_colgen`) enabling the shortest-path
@@ -228,9 +232,10 @@ def solve(lp: LinearProgram, backend: str = "auto",
         so the returned vertex no longer depends on pricing order.
         Slower; opt in where downstream artifacts must be stable.
     presolve:
-        Shrink the model exactly (:mod:`repro.lp.presolve`) before either
-        backend and map the solution back afterwards.  On by default for
-        rational LPs; float LPs skip it.  Under ``canonical=True`` the
+        Shrink the model exactly (:mod:`repro.lp.presolve`) before the
+        tableau, revised or HiGHS engine and map the solution back
+        afterwards.  On by default for rational LPs; float LPs and the
+        colgen route skip it.  Under ``canonical=True`` the
         restricted, canonical-safe rule set runs, so the returned vertex
         is identical with presolve on or off.
     """
@@ -248,19 +253,14 @@ def solve(lp: LinearProgram, backend: str = "auto",
         raise ValueError("canonical=True is tableau-only; use "
                          "backend='exact' or 'tableau'")
     rational = lp.is_rational()
-    # colgen detects block structure on the raw model and expands its
-    # column optimum back to raw edge flows itself, so it owns the whole
-    # transform pipeline — no presolve/postsolve around it
-    use_presolve = presolve and rational and backend != "colgen"
-
     if warm_basis is not None and cache_tag is None:
         cache_tag = "warm"  # a warm vertex must not shadow the cold one
 
     key = None
     if cache:
-        # backend + var limits + dual pin the routing decision, so a
-        # cache hit never has to re-derive it (which would require
-        # presolving first)
+        # the route is a deterministic function of the model and these
+        # arguments (backend, var limits, dual/canonical, the presolve
+        # *request*), so a cache hit never has to re-derive it
         tag = f"t{cache_tag};" if cache_tag is not None else ""
         # pricing graphs can steer colgen to a different optimal vertex
         # (path columns vs generic LP columns), so their presence splits
@@ -268,8 +268,8 @@ def solve(lp: LinearProgram, backend: str = "auto",
         gtag = ("g;" if pricing is not None
                 and backend in ("auto", "colgen") else "")
         key = (f"{backend};{EXACT_VAR_LIMIT};{TABLEAU_VAR_LIMIT};"
-               f"d{int(dual)};{int(canonical)};"
-               f"p{int(use_presolve)};{gtag}{tag}{canonical_key(lp)}")
+               f"{COLGEN_VAR_LIMIT};d{int(dual)};{int(canonical)};"
+               f"p{int(presolve)};{gtag}{tag}{canonical_key(lp)}")
         hit = _memo.get(key)
         if hit is not None:
             _memo.move_to_end(key)
@@ -282,56 +282,70 @@ def solve(lp: LinearProgram, backend: str = "auto",
                 _memo.popitem(last=False)
             return replace(disk_hit, lp=lp)
 
-    pres = None
-    model = lp
-    if use_presolve:
-        pres = run_presolve(lp, for_canonical=canonical)
-        if pres.infeasible:
-            return LPSolution(SolveStatus.INFEASIBLE, backend="presolve",
-                              lp=lp)
-        model = pres.lp
-
-    exact_route = backend in ("exact", "tableau", "revised") or (
-        backend == "auto" and rational
-        and model.num_vars() <= EXACT_VAR_LIMIT)
-
-    colgen_route = backend == "colgen"
+    n_raw = lp.num_vars()
     colgen_struct = None
-    if (backend == "auto" and exact_route and not dual and not canonical
-            and model.num_vars() > COLGEN_VAR_LIMIT):
-        # structure detection runs on the *raw* model: colgen bypasses
-        # presolve entirely and returns raw edge-flow values
+    route_reason = None
+    if (backend == "auto" and rational and not dual and not canonical
+            and COLGEN_VAR_LIMIT < n_raw <= EXACT_VAR_LIMIT):
+        # decided on the *raw* model, before presolve: colgen detects
+        # block structure on the raw LP and expands its column optimum
+        # back to raw edge flows itself, so a presolve would be wasted
         colgen_struct = colgen_mod.detect(lp, pricing=pricing)
-        if colgen_struct is not None and len(colgen_struct.blocks) >= 2:
-            colgen_route = True
+        n_blocks = len(colgen_struct.blocks) if colgen_struct else 0
+        if n_blocks >= 2:
+            route_reason = (f"raw {n_raw} vars > COLGEN_VAR_LIMIT, "
+                            f"{n_blocks} blocks")
         else:
             colgen_struct = None
+            route_reason = "1 block" if n_blocks else "no blocks"
 
-    if colgen_route:
+    if backend == "colgen" or colgen_struct is not None:
         sol = colgen_mod.solve_colgen(lp, pricing=pricing, jobs=jobs,
                                       structure=colgen_struct)
-        pres = None  # solution is already in raw-variable space
-    elif exact_route:
-        if backend in ("tableau", "revised"):
-            engine = backend
-        elif canonical or (model.num_vars() <= TABLEAU_VAR_LIMIT
-                           and not dual):
-            engine = "tableau"
-        else:
-            engine = "revised"
-        if engine == "revised":
-            sol = RevisedSimplexSolver().solve(model, warm_basis=warm_basis,
-                                               dual=dual)
-        else:
-            sol = ExactSimplexSolver().solve(model, warm_basis=warm_basis,
-                                             canonical=canonical)
+        return _finish(sol, "colgen", route_reason or "backend='colgen'",
+                       n_raw, n_raw, key)
+
+    pres = None
+    model = lp
+    if presolve and rational:
+        pres = run_presolve(lp, for_canonical=canonical)
+        if pres.infeasible:
+            return _finish(LPSolution(SolveStatus.INFEASIBLE,
+                                      backend="presolve", lp=lp),
+                           "presolve", "presolve proved it infeasible",
+                           n_raw, n_raw, key)
+        model = pres.lp
+    n_model = model.num_vars()
+
+    if backend in ("tableau", "revised", "highs"):
+        route, why = backend, f"backend={backend!r}"
+    elif backend == "auto" and not rational:
+        route, why = "highs", "float data"
+    elif backend == "auto" and n_model > EXACT_VAR_LIMIT:
+        route, why = "highs", f"{n_model} vars > EXACT_VAR_LIMIT"
+    elif canonical:
+        route, why = "tableau", "canonical"
+    elif dual:
+        route, why = "revised", "dual"
+    elif n_model <= TABLEAU_VAR_LIMIT:
+        route, why = "tableau", f"{n_model} vars <= TABLEAU_VAR_LIMIT"
+    else:
+        route, why = "revised", f"{n_model} vars > TABLEAU_VAR_LIMIT"
+    if route_reason is not None:
+        why = f"{route_reason}; {why}"
+
+    if route == "revised":
+        sol = RevisedSimplexSolver().solve(model, warm_basis=warm_basis,
+                                           dual=dual)
+    elif route == "tableau":
+        sol = ExactSimplexSolver().solve(model, warm_basis=warm_basis,
+                                         canonical=canonical)
     else:
         sol = HighsSolver().solve(model)
-
-    if sol.backend == "highs" and sol.optimal and rational:
-        snapped: Optional[LPSolution] = rationalize_solution(sol)
-        if snapped is not None:
-            sol = snapped
+        if sol.optimal and rational:
+            snapped: Optional[LPSolution] = rationalize_solution(sol)
+            if snapped is not None:
+                sol = snapped
 
     if pres is not None:
         if sol.optimal:
@@ -342,18 +356,22 @@ def solve(lp: LinearProgram, backend: str = "auto",
             # infeasible/unbounded transfer directly (the reductions are
             # status-preserving); errors keep their diagnostics
             sol = replace(sol, lp=lp)
+    return _finish(sol, route, why, n_raw, n_model, key)
 
-    # every dispatched solve records both sides of the raw-vs-presolved
-    # split, so downstream bench records are unambiguous about which
-    # model a var count refers to (they coincide when presolve was
-    # skipped; colgen routing decisions read the presolved count)
-    counts = {"vars_raw": lp.num_vars(), "vars_presolved": model.num_vars()}
+
+def _finish(sol: LPSolution, route: str, why: str, n_raw: int,
+            n_model: int, key: Optional[str]) -> LPSolution:
+    """Stamp the route and both sides of the raw-vs-presolved split
+    (they coincide when presolve was skipped) into ``sol.stats``, then
+    memoize the optimum under ``key``."""
+    counts = {"vars_raw": n_raw, "vars_presolved": n_model,
+              "route": route, "route_reason": why}
     if sol.stats is None:
         sol = replace(sol, stats=counts)
     else:
         sol.stats.update(counts)
 
-    if cache and key is not None and sol.optimal:
+    if key is not None and sol.optimal:
         # store without the model itself: the hit path re-attaches the
         # caller's LP, and keeping 128 full LinearPrograms alive would
         # pin tens of MB on fig9-tier pipelines

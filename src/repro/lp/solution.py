@@ -41,8 +41,11 @@ class LPSolution:
     for the perturbed-float basis crash, ``warm-primal`` /
     ``warm-dual`` from a recorded basis).  Solutions returned by
     :func:`repro.lp.dispatch.solve` always carry ``vars_raw`` /
-    ``vars_presolved`` (the raw model size vs the presolved model the
-    routing decision saw — equal when presolve was skipped).  The
+    ``vars_presolved`` (the raw model size vs the model the engine
+    solved — equal when presolve was skipped, as on the colgen route)
+    and ``route`` / ``route_reason`` (``tableau``/``revised``/
+    ``colgen``/``highs`` and the size or flag that decided it;
+    ``presolve`` when presolve alone proved infeasibility).  The
     ``--lp-stats`` CLI flag prints it.
 
     ``duals`` (revised engine, opt-in via ``want_duals=True``) maps the

@@ -18,8 +18,10 @@ Four layers are pinned here:
   solution *and* the identical admitted column set (``columns_digest``),
   per the contract in :mod:`repro.lp.colgen`'s docstring.
 - **Routing.** ``backend="colgen"`` through dispatch, auto-routing above
-  ``COLGEN_VAR_LIMIT``, the incompatible-flag errors, and the fallback
-  paths (minimization, no blocks, infeasible seed master).
+  ``COLGEN_VAR_LIMIT`` raw variables without a presolve, the
+  ``route``/``route_reason`` stamps, cached colgen hits, the
+  incompatible-flag errors, and the fallback paths (minimization, no
+  blocks, infeasible seed master).
 """
 
 import random
@@ -62,6 +64,66 @@ def _two_block_lp():
     return lp
 
 
+def _fraction_dijkstra(graph, w, want_any):
+    """Reference for ``_dijkstra_price`` on its preconditions (no arc
+    out of the sink, no negative non-sink arc): the same search run
+    directly on the Fraction costs."""
+    import heapq
+
+    source, sink = graph["source"], graph["sink"]
+    out, sink_arcs = {}, []
+    for (i, j, lj) in graph["arcs"]:
+        if j == sink:
+            sink_arcs.append((i, lj))
+        else:
+            out.setdefault(i, []).append((j, lj))
+    dist, prev, done = {source: Fraction(0)}, {}, set()
+    heap = [(Fraction(0), str(source), source)]
+    while heap:
+        d, _tie, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        for (v, lj) in out.get(u, ()):
+            nd = d + w[lj]
+            if v not in dist or nd < dist[v]:
+                dist[v], prev[v] = nd, (u, lj)
+                heapq.heappush(heap, (nd, str(v), v))
+    best = None
+    for (q, lj) in sorted(sink_arcs, key=lambda a: a[1]):
+        if q in dist and (best is None or dist[q] + w[lj] < best[0]):
+            best = (dist[q] + w[lj], q, lj)
+    if best is None or (best[0] >= 0 and not want_any):
+        return ("none",)
+    rc, q, last = best
+    vertex = {last: Fraction(1)}
+    while q != source:
+        q, lj = prev[q]
+        vertex[lj] = Fraction(1)
+    return ("col", rc, vertex)
+
+
+def _decomposable_lp(instance):
+    """A block-angular collective LP and its spec's pricing graphs."""
+    if instance == "pipelined-composite":
+        from repro.core.allreduce import AllReduceProblem
+        from repro.platform.examples import figure6_platform
+
+        spec = get_collective("all-reduce")
+        problem = AllReduceProblem(figure6_platform(), [0, 1, 2])
+        return (spec.build_lp(problem, "pipelined"),
+                spec.pricing_graphs(problem))
+    if instance == "ring":
+        g = gen.ring(8)
+        hosts = g.compute_nodes()
+    else:
+        g = gen.fat_tree(4, seed=1)
+        hosts = [f"h{i}" for i in range(16)]
+    problem = ScatterProblem(g, hosts[0], hosts[1:])
+    return (build_scatter_lp(problem),
+            get_collective("scatter").pricing_graphs(problem))
+
+
 class TestDetect:
     def test_two_block_lp_decomposes(self):
         lp = _two_block_lp()
@@ -87,6 +149,22 @@ class TestDetect:
         assert block_vars.isdisjoint(struct.master_var_idx)
         assert block_vars | set(struct.master_var_idx) == \
             set(range(lp.num_vars()))
+
+    @pytest.mark.parametrize("instance", ["ring", "fat-tree",
+                                          "pipelined-composite"])
+    def test_master_coefs_match_brute_force(self, instance):
+        """Every block variable's master-row coefficients, recomputed
+        by scanning each master row for that variable."""
+        lp, pricing = _decomposable_lp(instance)
+        struct = detect(lp, pricing=pricing)
+        assert struct is not None and len(struct.blocks) >= 2
+        for b in struct.blocks:
+            for lj, j in enumerate(b.var_idx):
+                expect = tuple(
+                    (pos, lp.constraints[ci].expr.coefs[j])
+                    for pos, ci in enumerate(struct.master_rows)
+                    if j in lp.constraints[ci].expr.coefs)
+                assert b.master_coefs[lj] == expect, (b.bid, lj)
 
     def test_minimization_returns_none(self):
         lp = _two_block_lp()
@@ -158,6 +236,26 @@ class TestPricing:
                  "arcs": (("s", "t", 0), ("t", "s", 1))}
         assert _dijkstra_price(graph, [Fraction(1), Fraction(1)]) is None
 
+    @pytest.mark.parametrize("trial", range(20))
+    def test_dijkstra_matches_fraction_reference(self, trial):
+        """The integer-scaled search returns exactly what a Dijkstra
+        over the Fraction costs returns — same reduced cost, same path,
+        same tie-breaks (small denominators force many ties)."""
+        rng = random.Random(SEED + trial)
+        nodes = ["s", "t"] + [f"n{i}" for i in range(rng.randint(2, 7))]
+        arcs = []
+        for i in nodes:
+            for j in nodes:
+                if i != j and i != "t" and j != "s" and rng.random() < 0.5:
+                    arcs.append((i, j, len(arcs)))
+        w = [Fraction(rng.randint(-3 if j == "t" else 0, 4),
+                      rng.choice((1, 2, 3, 6)))
+             for (_i, j, _lj) in arcs]
+        graph = {"source": "s", "sink": "t", "arcs": tuple(arcs)}
+        for want_any in (False, True):
+            assert _dijkstra_price(graph, w, want_any) == \
+                _fraction_dijkstra(graph, w, want_any)
+
     def test_spec_pricing_graphs_enable_path_pricing(self):
         g = gen.ring(6)
         nodes = g.compute_nodes()
@@ -169,6 +267,18 @@ class TestPricing:
         assert sol.optimal and sol.exact
         assert sol.stats["path_blocks"] >= 1
         assert sol.objective == ExactSimplexSolver().solve(lp).objective
+
+
+    def test_ring_scatter_never_prices_by_lp(self):
+        """The seed round leaves capacity rows at dual 0 even where a
+        promoted direct source->sink arc touches them, so every pricing
+        of a path block, seed round included, stays on Dijkstra."""
+        lp, graphs = _decomposable_lp("ring")
+        sol = solve_colgen(lp, pricing=graphs, jobs=1)
+        assert sol.optimal and sol.objective == Fraction(1, 7)
+        assert sol.stats["path_blocks"] == sol.stats["blocks"]
+        assert sol.stats["columns_priced"] >= 2 * sol.stats["blocks"]
+        assert sol.stats["dijkstra_fallbacks"] == 0
 
 
 class TestDifferential:
@@ -208,8 +318,10 @@ class TestDifferential:
 class TestDeterminism:
     def test_jobs_invariance(self):
         """jobs ∈ {1, 2, 4}: identical solution values, identical
-        admitted column set, identical round/pricing counters."""
-        g = gen.heterogenize(gen.ring(8), seed=3)
+        admitted column set, identical round/pricing counters.  The
+        instance must stay multi-round so later rounds are covered too
+        (a seeded ring scatter now converges in the seed round)."""
+        g = gen.heterogenize(gen.complete(6), seed=3)
         nodes = g.compute_nodes()
         lp = build_scatter_lp(ScatterProblem(g, nodes[0], nodes[1:]))
         runs = {jobs: solve_colgen(lp, jobs=jobs) for jobs in (1, 2, 4)}
@@ -294,6 +406,67 @@ class TestFallbacksAndRouting:
         lp = build_scatter_lp(ScatterProblem(g, nodes[0], nodes[1:]))
         sol = dispatch.solve(lp, backend="auto", cache=False)
         assert sol.exact and sol.stats["engine"] == "colgen"
+
+    def test_auto_colgen_route_never_presolves(self, monkeypatch):
+        g = gen.ring(5)
+        nodes = g.compute_nodes()
+        lp = build_scatter_lp(ScatterProblem(g, nodes[0], nodes[1:]))
+        exact = dispatch.solve(lp, backend="exact", cache=False)
+
+        def no_presolve(*_a, **_k):
+            raise AssertionError("the colgen route must not presolve")
+
+        monkeypatch.setattr(dispatch, "run_presolve", no_presolve)
+        monkeypatch.setattr(dispatch, "COLGEN_VAR_LIMIT", 10)
+        sol = dispatch.solve(lp, backend="auto", cache=False)
+        assert sol.exact and sol.objective == exact.objective
+        assert sol.stats["route"] == "colgen"
+        assert sol.stats["route_reason"].startswith(
+            f"raw {lp.num_vars()} vars > COLGEN_VAR_LIMIT")
+        assert sol.stats["vars_presolved"] == sol.stats["vars_raw"] \
+            == lp.num_vars()
+
+    def test_cached_colgen_hit_equals_fresh_solve(self, monkeypatch):
+        monkeypatch.setattr(dispatch, "COLGEN_VAR_LIMIT", 10)
+        lp, graphs = _decomposable_lp("ring")
+        fresh = dispatch.solve(lp, pricing=graphs, cache=False)
+        dispatch.clear_cache()
+        first = dispatch.solve(lp, pricing=graphs, cache=True)
+
+        def no_solve(*_a, **_k):
+            raise AssertionError("a cached solve must not re-run colgen")
+
+        monkeypatch.setattr(dispatch.colgen_mod, "solve_colgen", no_solve)
+        hit = dispatch.solve(lp, pricing=graphs, cache=True)
+        dispatch.clear_cache()
+        assert hit.lp is lp and hit.stats is first.stats
+        for sol in (first, hit):
+            assert sol.objective == fresh.objective
+            assert sol.values == fresh.values
+            for key in ("route", "route_reason", "columns_digest",
+                        "vars_raw", "vars_presolved"):
+                assert sol.stats[key] == fresh.stats[key], key
+
+    def test_every_route_is_stamped(self, monkeypatch):
+        lp = _two_block_lp()
+        cases = {"exact": ("tableau", "vars <= TABLEAU_VAR_LIMIT"),
+                 "revised": ("revised", "backend='revised'"),
+                 "highs": ("highs", "backend='highs'"),
+                 "colgen": ("colgen", "backend='colgen'")}
+        for backend, (route, reason) in cases.items():
+            sol = dispatch.solve(lp, backend=backend, cache=False)
+            assert sol.stats["route"] == route, backend
+            assert reason in sol.stats["route_reason"], backend
+        # above the limit, a model without >= 2 blocks presolves and
+        # records why colgen was passed over
+        monkeypatch.setattr(dispatch, "COLGEN_VAR_LIMIT", 1)
+        flat = LinearProgram("flat")
+        x, y = flat.var("x", ub=2), flat.var("y", ub=3)
+        flat.add(x + y <= 4, name="cap")
+        flat.maximize(x + y)
+        sol = dispatch.solve(flat, cache=False)
+        assert sol.stats["route"] == "tableau"
+        assert sol.stats["route_reason"].startswith("no blocks; ")
 
     def test_incompatible_flags_rejected(self):
         lp = _two_block_lp()
