@@ -14,8 +14,7 @@ re-checks empirically).
 
 ``tune_zoo`` runs the standing topology zoo (the paper's fig2/fig6/fig9
 platforms plus ring / complete / fat-tree generators) and is what
-``repro tune``, ``benchmarks/perf_report.py --tune`` (→ ``BENCH_PR10.json``)
-and the perf-smoke guards share.
+``repro tune`` prints; ``tests/perf/test_work_pins.py`` pins its rows.
 """
 
 from __future__ import annotations

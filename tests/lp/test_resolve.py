@@ -9,8 +9,8 @@ Two layers are pinned here:
   optimum to a cold solve of the perturbed problem, whatever the event
   mix (degradation, failure, node loss with graceful shrinking).
 
-The warm-vs-cold *speed* claim lives in ``tests/perf/test_perf_smoke.py``
-(the ``x20_scatter_replan`` tier, where the basis is large enough for
+The warm-vs-cold *speed* claim lives in ``tests/perf/test_work_pins.py``
+(the ``x20_scatter_slow`` tier, where the basis is large enough for
 the crash to win); paper-figure LPs are millisecond-scale and assert
 correctness only.
 """
