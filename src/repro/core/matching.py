@@ -13,7 +13,9 @@ We implement the classical Birkhoff–von-Neumann-style constructive proof:
 1. pad with dummy nodes/edges until every port's weighted degree is exactly
    ``T`` (possible because total sender weight equals total receiver weight),
 2. work in integer *micro-units*: every weight and ``T`` is multiplied by
-   the lcm of their denominators, so the rest is exact integer arithmetic.
+   the lcm of their denominators, so the rest is exact integer arithmetic
+   (integer weights and ``T`` — what the schedule builder passes — are
+   taken as they are).
    The padded multigraph is weighted-regular, so by Hall's theorem its
    support contains a perfect matching; find one with Kuhn's augmenting
    paths, searched by an iterative DFS over integer edge ids (no recursion,
@@ -25,7 +27,8 @@ We implement the classical Birkhoff–von-Neumann-style constructive proof:
    matched edge reached zero re-augment, over the edges still alive, which
    by regularity always succeeds,
 4. report each matching restricted to its real (non-dummy) edges with its
-   duration ``Fraction(θ, scale)``; durations sum to exactly ``T``.
+   duration ``Fraction(θ, scale)`` (``θ`` itself for integer input);
+   durations sum to exactly ``T``.
 
 Weights and ``T`` must be exact rationals (ints or Fractions): a float
 would be silently truncated by the integer scaling, so it is rejected.
@@ -77,27 +80,45 @@ def decompose_matchings(edges: Sequence[Tuple[PortId, PortId, object]],
     ``cap`` is the period ``T``; it must dominate every port's weighted
     degree.  Defaults to the maximum weighted degree.  Returned durations sum
     to ``cap`` (idle time shows up as matchings with an empty ``pairs`` list
-    when every remaining edge is a dummy).  Raises ``ValueError`` for a
-    weight or ``cap`` that is not an exact rational.
+    when every remaining edge is a dummy).  Integer weights with an integer
+    (or absent) ``cap`` are decomposed as given and each duration is the
+    integer ``θ``; otherwise every weight is scaled to integer micro-units
+    first and durations are ``Fraction(θ, scale)``.  Raises ``ValueError``
+    for a weight or ``cap`` that is not an exact rational.
     """
-    fr = [_rational(w, f"weight of edge ({u!r}, {v!r})") for u, v, w in edges]
-    cap_fr = None if cap is None else _rational(cap, "cap")
-    edges = [(u, v, f) for (u, v, _), f in zip(edges, fr) if f > 0]
-    if not edges:
+    integral = (all(type(w) is int for _, _, w in edges)
+                and (cap is None or type(cap) is int))
+    if integral:
+        ints = [e for e in edges if e[2] > 0]
+        scale, top = 1, cap
+    else:
+        fr = [_rational(w, f"weight of edge ({u!r}, {v!r})")
+              for u, v, w in edges]
+        cap_fr = None if cap is None else _rational(cap, "cap")
+        edges = [(u, v, f) for (u, v, _), f in zip(edges, fr) if f > 0]
+        scale = math.lcm(*(f.denominator for _, _, f in edges),
+                         1 if cap_fr is None else cap_fr.denominator)
+        ints = [(u, v, int(f * scale)) for u, v, f in edges]
+        top = None if cap_fr is None else int(cap_fr * scale)
+    if not ints:
         return []
-    scale = math.lcm(*(f.denominator for _, _, f in edges),
-                     1 if cap_fr is None else cap_fr.denominator)
-    ints = [(u, v, int(f * scale)) for u, v, f in edges]
     du, dv = weighted_degrees(ints)
     maxdeg = max(list(du.values()) + list(dv.values()))
-    if cap_fr is None:
+    if top is None:
         top = maxdeg
-    elif maxdeg > cap_fr * scale:
+    elif maxdeg > top:
         raise ValueError(f"port degree {Fraction(maxdeg, scale)} exceeds "
                          f"cap {cap}")
-    else:
-        top = int(cap_fr * scale)
+    return [Matching(duration=theta if integral else Fraction(theta, scale),
+                     pairs=pairs)
+            for theta, pairs in _peel(ints, du, dv, top)]
 
+
+def _peel(ints: List[Tuple[PortId, PortId, int]], du: Dict[PortId, int],
+          dv: Dict[PortId, int], top: int) -> List[Tuple[int, list]]:
+    """The integer core: ``(θ, real pairs)`` per matching of the positive
+    integer-weighted ``ints`` whose port degrees ``du``/``dv`` are at most
+    ``top``; the ``θ`` sum to exactly ``top``."""
     # --- pad to a weighted-regular bipartite multigraph of degree `top` ---
     n = max(len(du), len(dv))
     senders = list(du) + [("__dummy_sender__", i) for i in range(n - len(du))]
@@ -108,6 +129,7 @@ def decompose_matchings(edges: Sequence[Tuple[PortId, PortId, object]],
     eu = [sid[u] for u, _, _ in ints]
     ev = [rid[v] for _, v, _ in ints]
     ew = [w for _, _, w in ints]
+    pair = [(u, v) for u, v, _ in ints]
     n_real = len(ints)
     deficit_u = [top - du.get(u, 0) for u in senders]
     deficit_v = [top - dv.get(v, 0) for v in receivers]
@@ -139,17 +161,15 @@ def decompose_matchings(edges: Sequence[Tuple[PortId, PortId, object]],
     stamp = 0
     free = range(n)
     left = top
-    out: List[Matching] = []
+    out: List[Tuple[int, list]] = []
     while left:
         for u in free:
             stamp += 1
             if not _augment(u, adj, eu, ev, match_u, match_v, seen, stamp):
                 raise RuntimeError("no perfect matching — graph not "
                                    f"regular? stuck at {senders[u]!r}")
-        theta = min(ew[e] for e in match_u)
-        out.append(Matching(duration=Fraction(theta, scale),
-                            pairs=[edges[e][:2] for e in match_u
-                                   if e < n_real]))
+        theta = min(map(ew.__getitem__, match_u))
+        out.append((theta, [pair[e] for e in match_u if e < n_real]))
         left -= theta
         free = []
         for u, e in enumerate(match_u):

@@ -54,6 +54,7 @@ from fractions import Fraction
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.matching import decompose_matchings
+from repro.lp.fastfrac import raw_fraction
 from repro.platform.graph import NodeId
 
 Item = Hashable  # message-type token, e.g. ("msg", k) or ("val", (k, m), tree)
@@ -263,14 +264,6 @@ class PeriodicSchedule:
             chain_links=self.chain_links)
 
     # ------------------------------------------------- simulator exports
-    def slot_starts(self) -> List[object]:
-        """Start offset of each slot within the period (prefix durations)."""
-        starts, off = [], 0
-        for slot in self.slots:
-            starts.append(off)
-            off = off + slot.duration
-        return starts
-
     def chain_maps(self) -> Tuple[Dict[Item, int],
                                   Dict[Tuple[NodeId, Item], Tuple[int, Hashable]]]:
         """Chain-link lookup tables for executors.
@@ -347,12 +340,23 @@ def schedule_from_rates(
         deliveries: Dict[Item, NodeId],
         name: str = "schedule",
         compute_rates: Optional[Dict[Tuple[NodeId, Item], Tuple[object, Tuple[Item, ...], object]]] = None,
-        period: Optional[int] = None,
-        integral_times: str = "auto",
         replicas: Optional[Dict[Item, Tuple[Item, ...]]] = None,
         delivery_mode: Optional[str] = None,
 ) -> PeriodicSchedule:
     """Build a periodic schedule from steady-state rates.
+
+    The period ``T`` is the lcm of all rate denominators (including compute
+    and throughput), so per-period message counts are integers.  The paper
+    also makes every communication time integral — the per-period
+    occupation times ``rate * unit_time * T`` — and so does this builder,
+    unless that would make ``T`` more than ``10**6`` times the counts-only
+    period (many coprime link costs); the exact pipeline does not need it.
+
+    The build runs on integers: occupation times are counted in
+    *micro-units* of ``1/S``, ``S`` the lcm of the unit-time denominators,
+    through the port-load checks, the matching decomposition and the
+    per-slot item allocation.  Only the stored slot durations and transfer
+    ``units``/``time`` become (normalized) Fractions.
 
     Parameters
     ----------
@@ -370,115 +374,113 @@ def schedule_from_rates(
     replicas / delivery_mode:
         Forwarded to :class:`PeriodicSchedule` (item fan-out on landing and
         the simulator's op-counting mode).
-    period:
-        Override the period (must make all counts integral); defaults to the
-        lcm of rate denominators (including compute and throughput).
-    integral_times:
-        The paper picks ``T`` so that "every communication time is an
-        integer" — i.e. the per-period occupation times ``rate * unit_time
-        * T`` are integral too, not just the message counts.  That is
-        cosmetic for the exact pipeline (Fractions carry through) and can
-        explode ``T`` on platforms with many coprime link costs, so:
-        ``"always"`` — require it; ``"never"`` — only counts integral;
-        ``"auto"`` (default) — require it unless the resulting period
-        exceeds ``10**6`` times the counts-only period.
     """
+    compute_rates = compute_rates or {}
     count_rates = [r for (r, _t) in rates.values()] + [throughput]
-    time_rates = [r * t for (r, t) in rates.values()]
-    if compute_rates:
-        count_rates += [r for (r, _i, _t) in compute_rates.values()]
-        time_rates += [r * t for (r, _i, t) in compute_rates.values()]
+    count_rates += [r for (r, _i, _t) in compute_rates.values()]
     T_counts = lcm_period(count_rates)
-    if integral_times == "never":
-        T = T_counts
-    else:
-        T_full = lcm_period(count_rates + time_rates)
-        if integral_times == "always":
-            T = T_full
-        else:  # auto
-            T = T_full if T_full <= 10**6 * T_counts else T_counts
-    if period is not None:
-        if any((r * period) != int(r * period) for r in count_rates):
-            raise ValueError(f"period {period} does not make counts integral")
-        T = period
+    T_full = T_counts
+    for r, t in [*rates.values(),
+                 *((r, t) for (r, _i, t) in compute_rates.values())]:
+        num, den = r.numerator * t.numerator, r.denominator * _denominator(t)
+        T_full = _lcm(T_full, den // math.gcd(num, den))
+    T = T_full if T_full <= 10**6 * T_counts else T_counts
 
-    # integer per-period message counts and edge occupation times
+    # integer per-period message counts; S makes every unit time integral
     counts: Dict[Tuple[NodeId, NodeId, Item], int] = {}
-    edge_time: Dict[Tuple[NodeId, NodeId], object] = {}
     per_period: Dict[Item, int] = {}
+    S = 1
     for (i, j, item), (rate, unit_time) in rates.items():
-        n = rate * T
-        n_int = int(n)
-        if n != n_int:
-            raise ValueError(f"rate {rate} not integral over period {T}")
-        if n_int == 0:
+        n = rate.numerator * T // rate.denominator
+        if n == 0:
             continue
-        counts[(i, j, item)] = n_int
-        edge_time[(i, j)] = edge_time.get((i, j), 0) + n_int * unit_time
-        per_period[item] = per_period.get(item, 0) + n_int
+        counts[(i, j, item)] = n
+        per_period[item] = per_period.get(item, 0) + n
+        S = _lcm(S, unit_time.denominator)
+
+    # edge occupation times in micro-units of 1/S
+    unit_mu: Dict[Tuple[NodeId, NodeId, Item], int] = {}
+    edge_time: Dict[Tuple[NodeId, NodeId], int] = {}
+    for (i, j, item), n in counts.items():
+        unit_time = rates[(i, j, item)][1]
+        u = unit_mu[(i, j, item)] = \
+            unit_time.numerator * (S // unit_time.denominator)
+        edge_time[(i, j)] = edge_time.get((i, j), 0) + n * u
 
     # one-port sanity: port loads must fit in the period
+    TS = T * S
     for (i, j), w in edge_time.items():
-        if w > T:
-            raise ValueError(f"edge ({i!r},{j!r}) load {w} exceeds period {T}")
-    send_load: Dict[NodeId, object] = {}
-    recv_load: Dict[NodeId, object] = {}
+        if w > TS:
+            raise ValueError(f"edge ({i!r},{j!r}) load {Fraction(w, S)} "
+                             f"exceeds period {T}")
+    send_load: Dict[NodeId, int] = {}
+    recv_load: Dict[NodeId, int] = {}
     for (i, j), w in edge_time.items():
         send_load[i] = send_load.get(i, 0) + w
         recv_load[j] = recv_load.get(j, 0) + w
     for n_, w in list(send_load.items()) + list(recv_load.items()):
-        if w > T:
-            raise ValueError(f"port load {w} at {n_!r} exceeds period {T}")
+        if w > TS:
+            raise ValueError(f"port load {Fraction(w, S)} at {n_!r} exceeds "
+                             f"period {T}")
 
-    # matching decomposition over send/recv ports
+    # matching decomposition over send/recv ports: durations θ, in 1/S
     port_edges = [(("S", i), ("R", j), w) for (i, j), w in edge_time.items()]
-    matchings = decompose_matchings(port_edges, cap=Fraction(T))
+    matchings = decompose_matchings(port_edges, cap=TS)
 
-    # allocate item message counts to this edge's slots, in slot order
-    remaining: Dict[Tuple[NodeId, NodeId], List] = {}
+    # allocate item occupation to this edge's slots, in slot order; each
+    # queue holds [item, micro-units left, micro-units per message], head
+    # last
+    remaining: Dict[Tuple[NodeId, NodeId], List[List]] = {}
     for (i, j, item), n in sorted(counts.items(), key=lambda kv: str(kv[0])):
-        unit_time = rates[(i, j, item)][1]
-        remaining.setdefault((i, j), []).append([item, n * unit_time, unit_time])
+        u = unit_mu[(i, j, item)]
+        remaining.setdefault((i, j), []).append([item, n * u, u])
+    for queue in remaining.values():
+        queue.reverse()
 
     slots: List[Slot] = []
     for m in matchings:
-        slot = Slot(duration=m.duration)
+        theta = m.duration
+        transfers: List[Transfer] = []
         for (su, rv) in m.pairs:
             i, j = su[1], rv[1]
-            queue = remaining.get((i, j), [])
-            room = m.duration
-            while room > 0 and queue:
-                item, time_left, unit_time = queue[0]
-                take = time_left if time_left <= room else room
-                slot.transfers.append(Transfer(
+            queue = remaining.get((i, j))
+            room = theta
+            while room and queue:
+                head = queue[-1]
+                item, left, u = head
+                take = left if left <= room else room
+                gu, gt = math.gcd(take, u), math.gcd(take, S)
+                transfers.append(Transfer(
                     src=i, dst=j, item=item,
-                    units=Fraction(take) / Fraction(unit_time), time=take))
-                room = room - take
-                if take == time_left:
-                    queue.pop(0)
+                    units=raw_fraction(take // gu, u // gu),
+                    time=raw_fraction(take // gt, S // gt)))
+                room -= take
+                if take == left:
+                    queue.pop()
                 else:
-                    queue[0][1] = time_left - take
-        slots.append(slot)
-    leftovers = {k: q for k, q in remaining.items() if q}
-    if leftovers:
-        raise AssertionError(f"unallocated transfer time: {leftovers}")
+                    head[1] = left - take
+        g = math.gcd(theta, S)
+        slots.append(Slot(duration=raw_fraction(theta // g, S // g),
+                          transfers=transfers))
+    for (i, j), queue in remaining.items():
+        if queue:
+            raise RuntimeError(
+                f"unallocated transfer time on edge ({i!r}, {j!r}): "
+                f"{sum(q[1] for q in queue)} micro-units of 1/{S} left "
+                f"after the matching decomposition")
 
     compute: Dict[NodeId, List[ComputeTask]] = {}
-    if compute_rates:
-        for (node, output), (rate, inputs, unit_time) in compute_rates.items():
-            n = rate * T
-            n_int = int(n)
-            if n != n_int:
-                raise ValueError(f"compute rate {rate} not integral over {T}")
-            if n_int == 0:
-                continue
-            compute.setdefault(node, []).append(
-                ComputeTask(node=node, output=output, inputs=tuple(inputs),
-                            count=n_int, unit_time=unit_time))
-        for node, tasks in compute.items():
-            load = sum((ct.count * ct.unit_time for ct in tasks), 0)
-            if load > T:
-                raise ValueError(f"compute load {load} at {node!r} exceeds period {T}")
+    for (node, output), (rate, inputs, unit_time) in compute_rates.items():
+        n = rate.numerator * T // rate.denominator
+        if n == 0:
+            continue
+        compute.setdefault(node, []).append(
+            ComputeTask(node=node, output=output, inputs=tuple(inputs),
+                        count=n, unit_time=unit_time))
+    for node, tasks in compute.items():
+        load = sum((ct.count * ct.unit_time for ct in tasks), 0)
+        if load > T:
+            raise ValueError(f"compute load {load} at {node!r} exceeds period {T}")
 
     return PeriodicSchedule(name=name, period=Fraction(T),
                             throughput=throughput, slots=slots,
@@ -563,8 +565,7 @@ def _merge_disjoint(dicts, what: str) -> dict:
 def superpose_schedules(bundles: Sequence[RateBundle], throughput: object,
                         name: str = "superposed",
                         delivery_mode: Optional[str] = None,
-                        chain: Sequence[ChainLink] = (),
-                        **kwargs) -> PeriodicSchedule:
+                        chain: Sequence[ChainLink] = ()) -> PeriodicSchedule:
     """One periodic schedule for several rate bundles sharing the period.
 
     This is the *joint* composition: every bundle's traffic runs
@@ -580,15 +581,13 @@ def superpose_schedules(bundles: Sequence[RateBundle], throughput: object,
     enforcement, and the slots are retimed via
     :func:`retime_for_chaining` so chained items land before they depart
     within each steady-state period.
-
-    Extra keyword arguments reach :func:`schedule_from_rates`.
     """
     merged = RateBundle.merge(bundles)
     sched = schedule_from_rates(merged.rates, throughput=throughput,
                                 deliveries=merged.deliveries, name=name,
                                 compute_rates=merged.compute_rates or None,
                                 replicas=merged.replicas or None,
-                                delivery_mode=delivery_mode, **kwargs)
+                                delivery_mode=delivery_mode)
     if chain:
         sched = retime_for_chaining(sched, chain)
     return sched

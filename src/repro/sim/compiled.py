@@ -39,10 +39,14 @@ Three speed tiers, all exact:
    transfer table at all.  Steady state is exactly such a fixed point, so
    long replays cost warm-up plus bookkeeping.
 
-Delivery *times* are reconstructed exactly (Fractions) once per unique
-within-period movement pattern and shared by every period that repeats
-the pattern, so ``SimulationResult.delivery_times`` is bit-compatible
-with the reference executor at a fraction of the arithmetic.
+Time is integer *ticks*: each compiled epoch picks one tick scale ``q``
+that makes every slot start and every per-micro-unit occupation time
+integral, so chain-credit mint times, the gate's ``now`` and every
+pattern's delivery offsets are Python ints.  A delivery *time* becomes a
+Fraction only in :meth:`VectorizedExecutor.result`, built once per
+(period, event) from the period start and the offset in ticks of its
+epoch, so ``SimulationResult.delivery_times`` is bit-identical with the
+reference executor without any Fraction arithmetic in the replay.
 
 Faults and schedule switches recompile: :meth:`VectorizedExecutor.fail_link`,
 :meth:`~VectorizedExecutor.fail_node` and
@@ -56,9 +60,9 @@ engine end to end.
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
@@ -74,30 +78,40 @@ Item = Hashable
 _MU_LIMIT = 1 << 62
 
 
-def _rational(x) -> bool:
-    return isinstance(x, (int, Fraction))
+#: Exact time and count types; anything else (floats) is inexact.
+_EXACT = (int, Fraction)
+
+
+def _micro_units(schedule: PeriodicSchedule) -> Tuple[Optional[str], int]:
+    """``(why the schedule cannot compile or None, micro-units per message
+    instance)`` — integer math on the exact fields' numerators and
+    denominators."""
+    if schedule.compute:
+        return "compute tasks need the reference executor", 1
+    if not isinstance(schedule.period, _EXACT):
+        return "float-timed schedule (inexact period)", 1
+    mu = 1
+    units = []
+    for slot in schedule.slots:
+        if not isinstance(slot.duration, _EXACT):
+            return "float-timed schedule (inexact slot durations)", 1
+        for tr in slot.transfers:
+            u = tr.units
+            if isinstance(u, _EXACT) and isinstance(tr.time, _EXACT):
+                if u.numerator > 0:
+                    mu = lcm(mu, u.denominator)
+                    units.append(u)
+            elif u > 0:
+                return "float-timed schedule (inexact transfer data)", 1
+    total = sum(u.numerator * (mu // u.denominator) for u in units)
+    if total + mu >= _MU_LIMIT:
+        return "micro-unit scale overflows int64", 1
+    return None, mu
 
 
 def compile_unsupported(schedule: PeriodicSchedule) -> Optional[str]:
     """Why :func:`compile_schedule` cannot lower this schedule (None == ok)."""
-    if schedule.compute:
-        return "compute tasks need the reference executor"
-    den = 1
-    total = 0
-    for slot in schedule.slots:
-        if not _rational(slot.duration):
-            return "float-timed schedule (inexact slot durations)"
-        for tr in slot.transfers:
-            if tr.units <= 0:
-                continue
-            if not (_rational(tr.units) and _rational(tr.time)):
-                return "float-timed schedule (inexact transfer data)"
-            d = Fraction(tr.units).denominator
-            den = den // gcd(den, d) * d
-            total += tr.units
-    if den * (total + 1) >= _MU_LIMIT:
-        return "micro-unit scale overflows int64"
-    return None
+    return _micro_units(schedule)[0]
 
 
 @dataclass
@@ -111,6 +125,7 @@ class CompiledSchedule:
 
     schedule: PeriodicSchedule
     mu: int                      # micro-units per message instance
+    q: int                       # ticks per time-unit
     blocked: int                 # dead slot-transfers hit per period
     # (node, item) buffer/draw keys
     keys: List[Tuple[NodeId, Item]]
@@ -131,7 +146,7 @@ class CompiledSchedule:
     t_cum_excl: np.ndarray       # per-pipe mu prefix before this transfer
     t_cum_incl: np.ndarray
     t_pair: List[Tuple[NodeId, NodeId]]
-    t_unit_time: List[Fraction]  # occupation per whole message
+    t_unit_time: List[int]       # occupation ticks per micro-unit
     # landing targets: transitive replica expansion, compiled to CSR
     lands: List[Tuple[NodeId, Item]]
     land_deliver: List[Tuple[Item, ...]]
@@ -143,7 +158,7 @@ class CompiledSchedule:
     lb_key: np.ndarray
     items: List[Item]            # delivery item id -> item
     item_index: Dict[Item, int]
-    slot_start: List[object]     # Fraction offset of each slot in the period
+    slot_start: List[int]        # tick offset of each slot in the period
     n_links: int
 
     def state_digest(self, avail, pipe, credit_old, gate_gap) -> bytes:
@@ -168,16 +183,9 @@ def compile_schedule(schedule: PeriodicSchedule,
     when the schedule is not compilable — callers should consult
     :func:`compile_unsupported` (or engine auto-dispatch) first.
     """
-    reason = compile_unsupported(schedule)
+    reason, mu = _micro_units(schedule)
     if reason is not None:
         raise ValueError(f"cannot compile {schedule.name!r}: {reason}")
-
-    mu = 1
-    for slot in schedule.slots:
-        for tr in slot.transfers:
-            if tr.units > 0:
-                d = Fraction(tr.units).denominator
-                mu = mu // gcd(mu, d) * d
 
     produced_link, consumed_link = schedule.chain_maps()
     n_links = len(schedule.chain_links or ())
@@ -234,12 +242,14 @@ def compile_schedule(schedule: PeriodicSchedule,
     t_slot: List[int] = []
     t_budget: List[int] = []
     t_pair: List[Tuple[NodeId, NodeId]] = []
-    t_unit_time: List[Fraction] = []
+    t_time: List[Tuple[int, int]] = []  # occupation per micro-unit, n/d
+    q = 1
+    for slot in schedule.slots:
+        q = lcm(q, slot.duration.denominator)
     blocked = 0
-    slot_start: List[object] = schedule.slot_starts()
     for si, slot in enumerate(schedule.slots):
         for tr in slot.transfers:
-            if tr.units <= 0:
+            if tr.units.numerator <= 0:
                 continue
             if ((tr.src, tr.dst) in dead_links or tr.src in dead_nodes
                     or tr.dst in dead_nodes):
@@ -254,11 +264,23 @@ def compile_schedule(schedule: PeriodicSchedule,
             t_pipe.append(pid)
             t_land.append(land_id(tr.dst, tr.item))
             t_slot.append(si)
-            budget = Fraction(tr.units) * mu
-            assert budget.denominator == 1
-            t_budget.append(int(budget))
+            un, ud = tr.units.numerator, tr.units.denominator
+            t_budget.append(un * (mu // ud))
             t_pair.append((tr.src, tr.dst))
-            t_unit_time.append(Fraction(tr.time) / Fraction(tr.units))
+            num = tr.time.numerator * ud
+            den = tr.time.denominator * un * mu
+            g = gcd(num, den)
+            num, den = num // g, den // g
+            t_time.append((num, den))
+            q = lcm(q, den)
+
+    # integer ticks of 1/q: slot starts and per-micro-unit occupation times
+    slot_start: List[int] = []
+    tick = 0
+    for slot in schedule.slots:
+        slot_start.append(tick)
+        tick += slot.duration.numerator * (q // slot.duration.denominator)
+    t_unit_time = [num * (q // den) for num, den in t_time]
 
     for key in supplies:
         key_id(key)
@@ -276,12 +298,12 @@ def compile_schedule(schedule: PeriodicSchedule,
     t_budget_a = arr(t_budget)
     # per-pipe running mu totals -> static prefix sums (completions per
     # transfer in a fully-moving period are floor-differences of these)
-    cum_excl = np.zeros(len(t_key), dtype=np.int64)
-    pipe_running = np.zeros(n_pipes, dtype=np.int64)
-    for i, pid in enumerate(t_pipe):
-        cum_excl[i] = pipe_running[pid]
-        pipe_running[pid] += t_budget[i]
-    cum_incl = cum_excl + t_budget_a
+    cum_excl: List[int] = []
+    pipe_running = [0] * n_pipes
+    for pid, budget in zip(t_pipe, t_budget):
+        cum_excl.append(pipe_running[pid])
+        pipe_running[pid] += budget
+    cum_excl_a = arr(cum_excl)
 
     key_supply = np.zeros(n_keys, dtype=bool)
     for key in supplies:
@@ -302,12 +324,13 @@ def compile_schedule(schedule: PeriodicSchedule,
             lb_key.append(kid)
 
     return CompiledSchedule(
-        schedule=schedule, mu=mu, blocked=blocked,
+        schedule=schedule, mu=mu, q=q, blocked=blocked,
         keys=keys, key_index=key_index, key_supply=key_supply,
         key_gate=key_gate, gated_keys=gated,
-        pipes=pipes, pipe_index=pipe_index, pipe_total=pipe_running,
+        pipes=pipes, pipe_index=pipe_index, pipe_total=arr(pipe_running),
         t_key=t_key_a, t_pipe=t_pipe_a, t_land=t_land_a, t_slot=arr(t_slot),
-        t_budget=t_budget_a, t_cum_excl=cum_excl, t_cum_incl=cum_incl,
+        t_budget=t_budget_a, t_cum_excl=cum_excl_a,
+        t_cum_incl=cum_excl_a + t_budget_a,
         t_pair=t_pair, t_unit_time=t_unit_time,
         lands=lands, land_deliver=land_deliver,
         land_buffer_keys=land_buffer_keys, land_credits=land_credits,
@@ -325,12 +348,14 @@ class _Pattern:
     reference executor's land order (transfer order == chronological
     order, since a transfer always ends within its slot); every period
     that repeats the pattern lands the same deliveries at
-    ``period_start + end_offset``.
+    ``period_start + end_offset / q``, the offset in integer ticks of its
+    epoch's tables.
     """
 
-    events: List[Tuple[Item, object, int]]
+    events: List[Tuple[Item, int, int]]
     delivered: List[Tuple[Item, int]]
     total: int
+    q: int
 
 
 @dataclass
@@ -524,8 +549,8 @@ class VectorizedExecutor:
 
     def _run_scalar(self) -> int:
         """Integer transfer loop: exact draw order (pipe continuation,
-        then buffered, then supply behind its chain gate), no Fractions
-        except the credit mint times the gate comparisons need."""
+        then buffered, then supply behind its chain gate); credit mint
+        times and the gate's ``now`` are integer ticks."""
         tb = self.tables
         mu = tb.mu
         avail = self.avail.tolist()
@@ -533,13 +558,13 @@ class VectorizedExecutor:
         supply_seq = self.supply_seq.tolist()
         credit_old = self.credit_old.tolist()
         spent_old = [0] * tb.n_links
-        mints: List[List[object]] = [[] for _ in range(tb.n_links)]
+        mints: List[List[int]] = [[] for _ in range(tb.n_links)]
         spent_new = [0] * tb.n_links
         moved = [0] * len(self._l_key)
         comp = [0] * len(self._l_key)
         arriving = self.arriving
         cur_slot = -1
-        pair_off: Dict[Tuple[NodeId, NodeId], object] = {}
+        pair_off: Dict[Tuple[NodeId, NodeId], int] = {}
         track_times = tb.n_links > 0  # mints gate later same-period slots
         for i, budget in enumerate(self._l_budget):
             pid = self._l_pipe[i]
@@ -605,7 +630,7 @@ class VectorizedExecutor:
                     cur_slot = si
                     pair_off = {}
                 pair = tb.t_pair[i]
-                dur = tb.t_unit_time[i] * Fraction(moved_mu, mu)
+                dur = tb.t_unit_time[i] * moved_mu
                 before = pair_off.get(pair, 0)
                 pair_off[pair] = before + dur
                 if done:
@@ -639,18 +664,18 @@ class VectorizedExecutor:
         if pid is not None:
             return pid
         tb = self.tables
-        mu = tb.mu
-        events: List[Tuple[Item, object, int]] = []
+        events: List[Tuple[Item, int, int]] = []
         delivered: Dict[Item, int] = {}
         cur_slot = -1
-        pair_off: Dict[Tuple[NodeId, NodeId], object] = {}
+        pair_off: Dict[Tuple[NodeId, NodeId], int] = {}
+        moved_l = moved.tolist()
         for i in np.nonzero(moved)[0].tolist():
             si = self._l_slot[i]
             if si != cur_slot:
                 cur_slot = si
                 pair_off = {}
             pair = tb.t_pair[i]
-            dur = tb.t_unit_time[i] * Fraction(int(moved[i]), mu)
+            dur = tb.t_unit_time[i] * moved_l[i]
             before = pair_off.get(pair, 0)
             pair_off[pair] = before + dur
             n = int(comp[i])
@@ -662,7 +687,7 @@ class VectorizedExecutor:
                         events.append((it, end, n))
                         delivered[it] = delivered.get(it, 0) + n
         pat = _Pattern(events=events, delivered=list(delivered.items()),
-                       total=sum(delivered.values()))
+                       total=sum(delivered.values()), q=tb.q)
         pid = len(self._patterns)
         self._patterns.append(pat)
         self._pattern_ids[key] = pid
@@ -820,39 +845,35 @@ class VectorizedExecutor:
         """Materialize exact delivery times from the per-period pattern
         log and wrap them in the reference result type.
 
-        Millions of ``period_start + offset`` Fraction additions dominate
-        long replays, so for integral period starts the sum is assembled
-        directly: offsets are normalized (``gcd(num, den) == 1``), hence
-        ``(start * den + num) / den`` is already in lowest terms and the
-        normalizing constructor is skipped (:mod:`repro.lp.fastfrac`)."""
+        Each time is built once, straight from integers: a pattern's
+        offset ``off / q`` is normalized to ``num / den`` once, and the
+        period start ``sn / sd`` then gives ``(sn * den + num * sd) /
+        (sd * den)`` — already in lowest terms when ``sd == 1``, else
+        reduced by one gcd (:mod:`repro.lp.fastfrac`)."""
         with paused_gc():
             delivery_times: Dict[Item, List[object]] = {
                 it: [] for it in self._delivery_items}
-            num_den: Dict[int, List[Tuple[Item, int, int, int]]] = {}
+            offsets: Dict[int, List[Tuple[List[object], int, int, int]]] = {}
             for start, pid in zip(self._period_starts, self._period_pattern):
-                s_int = start if type(start) is int else (
-                    start.numerator if isinstance(start, Fraction)
-                    and start.denominator == 1 else None)
-                if s_int is not None:
-                    evs = num_den.get(pid)
-                    if evs is None:
-                        evs = num_den[pid] = [
-                            (it, Fraction(off).numerator,
-                             Fraction(off).denominator, n)
-                            for it, off, n in self._patterns[pid].events]
-                    for item, num, den, count in evs:
-                        t = raw_fraction(s_int * den + num, den)
-                        times = delivery_times[item]
-                        if count == 1:
-                            times.append(t)
-                        else:
-                            times.extend([t] * count)
-                else:
-                    for item, off, count in self._patterns[pid].events:
-                        t = start + off
-                        times = delivery_times[item]
-                        for _ in range(count):
-                            times.append(t)
+                evs = offsets.get(pid)
+                if evs is None:
+                    pat = self._patterns[pid]
+                    evs = offsets[pid] = []
+                    for it, off, count in pat.events:
+                        g = gcd(off, pat.q)
+                        evs.append((delivery_times[it], off // g,
+                                    pat.q // g, count))
+                sn, sd = start.numerator, start.denominator
+                for times, num, den, count in evs:
+                    num, den = sn * den + num * sd, sd * den
+                    if sd != 1:  # an integral start keeps lowest terms
+                        g = gcd(num, den)
+                        num, den = num // g, den // g
+                    t = raw_fraction(num, den)
+                    if count == 1:
+                        times.append(t)
+                    else:
+                        times.extend([t] * count)
         return SimulationResult(schedule=self.schedule,
                                 periods=self.periods_run,
                                 horizon=self.time,

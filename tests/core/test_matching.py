@@ -9,7 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import matching
-from repro.core.matching import decompose_matchings, weighted_degrees
+from repro.core.matching import (
+    Matching, decompose_matchings, weighted_degrees,
+)
+from repro.core.schedule import schedule_from_rates
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -151,6 +154,42 @@ class TestCertificate:
                        Fraction(1)) for k in range(31)]
         cap = Fraction(1024)
         check_certificate(edges, decompose_matchings(edges, cap=cap), cap)
+
+    @pytest.mark.parametrize("case", ["coprime", "cluster1025"])
+    def test_schedule_from_rates_output(self, case):
+        """The integer schedule build: its slots, read as matchings of the
+        send/receive port graph, certify the input edge occupations, and
+        each pair's transfer times fill its slot exactly."""
+        if case == "coprime":  # the period falls back to counts-only
+            rates = {("a", "b", "m"): (Fraction(1, 2), Fraction(1, 999983)),
+                     ("a", "c", "m2"): (Fraction(1, 3),
+                                        Fraction(1, 999979))}
+            tp, deliveries = Fraction(1, 3), {"m": "b", "m2": "c"}
+        else:  # hub -> 32 relays -> 31 leaves each, T = 1024
+            rates, deliveries = {}, {}
+            for r in range(32):
+                for k in range(31):
+                    item = f"m{r:02d}_{k:02d}"
+                    rates[("hub", f"R{r:02d}", item)] = (Fraction(1, 1024), 1)
+                    rates[(f"R{r:02d}", f"L{r:02d}_{k:02d}", item)] = \
+                        (Fraction(1, 1024), 1)
+                    deliveries[item] = f"L{r:02d}_{k:02d}"
+            tp = Fraction(1, 1024)
+        sched = schedule_from_rates(rates, tp, deliveries)
+        T = sched.period
+        edges = [(("S", i), ("R", j), rate * T * unit_time)
+                 for (i, j, _item), (rate, unit_time) in rates.items()]
+        slots = [Matching(duration=s.duration,
+                          pairs=sorted({(("S", t.src), ("R", t.dst))
+                                        for t in s.transfers}))
+                 for s in sched.slots]
+        check_certificate(edges, slots, T)
+        for s in sched.slots:
+            pair_time = {}
+            for t in s.transfers:
+                pair_time[t.src, t.dst] = pair_time.get((t.src, t.dst), 0) \
+                    + t.time
+            assert set(pair_time.values()) <= {s.duration}
 
     def test_deep_chain_needs_no_recursion_limit(self):
         """A 3000-port chain whose greedy first choices force one

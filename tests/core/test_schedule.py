@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from repro.core import matching
 from repro.core.schedule import (
     PeriodicSchedule, Slot, Transfer, build_reduce_schedule, lcm_period,
     schedule_from_rates,
@@ -33,16 +34,6 @@ class TestScheduleFromRates:
         assert sched.per_period == {"m": 1}
         assert sched.period == 2
 
-    def test_period_override(self):
-        sched = schedule_from_rates(self.simple_rates(), Fraction(1, 2),
-                                    {"m": "b"}, period=4)
-        assert sched.period == 4 and sched.per_period == {"m": 2}
-
-    def test_bad_override_rejected(self):
-        with pytest.raises(ValueError):
-            schedule_from_rates(self.simple_rates(), Fraction(1, 2),
-                                {"m": "b"}, period=3)
-
     def test_overload_rejected(self):
         rates = {("a", "b", "m"): (2, 1)}  # rate 2 at unit time 1 -> load 2
         with pytest.raises(ValueError):
@@ -64,11 +55,15 @@ class TestScheduleFromRates:
                                     {"m": "b", "m2": "c"})
         assert sched.period == 6
 
-    def test_integral_times_never(self):
-        rates = {("a", "b", "m"): (Fraction(1, 2), Fraction(2, 3))}
-        sched = schedule_from_rates(rates, Fraction(1, 2), {"m": "b"},
-                                    integral_times="never")
-        assert sched.period == 2
+    def test_unallocated_time_is_a_runtime_error(self, monkeypatch):
+        # a matching core that drops the edge's matching leaves occupation
+        # time the per-slot allocation cannot place
+        peel = matching._peel
+        monkeypatch.setattr(matching, "_peel", lambda *a: peel(*a)[1:])
+        with pytest.raises(RuntimeError,
+                           match=r"edge \('a', 'b'\): 1 micro-units of 1/1"):
+            schedule_from_rates(self.simple_rates(), Fraction(1, 2),
+                                {"m": "b"})
 
     def test_slot_durations_sum_to_period(self):
         sched = schedule_from_rates(self.simple_rates(), Fraction(1, 2),

@@ -6,7 +6,8 @@ regression changes and hardware does not, on the same tiers: the exact
 rational optimum plus the work counters the library already exposes —
 tableau iterations, presolved vars/rows, the revised engine's path,
 pivots and refactorizations, colgen rounds/columns/``columns_digest``/
-Dijkstra fallbacks, schedule slots and transfers, compiled replay ops.
+Dijkstra fallbacks, schedule slots and transfers, the compiled tables'
+time scales (micro-units ``mu``, ticks ``q``), compiled replay ops.
 
 - Counts on pure-rational paths are pinned with ``==``.
 - Counts downstream of a HiGHS float guess (the revised crash, colgen's
@@ -106,10 +107,12 @@ PINS = {
             "columns": 106, "columns_digest": "102cbf66c773224f",
             "dijkstra_fallbacks": 0},
     },
-    # schedule reconstruction + compiled replay
+    # schedule reconstruction + compiled replay; mu (micro-units per
+    # message) and q (ticks per time-unit) are the compiled time scales
     "cluster1025": {"slots": 904, "transfers": 1984, "completed_ops": 99,
-                    "throughput": F(99, 102400)},
-    "fattree6_million_slot": {"transfers": 298, "completed_ops": 3351},
+                    "throughput": F(99, 102400), "mu": 1, "q": 1},
+    "fattree6_million_slot": {"transfers": 298, "completed_ops": 3351,
+                              "mu": 1, "q": 1},
     # repro.tune.tune_zoo(): (baseline_tp, lp_tp, gap, sim_matches)
     "tune_zoo": {
         "fig2:scatter:direct-scatter": (F(1, 2), F(1, 2), F(1), True),
@@ -248,11 +251,11 @@ def _cluster1025_rates():
     return rates, rate, deliveries
 
 
-def _replay(engine, sched, supplies, periods):
-    ex = engine(sched, supplies)
-    for _ in range(periods):
-        ex.run_period()
-    return ex.result()
+def _replay(sched, supplies, periods):
+    """``periods`` of compiled replay: the executor and its result."""
+    ex = VectorizedExecutor(sched, supplies)
+    ex.run_periods(periods)
+    return ex, ex.result()
 
 
 # ----------------------------------------------------------------------
@@ -357,9 +360,10 @@ def test_cluster1025_work_and_build_beats_replay():
     build_s = time.perf_counter() - t0
     supplies = {("hub", item): (lambda it: (lambda seq: (it, seq)))(item)
                 for item in deliveries}
-    res = _replay(VectorizedExecutor, sched, supplies, 100)
+    ex, res = _replay(sched, supplies, 100)
     observed = {"slots": len(sched.slots),
                 "transfers": sum(len(s.transfers) for s in sched.slots),
+                "mu": ex.tables.mu, "q": ex.tables.q,
                 "completed_ops": res.completed_ops(),
                 "throughput": res.measured_throughput()}
     assert_pinned(PINS["cluster1025"], observed, "cluster1025")
@@ -387,8 +391,9 @@ def test_fattree6_colgen_and_million_slot_work():
     sem = get_collective("scatter").simulation(sched, sol.problem)
     transfers = sum(len(s.transfers) for s in sched.slots)
     periods = -(-1_000_000 // transfers)
-    res = _replay(VectorizedExecutor, sched, sem.supplies, periods)
-    observed = {"transfers": transfers, "completed_ops": res.completed_ops()}
+    ex, res = _replay(sched, sem.supplies, periods)
+    observed = {"transfers": transfers, "completed_ops": res.completed_ops(),
+                "mu": ex.tables.mu, "q": ex.tables.q}
     assert_pinned(PINS["fattree6_million_slot"], observed,
                   "fattree6_million_slot")
 

@@ -27,7 +27,9 @@ np = pytest.importorskip("numpy")
 
 from repro.collectives import available_collectives, solve_collective
 from repro.collectives import schedule_collective
-from repro.core.schedule import ChainLink, PeriodicSchedule, Slot, Transfer
+from repro.core.schedule import (
+    ChainLink, PeriodicSchedule, Slot, Transfer, schedule_from_rates,
+)
 from repro.platform import generators as gen
 from repro.sim.compiled import VectorizedExecutor, compile_unsupported
 from repro.sim.executor import ScheduleExecutor
@@ -99,27 +101,35 @@ def test_fuzz_random_platform_collective(case):
 # -- chained relay schedules (credit gating) --------------------------
 
 
-def _chained_relay(units):
+def _chained_relay(case):
     """A -> B stage feeding a gated B -> C stage through a ChainLink.
 
-    ``units`` controls the first stage's slot decomposition: 1 ships the
-    instance whole, F(1,2) splits it across two slots so the compiled
-    engine's micro-unit pipe accounting is on the hook too.
+    ``case`` controls the first stage's slot decomposition: ``integral``
+    ships the instance whole, ``fractional`` splits it across two slots so
+    the compiled engine's micro-unit pipe accounting is on the hook too,
+    and ``scaled`` splits it in thirds over 2/7-long slots ahead of a
+    3/5-long consuming slot, so mint times and the gate's ``now`` meet
+    (x lands exactly when y's slot opens) in ticks of 1/35.
     """
-    if units == 1:
+    if case == "integral":
         stage1 = [Slot(duration=1,
                        transfers=[Transfer("A", "B", "x", 1, 1)])]
-    else:
+        last = 1
+    elif case == "fractional":
         stage1 = [Slot(duration=F(1, 2),
-                       transfers=[Transfer("A", "B", "x", units,
-                                           F(1, 2))]),
-                  Slot(duration=F(1, 2),
-                       transfers=[Transfer("A", "B", "x", units,
-                                           F(1, 2))])]
-    slots = stage1 + [Slot(duration=1,
-                           transfers=[Transfer("B", "C", "y", 1, 1)])]
+                       transfers=[Transfer("A", "B", "x", F(1, 2),
+                                           F(1, 2))])] * 2
+        last = 1
+    else:
+        stage1 = [Slot(duration=F(2, 7),
+                       transfers=[Transfer("A", "B", "x", F(1, 3),
+                                           F(2, 7))])] * 3
+        last = F(3, 5)
+    slots = stage1 + [Slot(duration=last,
+                           transfers=[Transfer("B", "C", "y", 1, last)])]
+    period = sum((sl.duration for sl in slots), 0)
     sched = PeriodicSchedule(
-        name="chained-relay", period=2, throughput=F(1, 2),
+        name="chained-relay", period=period, throughput=1 / F(period),
         slots=slots, per_period={"x": 1, "y": 1},
         deliveries={"x": "B", "y": "C"},
         chain_links=(ChainLink(label="relay", produced=("x",),
@@ -129,11 +139,10 @@ def _chained_relay(units):
     return sched, supplies
 
 
-@pytest.mark.parametrize("units", [1, F(1, 2)],
-                         ids=["integral", "fractional"])
+@pytest.mark.parametrize("case", ["integral", "fractional", "scaled"])
 @pytest.mark.parametrize("periods", [1, 2, 5, 13])
-def test_fuzz_chained_relay(units, periods):
-    sched, supplies = _chained_relay(units)
+def test_fuzz_chained_relay(case, periods):
+    sched, supplies = _chained_relay(case)
     assert compile_unsupported(sched) is None
     ref, fast = _pair(sched, supplies)
     for _ in range(periods):
@@ -143,6 +152,51 @@ def test_fuzz_chained_relay(units, periods):
     times = ref.result().delivery_times
     assert times["y"], "the gated stage must eventually deliver"
     assert min(times["y"]) > min(times["x"])
+
+
+# -- integer ticks ------------------------------------------------------
+
+
+def _relay_schedule(t1, t2):
+    """A -> B -> C relay of one item at rate 1/2, hop unit times t1, t2."""
+    sched = schedule_from_rates(
+        {("A", "B", "m"): (F(1, 2), t1), ("B", "C", "m"): (F(1, 2), t2)},
+        F(1, 2), {"m": "C"})
+    return sched, {("A", "m"): lambda seq: ("m", seq)}
+
+
+def test_coprime_unit_times_replay_identically():
+    """Unit times 1/999983 and 1/999979: the period falls back to
+    counts-only, so slot durations and tick scales carry both primes."""
+    sched = schedule_from_rates(
+        {("a", "b", "m"): (F(1, 2), F(1, 999983)),
+         ("a", "c", "m2"): (F(1, 3), F(1, 999979))},
+        F(1, 3), {"m": "b", "m2": "c"})
+    supplies = {("a", "m"): lambda seq: ("m", seq),
+                ("a", "m2"): lambda seq: ("m2", seq)}
+    ref, fast = _pair(sched, supplies)
+    assert fast.tables.q % (999983 * 999979) == 0
+    for _ in range(7):
+        assert fast.run_period() == ref.run_period()
+    _assert_identical(ref, fast)
+
+
+@pytest.mark.parametrize("mode", ["carry", "restart"])
+def test_switch_across_tick_scales(mode):
+    """A switch recompiles with another tick scale; deliveries of both
+    epochs keep their exact times."""
+    sched, supplies = _relay_schedule(F(1, 3), F(1, 3))
+    sched2, supplies2 = _relay_schedule(F(2, 7), F(3, 5))
+    ref, fast = _pair(sched, supplies)
+    for _ in range(3):
+        assert fast.run_period() == ref.run_period()
+    q1 = fast.tables.q
+    assert ref.switch_schedule(sched2, supplies2, mode=mode) == \
+        fast.switch_schedule(sched2, supplies2, mode=mode) == mode
+    assert fast.tables.q != q1
+    for _ in range(3):
+        assert fast.run_period() == ref.run_period()
+    _assert_identical(ref, fast)
 
 
 # -- fault / switch differentials -------------------------------------

@@ -64,6 +64,20 @@ class TestResolveSimEngine:
         s.slots[0].duration = 0.5
         assert resolve_sim_engine("auto", s) == "reference"
 
+    def test_micro_unit_overflow_falls_back(self):
+        # coprime unit-count denominators 2**31 - 1 and 2**31 push the
+        # micro-unit scale past the int64 guard: the compiled engine
+        # declines with its reason instead of overflowing
+        pytest.importorskip("numpy")
+        s = _pure_comm()
+        s.slots[0].transfers = [
+            Transfer("A", "B", "x", F(1, 2**31 - 1), F(1, 2**31 - 1)),
+            Transfer("A", "B", "x", F(1, 2**31), F(1, 2**31))]
+        assert resolve_sim_engine("auto", s) == "reference"
+        with pytest.raises(ValueError,
+                           match="micro-unit scale overflows int64"):
+            resolve_sim_engine("compiled", s)
+
 
 class TestCarryCompatible:
     def test_pure_comm_same_destinations(self):
