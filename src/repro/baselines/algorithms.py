@@ -36,9 +36,10 @@ messages of halving/doubling sizes, and performs ``n - 1`` merges.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.collectives.base import CollectiveSolution, CollectiveSpec, SimSemantics
 from repro.collectives.reduce import ReduceSpec
@@ -98,21 +99,25 @@ def _assemble_plan(platform, transfers: List[LogicalTransfer],
                    n_rounds: int) -> AlgorithmPlan:
     """Route every logical transfer, tally per-resource loads, and price
     the pipelined rate.  Routes come from one canonical Dijkstra tree per
-    distinct source, so they equal :func:`shortest_path` for every pair.
-    Raises ``ValueError`` when a hop is unroutable."""
+    distinct source, grown until it settles that source's destinations,
+    so they equal :func:`shortest_path` for every pair.  Raises
+    ``ValueError`` when a hop is unroutable."""
     routes: Dict[Item, Tuple[NodeId, ...]] = {}
     sizes: Dict[Item, object] = {}
     path_memo: Dict[Tuple[NodeId, NodeId], Tuple[NodeId, ...]] = {}
     trees: Dict[NodeId, Dict[NodeId, Optional[NodeId]]] = {}  # per source
     out_load: Dict[NodeId, object] = {}
     in_load: Dict[NodeId, object] = {}
+    dests: Dict[NodeId, Set[NodeId]] = {}
+    for tr in transfers:
+        dests.setdefault(tr.src, set()).add(tr.dst)
     for tr in transfers:
         if tr.item in routes:
             raise ValueError(f"duplicate plan item {tr.item!r}")
         pair = (tr.src, tr.dst)
         if pair not in path_memo:
             if tr.src not in trees:
-                trees[tr.src] = dijkstra(platform, tr.src)[1]
+                trees[tr.src] = dijkstra(platform, tr.src, dests[tr.src])[1]
             path = tree_path(trees[tr.src], tr.dst)
             if path is None:
                 raise ValueError(f"{tr.src!r} cannot reach {tr.dst!r}")
@@ -337,6 +342,9 @@ class AlgorithmSpec(CollectiveSpec):
             a = solution.alpha(node)
             if a > 1 + tol:
                 bad.append(f"alpha[{node}] {a} > 1")
+        # at tol=0 a plain != skips a Fraction subtract and abs per hop
+        differs = operator.ne if tol == 0 else \
+            (lambda a, b: abs(a - b) > tol)
         expected: Dict[tuple, object] = {}
         for tr in plan.transfers:
             path = plan.routes[tr.item]
@@ -345,7 +353,7 @@ class AlgorithmSpec(CollectiveSpec):
         for key, f in solution.send.items():
             if key not in expected:
                 bad.append(f"off-plan rate {key}")
-            elif abs(f - expected[key]) > tol:
+            elif differs(f, expected[key]):
                 bad.append(f"rate[{key}] {f} != {expected[key]}")
         for key in expected:
             if key not in solution.send:
@@ -356,7 +364,7 @@ class AlgorithmSpec(CollectiveSpec):
         for key, r in cons.items():
             if key not in expected_cons:
                 bad.append(f"off-plan task {key}")
-            elif abs(r - expected_cons[key]) > tol:
+            elif differs(r, expected_cons[key]):
                 bad.append(f"task[{key}] {r} != {expected_cons[key]}")
         for key in expected_cons:
             if key not in cons:

@@ -8,27 +8,30 @@ most the period ``T``.  The weighted edge-coloring algorithm of Schrijver
 weight at most ``T`` — each matching is a set of transfers that may run
 simultaneously, and the sequence of matchings is the periodic schedule.
 
-We implement the classical Birkhoff–von-Neumann-style constructive proof:
+We implement the constructive König/Schrijver argument, without padding
+the graph to a regular one:
 
-1. pad with dummy nodes/edges until every port's weighted degree is exactly
-   ``T`` (possible because total sender weight equals total receiver weight),
-2. work in integer *micro-units*: every weight and ``T`` is multiplied by
+1. work in integer *micro-units*: every weight and ``T`` is multiplied by
    the lcm of their denominators, so the rest is exact integer arithmetic
    (integer weights and ``T`` — what the schedule builder passes — are
-   taken as they are).
-   The padded multigraph is weighted-regular, so by Hall's theorem its
-   support contains a perfect matching; find one with Kuhn's augmenting
-   paths, searched by an iterative DFS over integer edge ids (no recursion,
-   so long augmenting paths cannot hit the interpreter's recursion limit),
-3. peel off the minimum weight ``θ`` along that matching — regularity is
-   preserved and at least one edge disappears, so at most ``|E| + |U| + |V|``
-   matchings are produced (polynomially many, as Theorem 1 requires).  The
-   one matching is *repaired* rather than rebuilt: only the senders whose
-   matched edge reached zero re-augment, over the edges still alive, which
-   by regularity always succeeds,
-4. report each matching restricted to its real (non-dummy) edges with its
-   duration ``Fraction(θ, scale)`` (``θ`` itself for integer input);
-   durations sum to exactly ``T``.
+   taken as they are),
+2. a port is *tight* when its remaining degree equals the remaining time
+   ``left``; each matching covers every tight port and need not cover
+   anything else (one exists: pad to a ``left``-regular graph and take
+   a perfect matching),
+3. an uncovered tight port is covered by an alternating-path search, an
+   iterative DFS over integer edge ids (no recursion limit to hit).  It
+   ends at a free port on the other side, or at a matched edge whose
+   same-side endpoint is not tight, which is then uncovered; ``M ⊕ M*``
+   (Mendelsohn–Dulmage) shows one is always reachable.  The matching
+   carries over between rounds,
+4. peel ``θ = min(smallest matched weight, left − largest uncovered
+   degree)``, the uncovered ports kept in a max-heap by degree.  Tight
+   ports stay tight and each round empties a matched edge or makes a
+   port tight, so at most ``|E| + |U| + |V|`` matchings are produced
+   (polynomially many, as Theorem 1 requires), each with duration
+   ``Fraction(θ, scale)`` (``θ`` for integer input).  Durations sum to
+   exactly ``T``; idle time leads when no port starts tight.
 
 Weights and ``T`` must be exact rationals (ints or Fractions): a float
 would be silently truncated by the integer scaling, so it is rejected.
@@ -36,11 +39,12 @@ would be silently truncated by the integer scaling, so it is rejected.
 
 from __future__ import annotations
 
+import heapq
 import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Hashable, List, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 PortId = Hashable
 
@@ -79,12 +83,12 @@ def decompose_matchings(edges: Sequence[Tuple[PortId, PortId, object]],
 
     ``cap`` is the period ``T``; it must dominate every port's weighted
     degree.  Defaults to the maximum weighted degree.  Returned durations sum
-    to ``cap`` (idle time shows up as matchings with an empty ``pairs`` list
-    when every remaining edge is a dummy).  Integer weights with an integer
-    (or absent) ``cap`` are decomposed as given and each duration is the
-    integer ``θ``; otherwise every weight is scaled to integer micro-units
-    first and durations are ``Fraction(θ, scale)``.  Raises ``ValueError``
-    for a weight or ``cap`` that is not an exact rational.
+    to ``cap`` (idle time shows up as a leading matching with an empty
+    ``pairs`` list).  Integer weights with an integer (or absent) ``cap``
+    are decomposed as given and each duration is the integer ``θ``;
+    otherwise every weight is scaled to integer micro-units first and
+    durations are ``Fraction(θ, scale)``.  Raises ``ValueError`` for a
+    weight or ``cap`` that is not an exact rational.
     """
     integral = (all(type(w) is int for _, _, w in edges)
                 and (cap is None or type(cap) is int))
@@ -116,101 +120,113 @@ def decompose_matchings(edges: Sequence[Tuple[PortId, PortId, object]],
 
 def _peel(ints: List[Tuple[PortId, PortId, int]], du: Dict[PortId, int],
           dv: Dict[PortId, int], top: int) -> List[Tuple[int, list]]:
-    """The integer core: ``(θ, real pairs)`` per matching of the positive
+    """The integer core: ``(θ, pairs)`` per matching of the positive
     integer-weighted ``ints`` whose port degrees ``du``/``dv`` are at most
     ``top``; the ``θ`` sum to exactly ``top``."""
-    # --- pad to a weighted-regular bipartite multigraph of degree `top` ---
-    n = max(len(du), len(dv))
-    senders = list(du) + [("__dummy_sender__", i) for i in range(n - len(du))]
-    receivers = list(dv) + [("__dummy_receiver__", i)
-                            for i in range(n - len(dv))]
-    sid = {u: k for k, u in enumerate(senders)}
-    rid = {v: k for k, v in enumerate(receivers)}
+    # ports are ints, senders first; edge e joins eu[e] and ends[e] - eu[e],
+    # so its far end seen from port x is ends[e] - x
+    sid = {u: k for k, u in enumerate(du)}
+    rid = {v: len(du) + k for k, v in enumerate(dv)}
+    names = [*du, *dv]
+    deg = [*du.values(), *dv.values()]
     eu = [sid[u] for u, _, _ in ints]
-    ev = [rid[v] for _, v, _ in ints]
+    ends = [x + rid[v] for x, (_, v, _) in zip(eu, ints)]
     ew = [w for _, _, w in ints]
-    pair = [(u, v) for u, v, _ in ints]
-    n_real = len(ints)
-    deficit_u = [top - du.get(u, 0) for u in senders]
-    deficit_v = [top - dv.get(v, 0) for v in receivers]
-    su = [k for k in range(n) if deficit_u[k] > 0]
-    sv = [k for k in range(n) if deficit_v[k] > 0]
-    iu = iv = 0
-    while iu < len(su) and iv < len(sv):
-        u, v = su[iu], sv[iv]
-        w = min(deficit_u[u], deficit_v[v])
-        eu.append(u)
-        ev.append(v)
-        ew.append(w)
-        deficit_u[u] -= w
-        deficit_v[v] -= w
-        if deficit_u[u] == 0:
-            iu += 1
-        if deficit_v[v] == 0:
-            iv += 1
-    if any(deficit_u) or any(deficit_v):
-        raise RuntimeError("padding failed — unbalanced deficits")
-
-    # --- one perfect matching, peeled and repaired in place ---
-    adj: List[List[int]] = [[] for _ in range(n)]
-    for e, u in enumerate(eu):
-        adj[u].append(e)
-    match_u = [-1] * n
-    match_v = [-1] * n
-    seen = [0] * n  # receiver visit stamps: one fresh stamp per search
-    stamp = 0
-    free = range(n)
+    adj: List[List[int]] = [[] for _ in names]
+    for e, x in enumerate(eu):
+        adj[x].append(e)
+        adj[ends[e] - x].append(e)
+    mate = [-1] * len(names)  # matched edge per port, -1 when uncovered
+    live: Set[int] = set()    # the matched edges
+    heap = [(-d, x) for x, d in enumerate(deg)]  # uncovered ports by degree
+    heapq.heapify(heap)
     left = top
+    tight = [x for x, d in enumerate(deg) if d == left]
     out: List[Tuple[int, list]] = []
     while left:
-        for u in free:
-            stamp += 1
-            if not _augment(u, adj, eu, ev, match_u, match_v, seen, stamp):
-                raise RuntimeError("no perfect matching — graph not "
-                                   f"regular? stuck at {senders[u]!r}")
-        theta = min(map(ew.__getitem__, match_u))
-        out.append((theta, [pair[e] for e in match_u if e < n_real]))
+        for x in tight:
+            if mate[x] >= 0:
+                continue
+            freed = _cover(x, adj, ends, mate, deg, left, live)
+            if freed is None:
+                raise RuntimeError(f"no matching covers the tight port "
+                                   f"{names[x]!r}")
+            if freed >= 0:
+                heapq.heappush(heap, (-deg[freed], freed))
+        while heap and (mate[heap[0][1]] >= 0
+                        or deg[heap[0][1]] != -heap[0][0]):
+            heapq.heappop(heap)  # stale: covered, or peeled, since pushed
+        theta = left + heap[0][0] if heap else left
+        for e in live:
+            if ew[e] < theta:
+                theta = ew[e]
+        matched = sorted(live)
+        out.append((theta, [ints[e][:2] for e in matched]))
         left -= theta
-        free = []
-        for u, e in enumerate(match_u):
+        tight = []
+        for e in matched:
             ew[e] -= theta
-            if ew[e] == 0:
-                adj[u].remove(e)
-                match_u[u] = match_v[ev[e]] = -1
-                free.append(u)
+            ports = (eu[e], ends[e] - eu[e])
+            for x in ports:
+                deg[x] -= theta
+            if ew[e]:
+                continue
+            live.remove(e)
+            for x in ports:
+                adj[x].remove(e)
+                mate[x] = -1
+                if deg[x] == left:
+                    tight.append(x)
+                elif deg[x]:
+                    heapq.heappush(heap, (-deg[x], x))
+        while heap and -heap[0][0] >= left:
+            d, x = heapq.heappop(heap)
+            if mate[x] < 0 and deg[x] == -d:
+                tight.append(x)  # uncovered, and now as loaded as time left
     return out
 
 
-def _augment(root: int, adj: List[List[int]], eu: List[int], ev: List[int],
-             match_u: List[int], match_v: List[int], seen: List[int],
-             stamp: int) -> bool:
-    """Kuhn's augmenting-path search from the free sender ``root``.
+def _cover(root: int, adj: List[List[int]], ends: List[int],
+           mate: List[int], deg: List[int], left: int,
+           live: Set[int]) -> Optional[int]:
+    """Cover the uncovered tight port ``root`` along an alternating path.
 
-    An iterative DFS: ``stack[k]`` is the sender at depth ``k`` and the next
-    position in its adjacency list, ``via[k]`` the edge taken out of it.  On
-    reaching a free receiver the path is flipped into the matching.
+    An iterative DFS: ``stack[k]`` is the near-side port at depth ``k``
+    and the next position in its adjacency list, ``via[k]`` the edge taken
+    out of it.  Returns the non-tight port the flip uncovers (``-1`` if
+    none), or ``None`` when no path exists.
     """
     stack = [[root, 0]]
     via: List[int] = []
+    seen: Set[int] = set()
     while stack:
         frame = stack[-1]
-        out_edges = adj[frame[0]]
+        x = frame[0]
+        out_edges = adj[x]
         for i in range(frame[1], len(out_edges)):
             e = out_edges[i]
-            v = ev[e]
-            if seen[v] == stamp:
+            y = ends[e] - x
+            if y in seen:
                 continue
-            seen[v] = stamp
+            seen.add(y)
             via.append(e)
-            if match_v[v] < 0:
-                for f in via:
-                    match_u[eu[f]] = match_v[ev[f]] = f
-                return True
+            f = mate[y]
+            if f < 0 or deg[ends[f] - y] < left:
+                x = root
+                for g in via:
+                    y = ends[g] - x
+                    f, mate[x], mate[y] = mate[y], g, g
+                    live.add(g)
+                    if f >= 0:
+                        live.remove(f)
+                        x = ends[f] - y
+                        mate[x] = -1
+                return x if f >= 0 else -1
             frame[1] = i + 1
-            stack.append([eu[match_v[v]], 0])
+            stack.append([ends[f] - y, 0])
             break
         else:
             stack.pop()
             if via:
                 via.pop()
-    return False
+    return None

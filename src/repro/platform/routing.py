@@ -9,12 +9,14 @@ initialization bound of Section 3.4 (graph "width" I).
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Tuple
+from typing import Collection, Dict, List, Optional, Tuple
 
 from repro.platform.graph import NodeId, PlatformGraph
 
 
-def dijkstra(g: PlatformGraph, source: NodeId) -> Tuple[Dict[NodeId, object], Dict[NodeId, Optional[NodeId]]]:
+def dijkstra(g: PlatformGraph, source: NodeId,
+             targets: Optional[Collection[NodeId]] = None,
+             ) -> Tuple[Dict[NodeId, object], Dict[NodeId, Optional[NodeId]]]:
     """Single-source shortest path by edge cost.
 
     Returns ``(dist, parent)`` where ``dist[v]`` is the minimal total cost of
@@ -28,9 +30,17 @@ def dijkstra(g: PlatformGraph, source: NodeId) -> Tuple[Dict[NodeId, object], Di
     predecessors of ``v``, the one with the smallest ``str()`` wins, so
     the returned tree (and every route the baselines fix from it) is a
     pure function of the platform — independent of edge insertion order.
+
+    With ``targets`` the search stops once every one of them is settled;
+    entries of settled nodes (every reachable target among them) are the
+    full search's, the rest are tentative.  Costs are ``> 0``
+    (:meth:`PlatformGraph.add_edge` enforces it), so a node that could
+    still repoint a settled node's parent at equal distance is nearer to
+    the source and was settled first.
     """
     if source not in g:
         raise KeyError(f"unknown source {source!r}")
+    pending = None if targets is None else set(targets)
     dist: Dict[NodeId, object] = {source: 0}
     parent: Dict[NodeId, Optional[NodeId]] = {source: None}
     # heap entries carry an insertion counter so unorderable node ids are fine
@@ -42,6 +52,10 @@ def dijkstra(g: PlatformGraph, source: NodeId) -> Tuple[Dict[NodeId, object], Di
         if u in done:
             continue
         done.add(u)
+        if pending is not None:
+            pending.discard(u)
+            if not pending:
+                break
         for e in sorted(g.out_edges(u), key=lambda e: str(e.dst)):
             nd = d + e.cost
             if e.dst not in dist or nd < dist[e.dst]:
@@ -60,7 +74,7 @@ def dijkstra(g: PlatformGraph, source: NodeId) -> Tuple[Dict[NodeId, object], Di
 
 def shortest_path(g: PlatformGraph, source: NodeId, target: NodeId) -> Optional[List[NodeId]]:
     """Minimum-cost node path ``source -> ... -> target``; ``None`` if unreachable."""
-    return tree_path(dijkstra(g, source)[1], target)
+    return tree_path(dijkstra(g, source, (target,))[1], target)
 
 
 def tree_path(parent: Dict[NodeId, Optional[NodeId]],

@@ -16,8 +16,8 @@ time scales (micro-units ``mu``, ticks ``q``), compiled replay ops.
 - Two guards stay wall-clock ratios taken within one run, so they hold
   on any hardware: the x20 warm replan beats its cold solve by 2x, and
   the cluster1025 schedule build beats 20 periods of reference replay
-  (counts cannot see that one: a matching rebuilt from scratch after
-  every peel yields the same 904 slots, 25-45x slower).
+  (counts cannot see every slowdown: a matching rebuilt from scratch
+  after every peel can yield the same slots many times slower).
 
 ``PINS`` is the only record.  Every failure prints the observed values,
 so a deliberate change re-pins by editing the dict.
@@ -45,7 +45,7 @@ from repro.platform.examples import (
     figure9_participants, figure9_platform, figure9_target,
 )
 from repro.platform.generators import (
-    complete, fat_tree, heterogenize, random_connected, ring,
+    clustered, complete, fat_tree, heterogenize, random_connected, ring,
 )
 from repro.platform.perturb import LinkDegradation, LinkFailure
 from repro.sim.compiled import VectorizedExecutor
@@ -109,8 +109,12 @@ PINS = {
     },
     # schedule reconstruction + compiled replay; mu (micro-units per
     # message) and q (ticks per time-unit) are the compiled time scales
-    "cluster1025": {"slots": 904, "transfers": 1984, "completed_ops": 99,
+    "cluster1025": {"slots": 63, "transfers": 1984, "completed_ops": 99,
                     "throughput": F(99, 102400), "mu": 1, "q": 1},
+    # the seeded two-level 16x31 cluster's direct scatter from its first
+    # host: padding the port graph with dummy ports changes both counts
+    "cluster16x31_direct_scatter": {"throughput": F(1, 2355), "slots": 286,
+                                    "transfers": 4399},
     "fattree6_million_slot": {"transfers": 298, "completed_ops": 3351,
                               "mu": 1, "q": 1},
     # repro.tune.tune_zoo(): (baseline_tp, lp_tp, gap, sim_matches)
@@ -351,9 +355,8 @@ def test_cluster1025_work_and_build_beats_replay():
     build must also take less wall time than replaying 20 periods of the
     same schedule on the reference executor — both are pure-Python work
     over the same transfers, so the ratio holds on any hardware (on
-    2 vCPU the build takes about 0.4 s and 20 periods 0.9-1.5 s; a
-    matching rebuilt from scratch after every peel takes 11-19 s for the
-    same 904 slots)."""
+    2 vCPU the build takes about 13 ms and 20 periods about 0.8 s; a
+    padded matching rebuilt from scratch after every peel took 11-19 s)."""
     rates, rate, deliveries = _cluster1025_rates()
     t0 = time.perf_counter()
     sched = schedule_from_rates(rates, rate, deliveries, name="cluster1025")
@@ -379,6 +382,21 @@ def test_cluster1025_work_and_build_beats_replay():
         f"cluster1025 schedule build took {build_s:.3f}s, no longer under "
         f"20 periods of reference replay "
         f"({time.perf_counter() - t0:.3f}s)")
+
+
+def test_cluster16x31_direct_scatter_work():
+    """The largest schedule of the baseline plans: 495 items scattered
+    over 16 gateways on a cost-5 ring.  Its schedule's slot and transfer
+    counts, which the matching alone decides."""
+    g = clustered(16, 31, seed=3, inter_cost_choices=(5,))
+    hosts = g.compute_nodes()
+    sol = solve_collective(ScatterProblem(g, hosts[0], hosts[1:]),
+                           collective="direct-scatter")
+    sched = schedule_collective(sol)
+    observed = {"throughput": sol.throughput, "slots": len(sched.slots),
+                "transfers": sum(len(s.transfers) for s in sched.slots)}
+    assert_pinned(PINS["cluster16x31_direct_scatter"], observed,
+                  "cluster16x31_direct_scatter")
 
 
 def test_fattree6_colgen_and_million_slot_work():

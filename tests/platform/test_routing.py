@@ -1,14 +1,15 @@
 """Unit tests for shortest-path routing."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from repro.platform.generators import chain, ring
+from repro.platform.generators import chain, random_connected, ring
 from repro.platform.graph import PlatformGraph
 from repro.platform.routing import (
     dijkstra, eccentricity_bound, graph_width, path_cost, shortest_path,
-    shortest_path_tree,
+    shortest_path_tree, tree_path,
 )
 
 
@@ -115,6 +116,24 @@ class TestCanonicalTieBreaking:
         edges2 = {(e.src, e.dst) for e in t2.edges()}
         assert edges1 == edges2
         assert ("a", "t") in edges1 and ("b", "t") not in edges1
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_early_stop_keeps_every_target_path(self, seed):
+        # costs in {1, 2} on a dense random graph: many equal-cost ties,
+        # so a stop that froze a parent too early would change a path
+        g = random_connected(24, extra_edges=40, seed=seed,
+                             cost_choices=(1, 2))
+        rng = random.Random(seed)
+        nodes = g.nodes()
+        for source in rng.sample(nodes, 4):
+            dist, parent = dijkstra(g, source)
+            for k in (1, 3, 10, len(nodes)):
+                targets = rng.sample(nodes, k)
+                d, p = dijkstra(g, source, targets)
+                for t in targets:
+                    assert d[t] == dist[t]
+                    assert tree_path(p, t) == tree_path(parent, t), (
+                        source, t)
 
     def test_fig2_spt_is_pinned(self):
         from repro.platform.examples import figure2_platform

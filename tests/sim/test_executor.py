@@ -1,5 +1,6 @@
 """Unit tests for the periodic schedule executor."""
 
+import math
 
 import pytest
 
@@ -52,14 +53,14 @@ class TestScatterExecution:
 
     def test_warmup_then_periodic(self, fig2_run):
         _p, sol, sched, res = fig2_run
-        # per-period delivery counts settle to ops_per_period
-        times = res.delivery_times[("msg", "P0")]
-        T = float(sched.period)
-        per_period = [0] * res.periods
-        for t in times:
-            per_period[min(int(float(t) / T), res.periods - 1)] += 1
-        settled = per_period[len(per_period) // 2:]
-        assert all(c == settled[0] for c in settled)
+        # per-period delivery counts settle to ops_per_period; a delivery
+        # at exactly kT closes period k (index k - 1)
+        for item in ("P0", "P1"):
+            per_period = [0] * res.periods
+            for t in res.delivery_times[("msg", item)]:
+                per_period[math.ceil(t / sched.period) - 1] += 1
+            settled = per_period[len(per_period) // 2:]
+            assert all(c == settled[0] for c in settled), (item, per_period)
 
     def test_measured_throughput_converges(self):
         problem = ScatterProblem(figure2_platform(), "Ps", figure2_targets())
