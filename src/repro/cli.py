@@ -170,14 +170,22 @@ def _print_lp_stats(sol) -> None:
 def _print_engine_stats(lead: str, lps, stats) -> None:
     """The engine-specific lines of ``--lp-stats``."""
     if stats.get("engine") == "colgen":
-        print(f"{lead}{lps.backend}, {stats['blocks']} block(s) "
-              f"({stats['path_blocks']} path-priced), "
+        if "fallback" in stats:
+            print(f"{lead}{lps.backend}, no column generation "
+                  f"({stats['fallback']}): one direct exact solve")
+            return
+        lp_blocks = stats["lp_blocks"]
+        print(f"{lead}{lps.backend}, {stats['blocks']} block(s), "
               f"master {stats['master_rows']} rows")
+        print(f"    pricing: {stats['path_blocks']} by shortest path, "
+              f"{stats['tree_blocks']} by reduction-tree DP, LP for "
+              f"{lp_blocks['no descriptor']} without a descriptor and "
+              f"{lp_blocks['declined']} declined "
+              f"({stats['dijkstra_fallbacks']} fallback pricing(s))")
         print(f"    rounds: {stats['rounds']}, columns "
               f"{stats['columns']} ({stats['seed_columns']} seeded), "
               f"priced {stats['columns_priced']}, "
-              f"skipped {stats['pricing_skipped']}, "
-              f"{stats['dijkstra_fallbacks']} Dijkstra fallback(s)")
+              f"skipped {stats['pricing_skipped']}")
         print(f"    time: master {stats['master_s']:.3f}s "
               f"({stats['master_pivots']} pivots), pricing "
               f"{stats['pricing_s']:.3f}s on {stats['jobs']} job(s) "

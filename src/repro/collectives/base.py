@@ -241,19 +241,27 @@ class CollectiveSpec:
         return None
 
     def pricing_graphs(self, problem) -> Optional[tuple]:
-        """Per-commodity pricing graphs for Dantzig-Wolfe column
-        generation (:mod:`repro.lp.colgen`).
+        """Per-commodity pricing descriptors for Dantzig-Wolfe column
+        generation (:mod:`repro.lp.colgen`), which prices a matched
+        block combinatorially instead of by a pricing LP.  Two kinds:
 
-        Each descriptor is ``{"source", "sink", "arcs"}`` with arcs as
-        ``(i, j, variable name)``; the colgen pricer runs exact-dual
-        shortest paths on them instead of solving a pricing LP.  The
-        default covers every *routed* commodity
-        (:meth:`commodity_endpoints` not ``None``) with the commodity's
-        rate variable on each platform edge — arc names absent from the
-        LP are ignored by the matcher, and graphs that do not line up
-        with a detected block simply leave it on the LP pricer, so the
-        default is safe for any spec.  Returns ``None`` when no
-        commodity is routed (colgen then prices all blocks by LP).
+        - a *path* graph ``{"source", "sink", "arcs"}`` with arcs as
+          ``(i, j, variable name)`` — exact-dual shortest paths;
+        - a *reduction tree* ``{"kind": "tree", "target", "owners",
+          "n", "sends", "tasks"}``: ``owners[k]`` holds leaf ``v[k,k]``,
+          sends are ``(i, j, (k, m), variable name)`` and tasks
+          ``(node, (k, l, m), variable name)`` — the exact
+          ``(node, interval)`` dynamic program over reduction trees
+          (:func:`repro.core.reduce_op.reduction_tree_graph` builds one).
+
+        The default covers every *routed* commodity
+        (:meth:`commodity_endpoints` not ``None``) with a path graph of
+        the commodity's rate variable on each platform edge — names
+        absent from the LP are ignored by the matcher, and descriptors
+        that do not line up with a detected block simply leave it on the
+        LP pricer, so the default is safe for any spec.  Returns
+        ``None`` when no commodity is routed (colgen then prices all
+        blocks by LP); the reduce specs override it with trees.
         """
         try:
             commodities = self.commodities(problem)
@@ -709,16 +717,19 @@ class CompositeCollectiveSpec(CollectiveSpec):
         return resolved
 
     def pricing_graphs(self, problem) -> Optional[tuple]:
-        """Joint-LP pricing graphs: every stage's own graphs with the
-        stage's ``s{k}:`` variable-name prefix applied (``TP`` never
-        appears in arc names, so the prefix map is total)."""
+        """Joint-LP pricing descriptors: every stage's own descriptors,
+        of either kind, with the stage's ``s{k}:`` variable-name prefix
+        applied (``TP`` never appears in them, so the prefix map is
+        total)."""
         graphs = []
         for k, (spec, sub) in enumerate(self.stage_specs(problem)):
             for g in spec.pricing_graphs(sub) or ():
-                graphs.append({
-                    "source": g["source"], "sink": g["sink"],
-                    "arcs": tuple((i, j, f"s{k}:{vname}")
-                                  for (i, j, vname) in g["arcs"])})
+                g = dict(g)
+                for key in ("arcs", "sends", "tasks"):
+                    if key in g:
+                        g[key] = tuple(item[:-1] + (f"s{k}:{item[-1]}",)
+                                       for item in g[key])
+                graphs.append(g)
         return tuple(graphs) if graphs else None
 
     def _stage_lps(self, problem) -> List[LinearProgram]:

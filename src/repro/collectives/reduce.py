@@ -13,6 +13,7 @@ from repro.core.reduce_op import (
     ReduceProblem,
     ReduceSolution,
     build_reduce_lp,
+    reduction_tree_graph,
     _cons_name,
     _send_name,
 )
@@ -49,6 +50,10 @@ class ReduceSpec(CollectiveSpec):
     def format_commodity(self, send_key):
         k, m = send_key[2]
         return f"v[{k},{m}]"
+
+    def pricing_graphs(self, problem):
+        # the whole SSR cone is one block of reduction trees
+        return (reduction_tree_graph(problem, problem.target),)
 
     # ----------------------------------------------------- extraction
     def default_passes(self):

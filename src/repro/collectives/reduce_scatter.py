@@ -15,6 +15,7 @@ from repro.collectives.base import (CollectiveSolution, CollectiveSpec,
 from repro.collectives.registry import register_collective
 from repro.core import intervals as iv
 from repro.core.flowclean import PruneEpsilonRatesPass, RemoveCyclesPass
+from repro.core.reduce_op import reduction_tree_graph
 from repro.core.reduce_scatter import (
     ReduceScatterProblem,
     ReduceScatterSolution,
@@ -63,6 +64,15 @@ class ReduceScatterSpec(CollectiveSpec):
         b = send_key[2]
         k, m = send_key[3]
         return f"b{b}:v[{k},{m}]"
+
+    def pricing_graphs(self, problem):
+        # one block of reduction trees per reduced block
+        return tuple(
+            reduction_tree_graph(
+                problem, problem.block_target(b),
+                send_name=lambda i, j, ival, b=b: _send_name(i, j, b, ival),
+                cons_name=lambda h, t, b=b: _cons_name(h, b, t))
+            for b in problem.blocks)
 
     # ----------------------------------------------------- extraction
     def default_passes(self):

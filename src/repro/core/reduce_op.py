@@ -131,6 +131,28 @@ def _cons_name(i: NodeId, task: Task) -> str:
     return f"cons[{i},T({task[0]},{task[1]},{task[2]})]"
 
 
+def reduction_tree_graph(problem, target: NodeId,
+                         send_name: Callable = _send_name,
+                         cons_name: Callable = _cons_name) -> dict:
+    """Reduction-tree pricing descriptor of one reduce commodity block
+    (see :meth:`repro.collectives.base.CollectiveSpec.pricing_graphs`):
+    every ``send`` of ``v[k,m]`` as ``(i, j, (k, m), name)`` and every
+    task as ``(host, (k, l, m), name)``, named by ``send_name`` /
+    ``cons_name``; the target's re-emissions of ``v[0,n-1]`` are left
+    out, as :func:`build_reduce_lp` leaves them out."""
+    n = problem.n_values
+    full = iv.full_interval(n)
+    ivals = iv.all_intervals(n)
+    sends = tuple((e.src, e.dst, ival, send_name(e.src, e.dst, ival))
+                  for e in problem.platform.edges() for ival in ivals
+                  if not (e.src == target and ival == full))
+    tasks = tuple((h, t, cons_name(h, t)) for h in problem.compute_hosts()
+                  for t in iv.all_tasks(n))
+    return {"kind": "tree", "target": target,
+            "owners": tuple(problem.participants), "n": n,
+            "sends": sends, "tasks": tasks}
+
+
 def build_reduce_lp(problem: ReduceProblem) -> LinearProgram:
     """Construct ``SSR(G)`` (not yet solved)."""
     g = problem.platform
@@ -164,14 +186,15 @@ def build_reduce_lp(problem: ReduceProblem) -> LinearProgram:
                 e.add_term(v, problem.size(interval) * c)
         return e
 
-    for e in g.edges():
-        lp.add(s_expr(e.src, e.dst) <= 1, name=f"edge[{e.src}->{e.dst}]")
+    occ = {(e.src, e.dst): s_expr(e.src, e.dst) for e in g.edges()}
+    for (i, j), e in occ.items():
+        lp.add(e <= 1, name=f"edge[{i}->{j}]")
     for p in g.nodes():
         if g.successors(p):
-            lp.add(lin_sum(s_expr(p, q) for q in g.successors(p)) <= 1,
+            lp.add(lin_sum(occ[(p, q)] for q in g.successors(p)) <= 1,
                    name=f"out[{p}]")
         if g.predecessors(p):
-            lp.add(lin_sum(s_expr(q, p) for q in g.predecessors(p)) <= 1,
+            lp.add(lin_sum(occ[(q, p)] for q in g.predecessors(p)) <= 1,
                    name=f"in[{p}]")
 
     # computation time (equations 7, 9): alpha(Pi) <= 1

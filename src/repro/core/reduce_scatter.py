@@ -154,14 +154,15 @@ def build_reduce_scatter_lp(problem: ReduceScatterProblem) -> LinearProgram:
                     e.add_term(v, problem.size(interval) * c)
         return e
 
-    for e in g.edges():
-        lp.add(s_expr(e.src, e.dst) <= 1, name=f"edge[{e.src}->{e.dst}]")
+    occ = {(e.src, e.dst): s_expr(e.src, e.dst) for e in g.edges()}
+    for (i, j), e in occ.items():
+        lp.add(e <= 1, name=f"edge[{i}->{j}]")
     for p in g.nodes():
         if g.successors(p):
-            lp.add(lin_sum(s_expr(p, q) for q in g.successors(p)) <= 1,
+            lp.add(lin_sum(occ[(p, q)] for q in g.successors(p)) <= 1,
                    name=f"out[{p}]")
         if g.predecessors(p):
-            lp.add(lin_sum(s_expr(q, p) for q in g.predecessors(p)) <= 1,
+            lp.add(lin_sum(occ[(q, p)] for q in g.predecessors(p)) <= 1,
                    name=f"in[{p}]")
 
     # computation time: alpha(Pi) <= 1 over every block's tasks

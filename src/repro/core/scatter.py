@@ -104,16 +104,17 @@ def build_scatter_lp(problem: ScatterProblem) -> LinearProgram:
         return e
 
     # edge occupation in [0, 1]  (equations 1 and 4)
-    for (i, j, _c) in edges:
-        lp.add(s_expr(i, j) <= 1, name=f"edge[{i}->{j}]")
+    occ = {(i, j): s_expr(i, j) for (i, j, _c) in edges}
+    for (i, j), e in occ.items():
+        lp.add(e <= 1, name=f"edge[{i}->{j}]")
     # one-port: outgoing (2) and incoming (3)
     for p in g.nodes():
-        out = lin_sum(s_expr(p, q) for q in g.successors(p))
         if g.successors(p):
-            lp.add(out <= 1, name=f"out[{p}]")
-        inc = lin_sum(s_expr(q, p) for q in g.predecessors(p))
+            lp.add(lin_sum(occ[(p, q)] for q in g.successors(p)) <= 1,
+                   name=f"out[{p}]")
         if g.predecessors(p):
-            lp.add(inc <= 1, name=f"in[{p}]")
+            lp.add(lin_sum(occ[(q, p)] for q in g.predecessors(p)) <= 1,
+                   name=f"in[{p}]")
     # conservation law (5), at i not in {source, k}
     for p in g.nodes():
         if p == problem.source:

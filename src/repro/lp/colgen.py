@@ -20,13 +20,17 @@ This module solves such LPs by the classic decomposition:
 - the **pricing subproblem** per block searches for a ray of negative
   reduced cost ``rc = sum_r y_r (a_r . x)`` against the master's exact
   rational duals ``y`` (the revised engine reports them, see
-  :meth:`repro.lp.revised_simplex.RevisedSimplexSolver.solve`): either
-  a shortest-path search on a per-commodity pricing graph supplied by
-  the collective spec (:meth:`CollectiveSpec.pricing_graphs`), or a
-  small exact LP ``min rc`` over the cone's unit-sum slice.  At the
-  master optimum every admitted column has ``rc >= 0``, so an improving
-  ray is always *new* — finitely many slice vertices per block bound
-  the round count.
+  :meth:`repro.lp.revised_simplex.RevisedSimplexSolver.solve`).  A
+  block matched by a descriptor from the collective spec
+  (:meth:`CollectiveSpec.pricing_graphs`) prices combinatorially: a
+  shortest path for a routed commodity (scatter), the exact
+  ``(node, interval)`` dynamic program over reduction trees for a
+  reduce commodity (reduce, reduce-scatter, Section 4 of the paper).
+  Every other block — or a matched one whose weights void the
+  combinatorial pricer's precondition — solves a small exact LP
+  ``min rc`` over the cone's unit-sum slice.  At the master optimum
+  every admitted column has ``rc >= 0``, so an improving ray is always
+  *new* — finitely many slice vertices per block bound the round count.
 
 Pricing across blocks is embarrassingly parallel and fans out over a
 ``concurrent.futures`` process pool (``jobs``/``REPRO_JOBS``).  The
@@ -43,8 +47,12 @@ solution or the column set (enforced by ``tests/lp/test_colgen.py``).
 :data:`repro.lp.dispatch.COLGEN_VAR_LIMIT` raw variables when the raw
 LP decomposes; LPs without block structure (or minimization problems)
 fall back to a direct exact solve, tagged in ``stats["fallback"]``.
-``stats["dijkstra_fallbacks"]`` counts the pricings of path-priced
-blocks that Dijkstra declined and an LP priced instead.
+``stats["path_blocks"]``/``stats["tree_blocks"]`` count the blocks
+each combinatorial pricer owns; ``stats["lp_blocks"]`` counts the blocks
+an LP priced, by reason (``"no descriptor"``, or ``"declined"`` when a
+combinatorial pricer refused a weight sign at least once);
+``stats["dijkstra_fallbacks"]`` counts the pricings either combinatorial
+pricer (path or tree) declined and an LP priced instead.
 """
 
 from __future__ import annotations
@@ -247,38 +255,59 @@ def detect(lp: LinearProgram,
 
 def _attach_graphs(lp: LinearProgram, blocks: Sequence[_BlockPayload],
                    pricing: Sequence[dict]) -> None:
-    """Match spec-supplied pricing graphs to blocks; matched blocks
-    price by shortest path instead of an LP.
+    """Match spec-supplied pricing descriptors to blocks; matched blocks
+    price combinatorially instead of by an LP.
 
-    A graph claims every block whose variables are a *subset* of its
-    arc variables, and is restricted to the block's own arcs — a
-    commodity's direct source->sink arc sits in no conservation row, so
-    :func:`detect` promotes it to a master variable and the remaining
-    arcs (one or more connected components) still price as path flows
-    over exactly their own arc set.
+    A *path* graph (``{"source", "sink", "arcs"}``) prices by shortest
+    path (:func:`_dijkstra_price`), a *reduction tree* (``{"kind":
+    "tree", ...}``) by the ``(node, interval)`` dynamic program
+    (:func:`_tree_price`).  A descriptor claims every block whose
+    variables are a *subset* of its variables, and is restricted to the
+    block's own variables — a commodity's direct source->sink arc sits
+    in no conservation row, so :func:`detect` promotes it to a master
+    variable and the remaining arcs (one or more connected components)
+    still price as path flows over exactly their own arc set.  Names
+    absent from the LP are skipped: builders omit some variables (e.g.
+    arcs out of the sink), and specs may list the full edge set.
     """
+    def resolve(items):
+        out = []
+        for item in items:
+            var = lp._names.get(item[-1])
+            if var is not None:
+                out.append(item[:-1] + (var.index,))
+        return out
+
     resolved = []
+    claims: Dict[int, List[int]] = {}   # var index -> descriptors naming it
     for g in pricing:
-        arcs = []
-        for (i, j, vname) in g["arcs"]:
-            try:
-                var = lp.get(vname)
-            except KeyError:
-                continue  # LP builders omit some arcs (e.g. out of the
-                # sink); specs may list the full edge set regardless
-            arcs.append((i, j, var.index))
-        if arcs:
-            resolved.append((g, {a[2] for a in arcs}, arcs))
+        if g.get("kind") == "tree":
+            parts = {"sends": resolve(g["sends"]),
+                     "tasks": resolve(g["tasks"])}
+        else:
+            parts = {"arcs": resolve(g["arcs"])}
+        gvars = {item[-1] for items in parts.values() for item in items}
+        for j in gvars:
+            claims.setdefault(j, []).append(len(resolved))
+        resolved.append((g, gvars, parts))
     for b in blocks:
         bvars = set(b.var_idx)
-        for g, gvars, arcs in resolved:
-            if bvars <= gvars:
-                local = {j: lj for lj, j in enumerate(b.var_idx)}
-                b.graph = {"source": g["source"], "sink": g["sink"],
-                           "arcs": tuple((i, j, local[vj])
-                                         for (i, j, vj) in arcs
-                                         if vj in bvars)}
-                break
+        # a claiming descriptor must name the block's first variable
+        for gi in claims.get(b.var_idx[0], ()):
+            g, gvars, parts = resolved[gi]
+            if not bvars <= gvars:
+                continue
+            local = {j: lj for lj, j in enumerate(b.var_idx)}
+            graph = {key: g[key] for key in
+                     ("kind", "target", "owners", "n", "source", "sink")
+                     if key in g}
+            for key, items in parts.items():
+                graph[key] = tuple(item[:-1] + (local[item[-1]],)
+                                   for item in items if item[-1] in bvars)
+            if graph.get("kind") == "tree":
+                graph.update(_tree_plan(graph))
+            b.graph = graph
+            break
 
 
 # ----------------------------------------------------------------------
@@ -324,9 +353,12 @@ class _BlockPricer:
         self._lp: Optional[LinearProgram] = None
         self._dead = False
         self._float = None     # lazily built persistent scipy model
-        self._by_row = None    # transposed master coefs: pos -> [(lj, c)]
-        # whether the last price() call had a graph but Dijkstra
-        # declined it, so the block was priced by an LP instead
+        # transposed master coefs scaled to integers: pos -> [(lj, c)],
+        # each c times _cscale
+        self._by_row = None
+        self._cscale = 1
+        # whether the last price() call had a descriptor but its
+        # combinatorial pricer declined, so an LP priced the block
         self.dijkstra_bailed = False
 
     def _pricing_lp(self) -> LinearProgram:
@@ -347,25 +379,34 @@ class _BlockPricer:
             self._lp = lp
         return self._lp
 
-    def weights(self, duals: Dict[int, Fraction]) -> List[Fraction]:
+    def weights(self, duals: Dict[int, Fraction]) -> Tuple[List[int], int]:
         """Reduced-cost weights ``w[j] = sum_r y_r a_rj`` per local var
-        (block columns have zero objective coefficient, so ``rc`` of a
-        candidate ray is just ``w . x``).  Iterates the transposed
-        coefficient index over the *duals*, so a round with few nonzero
-        duals on this block's rows costs proportionally little."""
+        as ``(W, scale)``: integers over one positive scale, ``w[j] =
+        W[j] / scale`` (block columns have zero objective coefficient,
+        so ``rc`` of a candidate ray is just ``w . x``).  The block's
+        coefficients are scaled to integers once, each round's duals by
+        their common denominator, so the products stay integer.
+        Iterates the transposed coefficient index over the *duals*, so
+        a round with few nonzero duals on this block's rows costs
+        proportionally little."""
         br = self._by_row
         if br is None:
+            self._cscale = _common_denominator(
+                c for mc in self.p.master_coefs for _pos, c in mc)
             br = {}
             for lj, mc in enumerate(self.p.master_coefs):
                 for pos, c in mc:
-                    br.setdefault(pos, []).append((lj, c))
+                    br.setdefault(pos, []).append(
+                        (lj, c.numerator * (self._cscale // c.denominator)))
             self._by_row = br
-        w = [ZERO] * len(self.p.master_coefs)
-        for pos, y in duals.items():
-            if y:
-                for lj, c in br.get(pos, ()):
-                    w[lj] += y * c
-        return w
+        live = [(pos, y) for pos, y in duals.items() if y and pos in br]
+        yscale = _common_denominator(y for _pos, y in live)
+        w = [0] * len(self.p.master_coefs)
+        for pos, y in live:
+            yy = y.numerator * (yscale // y.denominator)
+            for lj, c in br[pos]:
+                w[lj] += yy * c
+        return w, yscale * self._cscale
 
     # ------------------------------------------------------ float path
     def _float_setup(self):
@@ -540,12 +581,16 @@ class _BlockPricer:
         self.dijkstra_bailed = False
         if self._dead:
             return ("dead", None)
-        w = self.weights(duals)
-        if self.p.graph is not None:
-            res = _dijkstra_price(self.p.graph, w, want_any=want_any)
+        w, scale = self.weights(duals)
+        graph = self.p.graph
+        if graph is not None:
+            combinatorial = (_tree_price if graph.get("kind") == "tree"
+                             else _dijkstra_price)
+            res = combinatorial(graph, w, want_any=want_any, scale=scale)
             if res is not None:
                 return res + (warm,)    # graphs carry no warm basis
             self.dijkstra_bailed = True
+        w = [Fraction(x, scale) if x else ZERO for x in w]
         if _HAVE_SCIPY and len(w) > FLOAT_PRICE_MIN:
             fwarm = (warm if isinstance(warm, tuple) and warm
                      and warm[0] == "fw" else None)
@@ -575,7 +620,50 @@ class _BlockPricer:
         return ("col", sol.objective, vertex, sol.basis_labels)
 
 
-def _dijkstra_price(graph: dict, w: List[Fraction], want_any: bool = False):
+def _common_denominator(values) -> int:
+    """Lcm of the denominators of ``values`` (ints and Fractions): the
+    positive factor that turns every one of them into an integer."""
+    scale = 1
+    for x in values:
+        den = x.denominator
+        if scale % den:
+            scale = scale // gcd(scale, den) * den
+    return scale
+
+
+def _settle(seeds: Dict[object, int],
+            out: Dict[object, Sequence[Tuple[object, int]]],
+            w: Sequence):
+    """Multi-source Dijkstra on nonnegative arc costs.
+
+    ``seeds`` maps each source node to its starting label, ``out``
+    lists ``(head, local var lj)`` per tail, and arc ``lj`` costs
+    ``w[lj]``.  Returns ``(dist, prev)``: ``prev[v] = (u, lj)`` for
+    every node whose label came through an arc, so a seed keeps no
+    ``prev`` entry unless an arc beat it.  Ties break on ``str(node)``,
+    so the result is a pure function of the inputs.
+    """
+    dist = dict(seeds)
+    prev: Dict[object, Tuple[object, int]] = {}
+    heap = [(d, str(u), u) for u, d in seeds.items()]
+    heapq.heapify(heap)
+    done = set()
+    while heap:
+        d, _tie, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        for (v, lj) in out.get(u, ()):
+            nd = d + w[lj]
+            if v not in dist or nd < dist[v]:
+                dist[v] = nd
+                prev[v] = (u, lj)
+                heapq.heappush(heap, (nd, str(v), v))
+    return dist, prev
+
+
+def _dijkstra_price(graph: dict, w: Sequence, want_any: bool = False,
+                    scale: int = 1):
     """Cheapest source->sink path under the dual arc costs.
 
     Valid only when the sink has no outgoing arcs and every non-sink
@@ -586,43 +674,25 @@ def _dijkstra_price(graph: dict, w: List[Fraction], want_any: bool = False):
     reduced cost and Dijkstra is exact.  Returns ``None`` to make the
     caller fall back to LP pricing when the preconditions fail,
     ``("none",)`` when no path improves, else ``("col", rc, vertex)``.
-    The search runs on integers: every arc cost is scaled by the common
-    denominator, a positive factor that keeps each comparison and tie.
+    Arc ``lj`` costs ``w[lj] / scale``; the search compares the ``w``
+    entries themselves, so integer weights over one positive scale
+    (:meth:`_BlockPricer.weights`) keep it on integers.
     """
     source, sink = graph["source"], graph["sink"]
     arcs = graph["arcs"]
-    scale = 1
-    for (_i, _j, lj) in arcs:
-        den = w[lj].denominator
-        if scale % den:
-            scale = scale // gcd(scale, den) * den
-    out: Dict[object, List[Tuple[object, int, int]]] = {}
+    out: Dict[object, List[Tuple[object, int]]] = {}
     sink_arcs: List[Tuple[object, int, int]] = []
     for (i, j, lj) in arcs:
         if i == sink:
             return None
-        cost = w[lj].numerator * (scale // w[lj].denominator)
+        cost = w[lj]
         if j == sink:
             sink_arcs.append((i, lj, cost))
         else:
             if cost < 0:
                 return None
-            out.setdefault(i, []).append((j, lj, cost))
-    dist: Dict[object, int] = {source: 0}
-    prev: Dict[object, Tuple[object, int]] = {}
-    heap: List[Tuple[int, str, object]] = [(0, str(source), source)]
-    done = set()
-    while heap:
-        d, _tie, u = heapq.heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        for (v, lj, cost) in out.get(u, ()):
-            nd = d + cost
-            if v not in dist or nd < dist[v]:
-                dist[v] = nd
-                prev[v] = (u, lj)
-                heapq.heappush(heap, (nd, str(v), v))
+            out.setdefault(i, []).append((j, lj))
+    dist, prev = _settle({source: 0}, out, w)
     best = None
     for (q, lj, cost) in sorted(sink_arcs, key=lambda a: a[1]):
         dq = dist.get(q)
@@ -641,6 +711,122 @@ def _dijkstra_price(graph: dict, w: List[Fraction], want_any: bool = False):
         vertex[lj] = Fraction(1)
         q = u
     return ("col", rc, vertex)
+
+
+def _tree_plan(graph: dict) -> dict:
+    """The weight-independent part of :func:`_tree_price`, built once
+    per block: per interval the send adjacency ``{tail: ((head, lj),
+    ...)}`` and the merges producing it ``((node, l, lj), ...)``; the
+    sink steps ``(lj, how, at)`` in variable order — an arrival
+    ``("send", tail)`` or a final task at the target ``("task", l)``;
+    the variables whose weights must be nonnegative; and whether the
+    target re-emits ``v[0,n-1]`` (then the DP never applies)."""
+    n, target = graph["n"], graph["target"]
+    full = (0, n - 1)
+    out: Dict[tuple, Dict[object, list]] = {}
+    merges: Dict[tuple, list] = {}
+    sink, nonsink, reemits = [], [], False
+    for (i, j, ival, lj) in graph["sends"]:
+        if ival == full and j == target:
+            sink.append((lj, "send", i))
+            continue
+        reemits = reemits or (ival == full and i == target)
+        nonsink.append(lj)
+        out.setdefault(ival, {}).setdefault(i, []).append((j, lj))
+    for (node, (k, l, m), lj) in graph["tasks"]:
+        if node == target and (k, m) == full:
+            sink.append((lj, "task", l))
+            continue
+        nonsink.append(lj)
+        merges.setdefault((k, m), []).append((node, l, lj))
+    return {"out": {ival: {i: tuple(a) for i, a in adj.items()}
+                    for ival, adj in out.items()},
+            "merges": {ival: tuple(ms) for ival, ms in merges.items()},
+            "sink": tuple(sorted(sink)), "nonsink": tuple(nonsink),
+            "reemits": reemits}
+
+
+def _tree_price(graph: dict, w: Sequence, want_any: bool = False,
+                scale: int = 1):
+    """Cheapest reduction tree delivering ``v[0,n-1]`` at the target.
+
+    Every task merges adjacent intervals ``[k,l] + [l+1,m] -> [k,m]``
+    (Section 4 of the paper), so the cheapest unit-rate tree is an
+    exact dynamic program over ``(node, interval)`` states, processed by
+    increasing interval length: a leaf ``v[k,k]`` costs 0 at its owner;
+    a longer interval is seeded at each host ``P`` with
+    ``min_l dist[P,[k,l]] + dist[P,[l+1,m]] + w(cons[P,(k,l,m)])``, then
+    spread over its ``send`` arcs by Dijkstra.  A merge always yields a
+    longer interval, so each level only reads settled levels.  The sink
+    variables — arrivals of ``v[0,n-1]`` at the target and the target's
+    final tasks — may carry weights of any sign (throughput and
+    ``chain[..]`` duals); every other weight must be nonnegative, the
+    arcs returning a leaf to its owner included.  Then every ray of the
+    block cone is a sum of unit trees plus zero-delivery send cycles of
+    nonnegative cost, and the cheapest tree attains the most negative
+    reduced cost per unit delivered.  Returns ``None`` (the caller falls
+    back to LP pricing) when that precondition fails or the target
+    re-emits ``v[0,n-1]``, ``("none",)`` when no tree improves, else
+    ``("col", rc, vertex)`` with ``rc`` the cost of one delivered unit.
+    Weights are read as in :func:`_dijkstra_price` (``w[lj] / scale``);
+    ``graph`` carries its :func:`_tree_plan` (see :func:`_attach_graphs`).
+    """
+    n, target, owners = graph["n"], graph["target"], graph["owners"]
+    full = (0, n - 1)
+    if graph["reemits"] or any(w[lj] < 0 for lj in graph["nonsink"]):
+        return None
+    out, merges = graph["out"], graph["merges"]
+
+    # level by level: (dist, prev, merge) per interval, ``merge[P] =
+    # (l, lj)`` naming the task that seeded P's label
+    levels: Dict[tuple, tuple] = {}
+    for length in range(n):
+        for k in range(n - length):
+            ival = (k, k + length)
+            seeds: Dict[object, int] = {}
+            merge: Dict[object, Tuple[int, int]] = {}
+            if length == 0:
+                seeds[owners[k]] = 0
+            for (node, l, lj) in merges.get(ival, ()):
+                left = levels[(k, l)][0].get(node)
+                right = levels[(l + 1, ival[1])][0].get(node)
+                if left is None or right is None:
+                    continue
+                d = left + right + w[lj]
+                if node not in seeds or d < seeds[node]:
+                    seeds[node] = d
+                    merge[node] = (l, lj)
+            dist, prev = _settle(seeds, out.get(ival, {}), w)
+            levels[ival] = (dist, prev, merge)
+
+    best = None
+    for (lj, how, at) in graph["sink"]:
+        if how == "send":
+            d = levels[full][0].get(at)
+            need = [(full, at)]
+        else:
+            left = levels[(0, at)][0].get(target)
+            right = levels[(at + 1, n - 1)][0].get(target)
+            d = None if left is None or right is None else left + right
+            need = [((0, at), target), ((at + 1, n - 1), target)]
+        if d is not None and (best is None or d + w[lj] < best[0]):
+            best = (d + w[lj], lj, need)
+    if best is None or (best[0] >= 0 and not want_any):
+        return ("none",)
+    total, last, need = best
+    vertex = {last: Fraction(1)}
+    while need:
+        ival, node = need.pop()
+        _dist, prev, merge = levels[ival]
+        while node in prev:         # walk the send path back to its seed
+            node, lj = prev[node]
+            vertex[lj] = Fraction(1)
+        if ival[0] < ival[1]:       # a merge seeded it (a leaf: its owner)
+            l, lj = merge[node]
+            vertex[lj] = Fraction(1)
+            need.append(((ival[0], l), node))
+            need.append(((l + 1, ival[1]), node))
+    return ("col", Fraction(total, scale), vertex)
 
 
 # pool workers: payloads ship once through the initializer, warm bases
@@ -754,10 +940,10 @@ def solve_colgen(lp: LinearProgram,
                  max_rounds: int = MAX_ROUNDS) -> LPSolution:
     """Solve ``lp`` exactly by Dantzig-Wolfe column generation.
 
-    ``pricing`` is an optional list of per-commodity pricing graphs
-    (``{"source", "sink", "arcs": [(i, j, varname), ...]}``, the
-    :meth:`CollectiveSpec.pricing_graphs` format); matched blocks price
-    by shortest path, everything else by a small exact LP.  ``jobs``
+    ``pricing`` is an optional list of per-commodity descriptors in the
+    :meth:`CollectiveSpec.pricing_graphs` format — path graphs and
+    reduction trees; matched blocks price by shortest path or by the
+    tree DP, everything else by a small exact LP.  ``jobs``
     (default ``REPRO_JOBS``, else 1) prices blocks on a process pool;
     the returned solution is identical for every worker count.  Run on
     the *raw* LP — presolve substitutions would break the block/name
@@ -777,14 +963,23 @@ def solve_colgen(lp: LinearProgram,
     stats: Dict[str, object] = {
         "engine": "colgen", "blocks": len(structure.blocks),
         "path_blocks": sum(1 for b in structure.blocks
-                           if b.graph is not None),
+                           if b.graph is not None
+                           and b.graph.get("kind") != "tree"),
+        "tree_blocks": sum(1 for b in structure.blocks
+                           if b.graph is not None
+                           and b.graph.get("kind") == "tree"),
         "master_rows": len(structure.master_rows),
         "master_vars": len(structure.master_var_idx),
         "jobs": njobs, "rounds": 0, "columns": 0, "columns_priced": 0,
         "pricing_skipped": 0, "seed_columns": 0, "dijkstra_fallbacks": 0,
         "master_s": 0.0, "pricing_s": 0.0, "pricing_serial_s": 0.0,
         "master_pivots": 0,
+        # blocks an LP priced at least once, by reason
+        "lp_blocks": {"no descriptor": sum(1 for b in structure.blocks
+                                           if b.graph is None),
+                      "declined": 0},
     }
+    declined = set()
 
     columns: List[_Column] = []
     seen_keys = set()
@@ -827,6 +1022,8 @@ def solve_colgen(lp: LinearProgram,
         stats["pricing_s"] += perf_counter() - t0
         stats["pricing_serial_s"] += sum(r[2] for r in results)
         stats["dijkstra_fallbacks"] += sum(r[3] for r in results)
+        declined.update(r[0] for r in results if r[3])
+        stats["lp_blocks"]["declined"] = len(declined)
         return results
 
     def harvest(results, live):

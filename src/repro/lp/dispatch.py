@@ -32,12 +32,14 @@ Dantzig-Wolfe **column generation** (:mod:`repro.lp.colgen`,
 ``backend="colgen"``).  Under ``"auto"``, rational models with more
 than :data:`COLGEN_VAR_LIMIT` (and at most :data:`EXACT_VAR_LIMIT`)
 *raw* variables are checked for block structure before presolve; when
-the raw LP decomposes into >= 2 commodity blocks it routes there, with
-no presolve, instead of to the monolithic revised solve; the restricted
-masters themselves reuse the revised engine.  Every dispatched solve
-stamps the engine it took and why into ``stats["route"]`` /
-``stats["route_reason"]``.  Pricing parallelism (``jobs``) never
-changes the returned solution, so it is not part of the cache key.
+the raw LP decomposes into >= 2 commodity blocks, or into one block a
+combinatorial pricer owns (a reduce LP's reduction-tree block), it
+routes there, with no presolve, instead of to the monolithic revised
+solve; the restricted masters themselves reuse the revised engine.
+Every dispatched solve stamps the engine it took and why into
+``stats["route"]`` / ``stats["route_reason"]``.  Pricing parallelism
+(``jobs``) never changes the returned solution, so it is not part of
+the cache key.
 
 Three layers of reuse sit in front of the solvers:
 
@@ -102,7 +104,9 @@ TABLEAU_VAR_LIMIT = 5000
 #: Dantzig-Wolfe column generation (:mod:`repro.lp.colgen`) before
 #: presolve and the monolithic revised simplex, provided the raw LP
 #: decomposes into at least two commodity blocks tied only by shared
-#: capacity rows.  The threshold sits above the tableau limit — colgen's
+#: capacity rows, or into one block priced combinatorially (the 12-node
+#: complete reduce, 13718 raw vars, one reduction-tree block).  The
+#: threshold sits above the tableau limit — colgen's
 #: restricted masters carry overhead per round that only pays off once
 #: the raw LP is large — and below the 64-node ring scatter (7939 raw
 #: vars), the smallest colgen-routed model of the datacenter tier.
@@ -189,13 +193,14 @@ def solve(lp: LinearProgram, backend: str = "auto",
         verifies them, and come back with ``exact=True``).
         Rational models with more than :data:`COLGEN_VAR_LIMIT` raw
         variables (at most :data:`EXACT_VAR_LIMIT`) whose raw LP
-        decomposes into >= 2 commodity blocks route to column
+        decomposes into >= 2 commodity blocks, or into one block that
+        ``pricing`` lets price combinatorially, route to column
         generation, skipping presolve, instead of the monolithic
         revised simplex (never under ``dual`` or ``canonical``).
     pricing:
-        Optional tuple of commodity pricing-graph descriptors (see
+        Optional tuple of commodity pricing descriptors (see
         :func:`repro.lp.colgen.solve_colgen`) enabling the shortest-path
-        pricer; collective specs supply it via their
+        and reduction-tree pricers; collective specs supply it via their
         ``pricing_graphs`` hook.  Only consulted on the colgen routes.
     jobs:
         Worker processes for parallel pricing (default: ``REPRO_JOBS``
@@ -295,6 +300,10 @@ def solve(lp: LinearProgram, backend: str = "auto",
         if n_blocks >= 2:
             route_reason = (f"raw {n_raw} vars > COLGEN_VAR_LIMIT, "
                             f"{n_blocks} blocks")
+        elif n_blocks and colgen_struct.blocks[0].graph is not None:
+            # one block, but priced combinatorially: no pricing LP runs
+            route_reason = (f"raw {n_raw} vars > COLGEN_VAR_LIMIT, "
+                            f"1 block priced combinatorially")
         else:
             colgen_struct = None
             route_reason = "1 block" if n_blocks else "no blocks"

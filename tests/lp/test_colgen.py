@@ -11,9 +11,10 @@ Four layers are pinned here:
   collective on the platform fleet.)
 - **Pricing.** Negative-reduced-cost detection is checked against
   hand-computed duals on a block small enough to solve by inspection,
-  and the Dijkstra path pricer against an enumerable graph — including
-  the preconditions under which it must decline (``None``) and leave
-  the block to LP pricing.
+  the Dijkstra path pricer against an enumerable graph, and the
+  reduction-tree DP against the exact optimum of the block cone per
+  unit delivered — including the preconditions under which either must
+  decline (``None``) and leave the block to LP pricing.
 - **Determinism.** ``jobs ∈ {1, 2, 4}`` must produce the identical
   solution *and* the identical admitted column set (``columns_digest``),
   per the contract in :mod:`repro.lp.colgen`'s docstring.
@@ -32,10 +33,10 @@ import pytest
 from repro.collectives import get_collective
 from repro.core.scatter import ScatterProblem, build_scatter_lp
 from repro.lp import dispatch
-from repro.lp.colgen import (_BlockPricer, _dijkstra_price, detect,
-                             resolve_jobs, solve_colgen)
+from repro.lp.colgen import (_BlockPricer, _dijkstra_price, _tree_price,
+                             detect, resolve_jobs, solve_colgen)
 from repro.lp.exact_simplex import ExactSimplexSolver
-from repro.lp.model import LinearProgram
+from repro.lp.model import EQ, GE, LE, LinearProgram, LinExpr
 from repro.lp.revised_simplex import (IncrementalColumnMaster,
                                       RevisedSimplexSolver)
 from repro.lp.solution import SolveStatus
@@ -238,9 +239,10 @@ class TestPricing:
 
     @pytest.mark.parametrize("trial", range(20))
     def test_dijkstra_matches_fraction_reference(self, trial):
-        """The integer-scaled search returns exactly what a Dijkstra
-        over the Fraction costs returns — same reduced cost, same path,
-        same tie-breaks (small denominators force many ties)."""
+        """The search on integer weights over one scale returns exactly
+        what a Dijkstra over the Fraction costs returns — same reduced
+        cost, same path, same tie-breaks (small denominators force many
+        ties)."""
         rng = random.Random(SEED + trial)
         nodes = ["s", "t"] + [f"n{i}" for i in range(rng.randint(2, 7))]
         arcs = []
@@ -252,9 +254,11 @@ class TestPricing:
                       rng.choice((1, 2, 3, 6)))
              for (_i, j, _lj) in arcs]
         graph = {"source": "s", "sink": "t", "arcs": tuple(arcs)}
+        scale = 6
+        scaled = [int(x * scale) for x in w]
         for want_any in (False, True):
-            assert _dijkstra_price(graph, w, want_any) == \
-                _fraction_dijkstra(graph, w, want_any)
+            assert _dijkstra_price(graph, scaled, want_any, scale=scale) \
+                == _fraction_dijkstra(graph, w, want_any)
 
     def test_spec_pricing_graphs_enable_path_pricing(self):
         g = gen.ring(6)
@@ -279,6 +283,184 @@ class TestPricing:
         assert sol.stats["path_blocks"] == sol.stats["blocks"]
         assert sol.stats["columns_priced"] >= 2 * sol.stats["blocks"]
         assert sol.stats["dijkstra_fallbacks"] == 0
+
+
+def _tree_lp(instance, seed):
+    """A small reduce-type LP with reduction-tree descriptors."""
+    from repro.core.allreduce import AllReduceProblem
+    from repro.core.reduce_op import ReduceProblem
+    from repro.core.reduce_scatter import ReduceScatterProblem
+    from repro.platform.examples import figure6_platform
+
+    if instance == "pipelined":
+        spec = get_collective("all-reduce")
+        problem = AllReduceProblem(figure6_platform(), [0, 1, 2],
+                                   task_work=2)
+        return (spec.build_lp(problem, "pipelined"),
+                spec.pricing_graphs(problem))
+    rng = random.Random(seed)
+    g = gen.heterogenize(
+        gen.random_connected(rng.randint(4, 5), extra_edges=rng.randint(1, 3),
+                             seed=seed), seed=seed)
+    hosts = g.compute_nodes()
+    parts = rng.sample(hosts, 3)
+    if instance == "reduce":
+        spec = get_collective("reduce")
+        problem = ReduceProblem(g, parts, rng.choice(hosts))
+    else:
+        spec = get_collective("reduce-scatter")
+        problem = ReduceScatterProblem(g, parts)
+    return spec.build_lp(problem), spec.pricing_graphs(problem)
+
+
+def _sink_vars(graph):
+    """Local indices of a tree block's delivering variables."""
+    full = (0, graph["n"] - 1)
+    tgt = graph["target"]
+    return ([lj for (_i, j, ival, lj) in graph["sends"]
+             if ival == full and j == tgt]
+            + [lj for (node, (k, _l, m), lj) in graph["tasks"]
+               if node == tgt and (k, m) == full])
+
+
+def _random_duals(lp, struct, rng):
+    """Random master duals of the valid signs: nonnegative on the
+    capacity rows, any sign on the throughput and chain rows."""
+    duals = {}
+    for pos, ci in enumerate(struct.master_rows):
+        name = lp.constraints[ci].name
+        den = rng.choice((1, 2, 3, 4))
+        if name.startswith(("edge[", "out[", "in[", "alpha[")):
+            if rng.random() < 0.6:
+                duals[pos] = Fraction(rng.randint(0, 4), den)
+        else:
+            duals[pos] = Fraction(rng.randint(-40, 40), den)
+    return duals
+
+
+def _unit_delivery_optimum(block, w, sinks):
+    """Exact tableau optimum of ``min w.x`` over the block cone with one
+    unit delivered at the sink (``None`` when nothing can be)."""
+    lp = LinearProgram("unit-delivery")
+    xs = [lp.var(name) for name in block.var_names]
+    for sense, terms in block.rows:
+        e = LinExpr()
+        for lj, c in terms:
+            e.add_term(xs[lj], c)
+        lp.add(e <= 0 if sense == LE else (e >= 0 if sense == GE else e == 0))
+    lp.add(sum(xs[lj] for lj in sinks) == 1, name="deliver")
+    obj = LinExpr()
+    for lj, wj in enumerate(w):
+        if wj:
+            obj.add_term(xs[lj], wj)
+    lp.minimize(obj)
+    sol = ExactSimplexSolver().solve(lp)
+    if sol.status is SolveStatus.INFEASIBLE:
+        return None
+    assert sol.optimal, sol.status
+    return sol.objective
+
+
+class TestTreePricing:
+    @pytest.mark.parametrize("instance,trial", [
+        (inst, t) for inst in ("reduce", "reduce-scatter", "pipelined")
+        for t in range(4)])
+    def test_dp_matches_unit_delivery_lp(self, instance, trial):
+        """The DP's cost equals the exact optimum of the block cone
+        normalized by unit delivery at the sink, and its tree satisfies
+        the block rows exactly."""
+        lp, pricing = _tree_lp(instance, SEED + trial)
+        struct = detect(lp, pricing=pricing)
+        trees = [b for b in struct.blocks
+                 if b.graph is not None and b.graph["kind"] == "tree"]
+        assert trees
+        rng = random.Random(SEED * 7 + trial)
+        for b in trees:
+            w, scale = _BlockPricer(b).weights(
+                _random_duals(lp, struct, rng))
+            opt = _unit_delivery_optimum(
+                b, [Fraction(x, scale) for x in w], _sink_vars(b.graph))
+            res = _tree_price(b.graph, w, want_any=True, scale=scale)
+            if opt is None:
+                assert res == ("none",)
+                continue
+            tag, rc, vertex = res
+            assert tag == "col" and rc == opt, (b.bid, rc, opt)
+            assert rc * scale == sum(w[lj] * x for lj, x in vertex.items())
+            assert sum(vertex.get(lj, 0) for lj in _sink_vars(b.graph)) == 1
+            for sense, terms in b.rows:
+                act = sum(c * vertex.get(lj, 0) for lj, c in terms)
+                assert (act == 0 if sense == EQ else
+                        (act <= 0 if sense == LE else act >= 0))
+            # the improving-ray verdict follows the sign
+            strict = _tree_price(b.graph, w, scale=scale)
+            assert strict == (res if rc < 0 else ("none",))
+
+    def test_negative_non_sink_weight_falls_back_to_lp(self):
+        """A negative weight off the sink — here on an arc returning a
+        leaf to its owner — voids the DP: it declines and the pricer
+        prices the block by LP instead."""
+        lp, pricing = _tree_lp("reduce", SEED)
+        struct = detect(lp, pricing=pricing)
+        (b,) = struct.blocks
+        graph = b.graph
+        owners = graph["owners"]
+        back = next(lj for (_i, j, (k, m), lj) in graph["sends"]
+                    if k == m and j == owners[k])
+        w = [Fraction(1)] * len(b.var_idx)
+        assert _tree_price(graph, w) == ("none",)
+        w[back] = Fraction(-1)
+        assert _tree_price(graph, w) is None
+        # through the master duals: a negative dual on that arc's edge row
+        edge_pos = next(pos for pos, c in b.master_coefs[back]
+                        if lp.constraints[struct.master_rows[pos]]
+                        .name.startswith("edge["))
+        pricer = _BlockPricer(b)
+        res = pricer.price({edge_pos: Fraction(-1)}, None)
+        assert pricer.dijkstra_bailed
+        assert res[0] == "col" and res[1] < 0
+
+    def test_reduce_scatter_colgen_is_jobs_invariant(self):
+        """Every block tree-priced, no LP pricing, and jobs 1 and 2 admit
+        the same columns and return the same optimum."""
+        from repro.core.reduce_scatter import ReduceScatterProblem
+
+        g = gen.heterogenize(gen.complete(4), seed=3)
+        problem = ReduceScatterProblem(g, g.compute_nodes())
+        spec = get_collective("reduce-scatter")
+        lp = spec.build_lp(problem)
+        graphs = spec.pricing_graphs(problem)
+        runs = {jobs: solve_colgen(lp, pricing=graphs, jobs=jobs)
+                for jobs in (1, 2)}
+        base = runs[1]
+        assert base.optimal and base.stats["rounds"] >= 2
+        assert base.stats["tree_blocks"] == base.stats["blocks"] == 4
+        assert base.stats["lp_blocks"] == {"no descriptor": 0,
+                                           "declined": 0}
+        assert base.objective == ExactSimplexSolver().solve(lp).objective
+        for key in ("columns_digest", "rounds", "columns"):
+            assert runs[2].stats[key] == base.stats[key], key
+        assert runs[2].values == base.values
+
+    @pytest.mark.parametrize("trial", range(4))
+    def test_random_reduce_matches_tableau(self, trial):
+        lp, pricing = _tree_lp("reduce", SEED + 100 + trial)
+        sol = solve_colgen(lp, pricing=pricing)
+        assert sol.optimal and sol.stats["tree_blocks"] == 1
+        assert sol.stats["dijkstra_fallbacks"] == 0
+        assert sol.objective == ExactSimplexSolver().solve(lp).objective
+        assert lp.check_feasible(sol.values, tol=0) == []
+
+    def test_composite_prefixes_tree_descriptors(self):
+        lp, pricing = _tree_lp("pipelined", SEED)
+        trees = [g for g in pricing if g.get("kind") == "tree"]
+        assert len(trees) == 3
+        for g in trees:
+            for item in g["sends"] + g["tasks"]:
+                assert item[-1].startswith("s0:")
+        struct = detect(lp, pricing=pricing)
+        assert sum(1 for b in struct.blocks if b.graph is not None
+                   and b.graph["kind"] == "tree") == 3
 
 
 class TestDifferential:
@@ -446,6 +628,21 @@ class TestFallbacksAndRouting:
             for key in ("route", "route_reason", "columns_digest",
                         "vars_raw", "vars_presolved"):
                 assert sol.stats[key] == fresh.stats[key], key
+
+    def test_one_tree_priced_block_routes_to_colgen(self, monkeypatch):
+        """A reduce LP is one block: above the limit it takes the colgen
+        route only when that block prices by the tree DP."""
+        monkeypatch.setattr(dispatch, "COLGEN_VAR_LIMIT", 10)
+        lp, pricing = _tree_lp("reduce", SEED)
+        sol = dispatch.solve(lp, pricing=pricing, cache=False)
+        assert sol.stats["route"] == "colgen"
+        assert sol.stats["route_reason"].endswith(
+            "1 block priced combinatorially")
+        assert sol.stats["lp_blocks"] == {"no descriptor": 0, "declined": 0}
+        plain = dispatch.solve(lp, cache=False)
+        assert plain.stats["route"] == "tableau"
+        assert plain.stats["route_reason"].startswith("1 block; ")
+        assert sol.objective == plain.objective
 
     def test_every_route_is_stamped(self, monkeypatch):
         lp = _two_block_lp()

@@ -6,8 +6,9 @@ regression changes and hardware does not, on the same tiers: the exact
 rational optimum plus the work counters the library already exposes —
 tableau iterations, presolved vars/rows, the revised engine's path,
 pivots and refactorizations, colgen rounds/columns/``columns_digest``/
-Dijkstra fallbacks, schedule slots and transfers, the compiled tables'
-time scales (micro-units ``mu``, ticks ``q``), compiled replay ops.
+pricing split (path, tree, LP) and pricer fallbacks, schedule slots and
+transfers, the compiled tables' time scales (micro-units ``mu``, ticks
+``q``), compiled replay ops.
 
 - Counts on pure-rational paths are pinned with ``==``.
 - Counts downstream of a HiGHS float guess (the revised crash, colgen's
@@ -93,9 +94,13 @@ PINS = {
     # backend="auto", routed to column generation before presolve
     # (so vars_presolved == vars_raw)
     "colgen": {
+        # the 8 reduce-scatter blocks price by the reduction-tree DP,
+        # the 12 broadcast blocks by LP (no descriptor)
         "fig9_8host_allreduce_pipelined": {
             "throughput": F(2, 81), "route": "colgen", "vars_raw": 17217,
-            "vars_presolved": 17217, "max_rounds": 69, "max_columns": 171},
+            "vars_presolved": 17217, "max_rounds": 69, "max_columns": 171,
+            "tree_blocks": 8, "dijkstra_fallbacks": 0,
+            "lp_blocks": {"no descriptor": 12, "declined": 0}},
         "ring128_scatter": {
             "throughput": F(1, 127), "route": "colgen", "vars_raw": 32259,
             "vars_presolved": 32259, "rounds": 1,
@@ -106,6 +111,13 @@ PINS = {
             "vars_presolved": 17120, "rounds": 1,
             "columns": 106, "columns_digest": "102cbf66c773224f",
             "dijkstra_fallbacks": 0},
+        # one SSR block, colgen-routed because it prices by the tree DP
+        "complete12_reduce": {
+            "throughput": F(1), "route": "colgen", "vars_raw": 13718,
+            "vars_presolved": 13718, "rounds": 13, "columns": 14,
+            "columns_digest": "74137bc15b3f6042", "blocks": 1,
+            "tree_blocks": 1, "dijkstra_fallbacks": 0,
+            "lp_blocks": {"no descriptor": 0, "declined": 0}},
     },
     # schedule reconstruction + compiled replay; mu (micro-units per
     # message) and q (ticks per time-unit) are the compiled time scales
@@ -231,7 +243,10 @@ def _solve_tier(case, backend):
         return solve_collective(problem, collective="all-reduce",
                                 backend=backend, mode="pipelined",
                                 cache=False)
-    if case == "ring128_scatter":
+    if case == "complete12_reduce":
+        g = complete(12, cost=1)
+        problem = ReduceProblem(g, g.nodes(), g.nodes()[0])
+    elif case == "ring128_scatter":
         problem = _ring_scatter(128)
     else:
         g = fat_tree(6)
@@ -343,7 +358,7 @@ def test_revised_work(case):
 
 
 @pytest.mark.parametrize("case", ["fig9_8host_allreduce_pipelined",
-                                  "ring128_scatter"])
+                                  "ring128_scatter", "complete12_reduce"])
 def test_colgen_work(case):
     sol = _solve_tier(case, "auto")
     assert_pinned(PINS["colgen"][case], _engine_observed(sol), case)

@@ -189,6 +189,34 @@ class TestLpStatsFlag:
         assert "after presolve" in out
         assert "no engine counters recorded" in out
 
+    def test_colgen_prints_the_pricing_split(self, tmp_path, capsys):
+        """A reduce-scatter on colgen: every block by the tree DP."""
+        from repro.platform.examples import figure6_platform
+
+        path = str(tmp_path / "tri.json")
+        save_platform(figure6_platform(), path)
+        rc = main(["reduce-scatter", "--platform", path,
+                   "--participants", "0,1,2", "--backend", "colgen",
+                   "--lp-stats"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "3 block(s)" in out
+        assert ("pricing: 0 by shortest path, 3 by reduction-tree DP, "
+                "LP for 0 without a descriptor and 0 declined") in out
+
+    def test_colgen_direct_fallback_prints_why(self, tmp_path, capsys):
+        """A one-edge scatter LP has no block rows, so colgen falls back
+        to one direct exact solve and says so."""
+        from repro.platform.generators import complete
+
+        path = str(tmp_path / "pair.json")
+        save_platform(complete(2, cost=1), path)
+        rc = main(["scatter", "--platform", path, "--source", "p0",
+                   "--targets", "p1", "--backend", "colgen", "--lp-stats"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "no column generation (no blocks)" in out
+
     def test_composite_prints_per_stage(self, tmp_path, capsys):
         from repro.platform.examples import figure6_platform
 
