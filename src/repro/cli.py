@@ -79,7 +79,8 @@ def _add_solve_subcommand(sub, spec) -> None:
                     help="print solver statistics (pivot counts, LU "
                          "refactorizations, crash path, per-phase timings) "
                          "after solving; the revised backend records them, "
-                         "tableau/HiGHS solves report none")
+                         "tableau/HiGHS solves report none, and HiGHS "
+                         "solves say whether their optimum was certified")
     if isinstance(spec, CompositeCollectiveSpec):
         sp.add_argument("--mode", default=None, choices=COMPOSITION_MODES,
                         help=f"composition mode (default: {spec.mode})")
@@ -165,6 +166,10 @@ def _print_lp_stats(sol) -> None:
         if "route" in stats:
             print(f"    route: {stats['route']} "
                   f"({stats['route_reason']})")
+        if stats.get("route") == "highs":
+            why = stats.get("uncertified")
+            print("    certificate: proved" if why is None
+                  else f"    uncertified: {why}")
 
 
 def _print_engine_stats(lead: str, lps, stats) -> None:

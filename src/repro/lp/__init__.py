@@ -37,13 +37,15 @@ provides the substrate from scratch:
   shared capacity rows over tree/path columns, priced per commodity by
   exact-dual shortest paths (or small pricing LPs), optionally across a
   process pool — deterministic regardless of worker count.
-- :mod:`repro.lp.dense_simplex` — the original dense ``Fraction`` tableau,
-  kept as a slow-but-obviously-correct oracle for differential tests.
+- :mod:`repro.lp.certificate` — exact optimality proofs at ``tol=0``
+  (primal and dual feasibility, no duality gap) for a point and its row
+  multipliers; every rationalized HiGHS optimum must pass, and the
+  differential tests hold the exact engines to it.
 - :mod:`repro.lp.highs` — a floating-point backend on
   :func:`scipy.optimize.linprog` (HiGHS) for instances past the exact
-  dispatch limit.
-- :mod:`repro.lp.rationalize` — snapping float solutions to rationals with
-  exact feasibility verification.
+  dispatch limit; it reports HiGHS's row marginals as duals.
+- :mod:`repro.lp.rationalize` — snapping a float optimum and its duals
+  to rationals, kept only when the certificate proves the snap optimal.
 - :func:`repro.lp.solve` — auto-dispatch plus a solve memo-cache and
   ``warm_basis=`` warm starts.
 
@@ -53,12 +55,14 @@ Backend selection and warm starts
 exact engine whenever the reduced model has at most
 :data:`repro.lp.dispatch.EXACT_VAR_LIMIT` variables (50000 — covering the
 fig9 8-host pipelined all-reduce and the 128-node ring scatter tier), else
-HiGHS followed by verified rationalization.  Within the exact route the
-fraction-free tableau serves models up to
+HiGHS followed by certified rationalization (an uncertified optimum stays
+float, ``exact=False``, with the reason in ``stats["uncertified"]``).
+Within the exact route the fraction-free tableau serves models up to
 :data:`repro.lp.dispatch.TABLEAU_VAR_LIMIT` (5000) presolved variables
 plus every ``canonical=True`` solve, and the revised simplex serves
 everything larger and every ``dual=True`` re-solve; both produce
-bit-identical objectives (enforced by the differential suite).  Models
+bit-identical objectives (the differential suite checks it, and
+certifies the revised engine's optima with their duals).  Models
 above :data:`repro.lp.dispatch.COLGEN_VAR_LIMIT` (6000) raw variables
 whose raw LP decomposes into commodity blocks route to column
 generation (:mod:`repro.lp.colgen`) before presolve — same exact
@@ -80,7 +84,6 @@ from repro.lp.model import Constraint, LinearProgram, LinExpr, Variable, lin_sum
 from repro.lp.solution import LPSolution, SolveStatus
 from repro.lp.exact_simplex import ExactSimplexSolver
 from repro.lp.revised_simplex import RevisedSimplexSolver
-from repro.lp.dense_simplex import DenseSimplexSolver
 from repro.lp.highs import HighsSolver
 from repro.lp.rationalize import rationalize_solution
 from repro.lp.colgen import solve_colgen
@@ -96,7 +99,6 @@ __all__ = [
     "SolveStatus",
     "ExactSimplexSolver",
     "RevisedSimplexSolver",
-    "DenseSimplexSolver",
     "HighsSolver",
     "rationalize_solution",
     "solve_colgen",

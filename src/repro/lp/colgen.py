@@ -947,13 +947,16 @@ def solve_colgen(lp: LinearProgram,
     (default ``REPRO_JOBS``, else 1) prices blocks on a process pool;
     the returned solution is identical for every worker count.  Run on
     the *raw* LP — presolve substitutions would break the block/name
-    structure the decomposition and the graphs rely on.
+    structure the decomposition and the graphs rely on.  A passed
+    ``structure`` comes from :func:`detect` on a model the caller has
+    already found rational (:func:`repro.lp.dispatch.solve` does), so
+    only a call without one scans the data for floats.
     """
-    if not lp.is_rational():
-        raise ValueError("colgen requires int/Fraction data; use the "
-                         "HiGHS backend for float LPs")
     t_start = perf_counter()
     if structure is None:
+        if not lp.is_rational():
+            raise ValueError("colgen requires int/Fraction data; use the "
+                             "HiGHS backend for float LPs")
         structure = detect(lp, pricing=pricing)
     if structure is None:
         reason = "minimize" if not lp.sense_max else "no blocks"

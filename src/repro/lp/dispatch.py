@@ -5,10 +5,11 @@ default; exactly reversible via its ``Postsolve``), then
 ``backend="auto"`` sends models up to :data:`EXACT_VAR_LIMIT` variables
 to an exact rational simplex (bit-exact rationals, as the paper's
 pipeline assumes) and everything else to HiGHS, followed by a
-rationalization attempt so downstream exact machinery can still run
-whenever the optimum has modest denominators.  The limit is checked on
-the *reduced* model, so presolve can pull an oversized LP back onto the
-exact path.
+rationalization attempt that certifies the snapped optimum exactly
+(:mod:`repro.lp.certificate`), so downstream exact machinery can still
+run whenever the optimum and its duals have modest denominators.  The
+limit is checked on the *reduced* model, so presolve can pull an
+oversized LP back onto the exact path.
 
 Two exact engines sit behind the ``"exact"`` route:
 
@@ -189,8 +190,10 @@ def solve(lp: LinearProgram, backend: str = "auto",
         ``"auto"`` — exact when the LP is rational and (after presolve)
         has at most :data:`EXACT_VAR_LIMIT` variables, HiGHS otherwise
         (HiGHS optima of rational LPs are then snapped to exact
-        rationals when :func:`repro.lp.rationalize.rationalize_solution`
-        verifies them, and come back with ``exact=True``).
+        rationals and come back with ``exact=True`` only when
+        :func:`repro.lp.rationalize.rationalize_solution` certifies them
+        optimal; otherwise they stay float, with the reason in
+        ``stats["uncertified"]``).
         Rational models with more than :data:`COLGEN_VAR_LIMIT` raw
         variables (at most :data:`EXACT_VAR_LIMIT`) whose raw LP
         decomposes into >= 2 commodity blocks, or into one block that
@@ -351,15 +354,15 @@ def solve(lp: LinearProgram, backend: str = "auto",
                                          canonical=canonical)
     else:
         sol = HighsSolver().solve(model)
-        if sol.optimal and rational:
-            snapped: Optional[LPSolution] = rationalize_solution(sol)
-            if snapped is not None:
-                sol = snapped
+        if sol.optimal:
+            certified, uncertified = rationalize_solution(sol)
+            sol = certified or replace(sol, stats={"uncertified": uncertified})
 
     if pres is not None:
         if sol.optimal:
+            # duals index the presolved model's rows: drop them
             values = pres.postsolve.values(sol.values)
-            sol = replace(sol, values=values,
+            sol = replace(sol, values=values, duals=None,
                           objective=lp.objective.evaluate(values), lp=lp)
         else:
             # infeasible/unbounded transfer directly (the reductions are

@@ -5,9 +5,9 @@ the *exact rational* optimum of the steady-state LPs, so that the period
 ``T`` (lcm of the denominators of all variables, Section 3.1) and the
 integer per-period message counts are well defined.
 
-This module replaces the original dense ``Fraction`` tableau (kept as
-:class:`repro.lp.dense_simplex.DenseSimplexSolver` for differential
-testing).  Design choices, in order of measured impact:
+The differential tests hold it to the revised engine's optima, which
+their duals certify (:mod:`repro.lp.certificate`).  Design choices, in
+order of measured impact:
 
 - **Sparse rows with an exact column index.**  Each tableau row is a dict
   ``{column: int numerator}``, and a :class:`_Tableau` maintains the exact
@@ -74,7 +74,7 @@ testing).  Design choices, in order of measured impact:
   pivot history.  Tests that pin schedule/tree artifacts use this instead
   of depending on a pricing rule's tie-breaking.
 
-Bounds handling is unchanged from the dense solver: lower bounds are
+Bounds handling is the textbook one: lower bounds are
 shifted out (``y = x - lb``), upper bounds become rows, Phase 1 minimizes
 the sum of artificial variables, and redundant rows are dropped.  Run
 :func:`repro.lp.presolve.presolve` first (the dispatch layer does) to

@@ -1,65 +1,65 @@
 """Floating-point LP backend on :func:`scipy.optimize.linprog` (HiGHS).
 
-Used for instances too large for the exact tableau simplex (the Figure 9/10
-reduce LP has ~2000 variables).  The float optimum is then either
-rationalized-and-verified (:mod:`repro.lp.rationalize`) or fed to the paper's
-own Section 4.6 fixed-period rounding, which tolerates float inputs by
+Used for instances past the exact dispatch limit and for float data.
+The float optimum carries HiGHS's row marginals as ``duals``, so
+:mod:`repro.lp.rationalize` can snap both sides to rationals and
+*certify* the result exactly; an uncertified optimum stays a float one,
+which the paper's own Section 4.6 fixed-period rounding tolerates by
 construction.
 """
 
 from __future__ import annotations
 
-from typing import Dict
-
 import numpy as np
 from scipy.optimize import linprog
 
-from repro.lp.model import GE, LE, LinearProgram
+from repro.lp.model import EQ, GE, LinearProgram
 from repro.lp.solution import LPSolution, SolveStatus
+
+#: The :func:`scipy.optimize.linprog` method.
+METHOD = "highs"
 
 
 class HighsSolver:
     """scipy/HiGHS backend for :class:`LinearProgram`."""
 
-    def __init__(self, method: str = "highs") -> None:
-        self.method = method
-
     def solve(self, lp: LinearProgram) -> LPSolution:
         n = lp.num_vars()
+        if n == 0:
+            # linprog rejects an empty cost vector; a model presolve
+            # emptied is decided by its constant rows alone
+            if lp.check_feasible({}):
+                return LPSolution(SolveStatus.INFEASIBLE, backend="highs",
+                                  lp=lp)
+            return LPSolution(SolveStatus.OPTIMAL,
+                              objective=lp.objective.constant,
+                              backend="highs", lp=lp, duals={})
         c = np.zeros(n)
         for j, coef in lp.objective.coefs.items():
             c[j] = float(coef)
         if lp.sense_max:
             c = -c
 
-        a_ub_rows, b_ub = [], []
-        a_eq_rows, b_eq = [], []
-        for con in lp.constraints:
-            row = np.zeros(n)
+        # linprog takes A_ub x <= b_ub and A_eq x == b_eq: >= rows go in
+        # negated (sign -1)
+        cons = lp.constraints
+        a, b = np.zeros((len(cons), n)), np.zeros(len(cons))
+        for i, con in enumerate(cons):
             for j, coef in con.expr.coefs.items():
-                row[j] = float(coef)
-            b = -float(con.expr.constant)
-            if con.sense == LE:
-                a_ub_rows.append(row)
-                b_ub.append(b)
-            elif con.sense == GE:
-                a_ub_rows.append(-row)
-                b_ub.append(-b)
-            else:
-                a_eq_rows.append(row)
-                b_eq.append(b)
-
-        bounds = [(float(v.lb), None if v.ub is None else float(v.ub))
-                  for v in lp.variables]
-        res = linprog(
-            c,
-            A_ub=np.array(a_ub_rows) if a_ub_rows else None,
-            b_ub=np.array(b_ub) if b_ub else None,
-            A_eq=np.array(a_eq_rows) if a_eq_rows else None,
-            b_eq=np.array(b_eq) if b_eq else None,
-            bounds=bounds,
-            method=self.method,
-        )
+                a[i, j] = float(coef)
+            b[i] = -float(con.expr.constant)
+        sign = np.array([-1.0 if con.sense == GE else 1.0 for con in cons])
+        a *= sign[:, None]
+        b *= sign
+        is_eq = np.array([con.sense == EQ for con in cons], dtype=bool)
+        ub, eq = np.flatnonzero(~is_eq), np.flatnonzero(is_eq)
+        res = linprog(c, A_ub=a[ub] if ub.size else None,
+                      b_ub=b[ub] if ub.size else None,
+                      A_eq=a[eq] if eq.size else None,
+                      b_eq=b[eq] if eq.size else None,
+                      bounds=[(float(v.lb), None if v.ub is None
+                               else float(v.ub)) for v in lp.variables],
+                      method=METHOD)
         if res.status == 2:
             return LPSolution(SolveStatus.INFEASIBLE, backend="highs", lp=lp)
         if res.status == 3:
@@ -67,11 +67,14 @@ class HighsSolver:
         if not res.success:
             return LPSolution(SolveStatus.ERROR, backend="highs", lp=lp)
 
-        values: Dict[int, float] = {}
-        for j, x in enumerate(res.x):
-            if x != 0.0:
-                values[j] = float(x)
-        objective = lp.objective.evaluate(values)
-        return LPSolution(SolveStatus.OPTIMAL, objective=objective,
+        values = {j: float(x) for j, x in enumerate(res.x) if x != 0.0}
+        # marginals are d(min objective)/d(rhs); LPSolution.duals wants
+        # d(objective)/d(b_i) of the LP as posed, >= rows un-negated
+        y = np.zeros(len(cons))
+        y[ub], y[eq] = res.ineqlin.marginals, res.eqlin.marginals
+        y *= sign * (-1.0 if lp.sense_max else 1.0)
+        return LPSolution(SolveStatus.OPTIMAL,
+                          objective=lp.objective.evaluate(values),
                           values=values, backend="highs", exact=False, lp=lp,
-                          iterations=int(getattr(res, "nit", 0) or 0))
+                          iterations=int(getattr(res, "nit", 0) or 0),
+                          duals={i: float(v) for i, v in enumerate(y) if v})

@@ -1,30 +1,36 @@
-"""Snapping float LP solutions to exact rationals.
+"""Snapping float LP solutions to certified exact rationals.
 
 The schedule-reconstruction pipeline (lcm period, integer message counts,
-matching decomposition) needs exact rational variable values.  When the LP
-was solved in floating point (HiGHS), we attempt to recover rationals by
-limiting each value's denominator and *verifying feasibility exactly*; a
-snapped solution is only returned when it provably satisfies every
-constraint and its objective is within ``objective_slack`` of the float one.
+matching decomposition) needs the exact rational optimum.  When the LP
+was solved in floating point (HiGHS), we snap the primal values *and* the
+row multipliers to rationals and keep a snapped point only when
+:func:`repro.lp.certificate.certify` proves it optimal at ``tol=0``:
+primal feasible, dual feasible, and with no duality gap.
 
-This succeeds whenever the true optimum has modest denominators (all the
-paper's instances do: 1/2, 2/9, 1/3, ...).  When it fails, callers fall back
-to the paper's own Section 4.6 fixed-period approximation, which never needs
+This succeeds whenever the true optimum and its duals have modest
+denominators (all the paper's instances do: 1/2, 2/9, 1/3, ...).  When it
+fails the float solution stays uncertified, and callers fall back to the
+paper's own Section 4.6 fixed-period approximation, which never needs
 exact inputs.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro.lp.model import LinearProgram
-from repro.lp.solution import LPSolution, SolveStatus
+from repro.lp.certificate import certify, dual_bound
+from repro.lp.solution import LPSolution
 
 #: Denominator ladder tried in order.  Small, highly composite denominators
 #: first (periods in the paper are lcm's of small numbers), then larger.
-DEFAULT_DENOMINATORS = (1, 2, 3, 4, 6, 9, 12, 18, 24, 36, 48, 60, 72, 120,
-                        144, 180, 240, 360, 720, 2520, 5040, 27720, 360360)
+DENOMINATORS = (1, 2, 3, 4, 6, 9, 12, 18, 24, 36, 48, 60, 72, 120,
+                144, 180, 240, 360, 720, 2520, 5040, 27720, 360360)
+
+#: Last resort after the ladder: per-value
+#: :meth:`fractions.Fraction.limit_denominator` with this cap.
+MAX_LIMIT_DENOMINATOR = 10**6
 
 
 def snap_to_denominator(x: float, den: int) -> Fraction:
@@ -32,48 +38,50 @@ def snap_to_denominator(x: float, den: int) -> Fraction:
     return Fraction(round(x * den), den)
 
 
-def rationalize_solution(sol: LPSolution,
-                         denominators: Iterable[int] = DEFAULT_DENOMINATORS,
-                         objective_slack: float = 1e-6,
-                         max_limit_denominator: int = 10**6,
-                         ) -> Optional[LPSolution]:
-    """Try to convert a float solution into an exact rational one.
+def _snaps(xs: Dict[int, float]) -> List[Dict[int, Fraction]]:
+    """Rational candidates for ``xs``: one per ladder denominator, then
+    the per-value ``limit_denominator`` one; zeros dropped."""
+    out = [{j: snap_to_denominator(x, den) for j, x in xs.items()}
+           for den in DENOMINATORS]
+    out.append({j: Fraction(x).limit_denominator(MAX_LIMIT_DENOMINATOR)
+                for j, x in xs.items()})
+    return [{j: v for j, v in c.items() if v} for c in out]
 
-    Two strategies, in order:
 
-    1. snap *every* variable to a common denominator from ``denominators``,
-    2. per-variable :meth:`fractions.Fraction.limit_denominator`.
+def rationalize_solution(sol: LPSolution
+                         ) -> Tuple[Optional[LPSolution], Optional[str]]:
+    """Try to turn a float optimum into a certified exact one.
 
-    Each candidate is verified exactly against all constraints and bounds
-    (``tol=0``); the first feasible candidate whose objective is within
-    ``objective_slack`` of the float objective (from below is fine — LP float
-    objectives can overshoot) is returned.  Returns ``None`` when no
-    candidate verifies.
+    Returns ``(exact solution, None)`` on success — ``sol`` itself when it
+    is already exact — else ``(None, why)``.  Any valid dual bound is at
+    least the optimum, so a snapped primal point whose objective equals
+    one is optimal: each snapped dual candidate (the most precise first)
+    has its bound computed once (:func:`repro.lp.certificate.dual_bound`),
+    and the first exactly feasible primal candidate meeting it, in ladder
+    order, is returned with those duals.
     """
     if sol.lp is None or not sol.optimal:
-        return None
+        return None, "no optimum"
     if sol.exact:
-        return sol
-    lp: LinearProgram = sol.lp
+        return sol, None
+    lp = sol.lp
     if not lp.is_rational():
-        return None
-    float_obj = float(sol.objective)
-
-    candidates = []
-    for den in denominators:
-        candidates.append({j: snap_to_denominator(x, den)
-                           for j, x in sol.values.items()})
-    candidates.append({j: Fraction(x).limit_denominator(max_limit_denominator)
-                       for j, x in sol.values.items()})
-
-    for values in candidates:
-        values = {j: v for j, v in values.items() if v != 0}
-        if lp.check_feasible(values, tol=0):
+        return None, "float data"
+    primals, duals = _snaps(sol.values), _snaps(sol.duals or {})
+    objs: list = []                   # objective of primals[k] or None
+    for y in duals[-1:] + duals[:-1]:
+        bound = dual_bound(lp, y)[0]
+        if bound is None:
             continue
-        obj = lp.objective.evaluate(values)
-        gap = float_obj - float(obj) if lp.sense_max else float(obj) - float_obj
-        if gap <= objective_slack:
-            return LPSolution(SolveStatus.OPTIMAL, objective=obj,
-                              values=values, backend=sol.backend + "+rationalized",
-                              exact=True, lp=lp, iterations=sol.iterations)
-    return None
+        for k, values in enumerate(primals):
+            if k == len(objs):
+                objs.append(None if lp.check_feasible(values, tol=0)
+                            else lp.objective.evaluate(values))
+            if objs[k] == bound:
+                return replace(sol, objective=bound, values=values, duals=y,
+                               backend=sol.backend + "+rationalized",
+                               exact=True), None
+    # why the first feasible (else the most precise) snap is unproved
+    x = next((v for v, o in zip(primals, objs) if o is not None),
+             primals[-1])
+    return None, "; ".join(certify(lp, x, duals[-1])[:3])

@@ -25,7 +25,9 @@ class LPSolution:
 
     ``values`` maps variable *index* to value; use :meth:`value` /
     :meth:`by_name` for convenient access.  ``exact`` is True when values are
-    int/Fraction (from the exact simplex or successful rationalization).
+    int/Fraction and proved optimal: from an exact simplex, or from a
+    HiGHS optimum whose rationalization passed
+    :func:`repro.lp.certificate.certify`.
 
     ``basis_labels`` (exact backend only) names the optimal basis by stable
     labels — ``("v", variable name)`` for structural columns and
@@ -48,17 +50,20 @@ class LPSolution:
     ``presolve`` when presolve alone proved infeasibility).  The
     ``--lp-stats`` CLI flag prints it.
 
-    ``duals`` (revised engine, opt-in via ``want_duals=True``) maps the
-    *position* of each constraint in ``lp.constraints`` to its exact
-    rational row multiplier ``y_i`` at the optimum (zeros omitted).
-    Sign convention: for a maximization LP every variable satisfies
-    ``sum_i y_i a_ij >= c_j`` (its *reduced cost* ``sum_i y_i a_ij -
-    c_j`` is nonnegative, zero on basic columns); ``<=`` rows have
-    ``y_i >= 0``, ``>=`` rows ``y_i <= 0``, equalities are free.  For a
-    minimization LP the inequalities mirror (``sum_i y_i a_ij <= c_j``).
-    Multipliers of variable *bound* rows are not reported — the column
-    generation in :mod:`repro.lp.colgen` prices only bound-free
-    candidate columns, which need the constraint-row duals alone.
+    ``duals`` maps the *position* of each constraint in
+    ``lp.constraints`` to its row multiplier ``y_i`` at the optimum
+    (zeros omitted): exact rationals from the revised engine (opt-in via
+    ``want_duals=True``) and from a certified HiGHS rationalization,
+    floats from :class:`repro.lp.highs.HighsSolver` itself.  A solve
+    behind presolve reports none — its multipliers index the presolved
+    model's rows.
+    Sign convention: for a maximization LP ``<=`` rows have ``y_i >= 0``,
+    ``>=`` rows ``y_i <= 0``, equalities are free, and a variable's
+    *reduced cost* ``sum_i y_i a_ij - c_j`` is nonnegative (zero on
+    basic columns) unless the variable sits at a finite upper bound.  A
+    minimization LP mirrors every sign.  Multipliers of variable *bound*
+    rows are not reported; they follow from the reduced costs
+    (:mod:`repro.lp.certificate`).
     """
 
     status: SolveStatus

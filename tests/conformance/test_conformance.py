@@ -9,13 +9,13 @@ contributes its own representative instance through the
 collective (and implementing the hook) is enough to be covered here
 automatically, no test edits required.
 
-Differential-testing lineage: like the PR 1 dense-vs-sparse suite this
-pits an exact oracle against an independent implementation — here the
-whole pipeline (presolve + fraction-free simplex) against scipy/HiGHS —
-so a bug must hide in *both* to survive.  Checked per case:
+This pits the exact pipeline (presolve + fraction-free simplex)
+against an independent implementation, scipy/HiGHS, so a bug must hide
+in *both* to survive.  Checked per case:
 
 - the exact backend returns ``exact=True`` rational throughput,
-- the HiGHS optimum agrees within tolerance,
+- the HiGHS optimum agrees within tolerance, and bit for bit when its
+  rationalization was certified (``exact=True``),
 - ``solution.verify()`` is clean on both backends,
 - every edge occupation stays within the one-port budget.
 
@@ -85,6 +85,9 @@ def test_exact_and_highs_agree_and_verify(plat, spec):
 
     highs = solve_collective(problem, collective=spec.name, backend="highs")
     assert abs(float(exact.throughput) - float(highs.throughput)) < 1e-7
+    if highs.exact:
+        # a certified HiGHS optimum is the exact optimum, bit for bit
+        assert highs.throughput == exact.throughput
     tol = 0 if highs.exact else 1e-6
     assert highs.verify(tol=tol) == []
     for occ in highs.edge_occupation().values():

@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 from repro.lp import dispatch
+from repro.lp.certificate import certify
 from repro.lp.dispatch import solve
 from repro.lp.highs import HighsSolver
-from repro.lp.model import LinearProgram
+from repro.lp.model import LinearProgram, LinExpr
 from repro.lp.rationalize import rationalize_solution, snap_to_denominator
 from repro.lp.solution import SolveStatus
 
@@ -66,15 +67,15 @@ class TestSnap:
     def test_rationalize_recovers_exact_optimum(self):
         lp, u, v = make_lp()
         s = HighsSolver().solve(lp)
-        r = rationalize_solution(s)
-        assert r is not None and r.exact
+        r, why = rationalize_solution(s)
+        assert r is not None and r.exact and why is None
         assert r.objective == Fraction(1, 3)
-        assert lp.check_feasible(r.values) == []
+        assert certify(lp, r.values, r.duals) == []
 
     def test_rationalize_passthrough_for_exact(self):
         lp, *_ = make_lp()
         s = solve(lp, backend="exact")
-        assert rationalize_solution(s) is s
+        assert rationalize_solution(s) == (s, None)
 
     def test_rationalize_returns_none_for_float_lp(self):
         lp = LinearProgram()
@@ -82,7 +83,7 @@ class TestSnap:
         lp.add(0.5 * x <= 1.0)
         lp.maximize(x)
         s = HighsSolver().solve(lp)
-        assert rationalize_solution(s) is None
+        assert rationalize_solution(s) == (None, "float data")
 
     def test_rationalize_none_for_failed_solve(self):
         lp = LinearProgram()
@@ -90,7 +91,7 @@ class TestSnap:
         lp.add(x >= 2)
         lp.maximize(x)
         s = HighsSolver().solve(lp)
-        assert rationalize_solution(s) is None
+        assert rationalize_solution(s) == (None, "no optimum")
 
 
 class TestDispatch:
@@ -129,3 +130,74 @@ class TestDispatch:
         lp, u, v = make_lp()
         s = solve(lp)
         assert s.by_name("u") == s.value(u)
+
+
+def tiny_coefficient_lp():
+    """``max x s.t. 1000003 x <= 1``: the optimum 1/1000003 is below every
+    ladder denominator's resolution and past the limit_denominator cap."""
+    lp = LinearProgram("tiny")
+    x = lp.var("x")
+    lp.add(1000003 * x <= 1)
+    lp.maximize(x)
+    return lp
+
+
+class TestCertifiedRationalization:
+    def setup_method(self):
+        dispatch.clear_cache()
+
+    def test_highs_reports_duals_in_the_solution_convention(self):
+        for sense in ("max", "min"):
+            lp = LinearProgram()
+            x, y = lp.var("x"), lp.var("y", ub=3)
+            lp.add(x + y <= 4, "cap")
+            lp.add(x - y >= -1, "gap")
+            lp.add(x + 2 * y == 5, "eq")
+            (lp.maximize if sense == "max" else lp.minimize)(2 * x + y)
+            s = HighsSolver().solve(lp)
+            exact = [Fraction(v).limit_denominator(1000)
+                     for v in (s.duals.get(i, 0.0) for i in range(3))]
+            values = {j: Fraction(v).limit_denominator(1000)
+                      for j, v in s.values.items()}
+            assert certify(lp, values, dict(enumerate(exact))) == []
+
+    def test_snapped_feasible_suboptimal_point_is_not_exact(self):
+        # the float optimum snaps to the feasible point x = 0 on every
+        # ladder denominator: feasible, but not optimal, so not exact
+        s = solve(tiny_coefficient_lp(), backend="highs", presolve=False)
+        assert s.optimal
+        assert not s.exact or s.objective == Fraction(1, 1000003)
+        if not s.exact:
+            assert s.stats["uncertified"].startswith("gap:")
+
+    def test_every_exact_highs_result_is_certified(self):
+        lp, *_ = make_lp()
+        s = solve(lp, backend="highs", presolve=False)
+        assert s.exact and "uncertified" not in s.stats
+        assert certify(lp, s.values, s.duals) == []
+
+    def test_empty_presolved_model_is_solved(self):
+        # presolve fixes x at its bound 1/1000003 and leaves no variable
+        lp = tiny_coefficient_lp()
+        s = solve(lp, backend="highs")
+        assert s.stats["vars_presolved"] == 0
+        assert s.exact and s.objective == Fraction(1, 1000003)
+        assert s.by_name("x") == Fraction(1, 1000003)
+
+    def test_empty_model_infeasible_constant_row(self):
+        lp = LinearProgram("empty")
+        lp.add(LinExpr({}, 1) <= 0, "one-le-zero")
+        lp.maximize(LinExpr({}, 5))
+        assert HighsSolver().solve(lp).status is SolveStatus.INFEASIBLE
+        lp2 = LinearProgram("const")
+        lp2.maximize(LinExpr({}, Fraction(5, 2)))
+        s = HighsSolver().solve(lp2)
+        assert s.optimal and s.objective == Fraction(5, 2)
+
+    def test_float_lp_is_uncertified(self):
+        lp = LinearProgram()
+        x = lp.var("x")
+        lp.add(0.5 * x <= 1.0)
+        lp.maximize(x)
+        s = solve(lp, backend="highs")
+        assert not s.exact and s.stats["uncertified"] == "float data"

@@ -1,6 +1,7 @@
 """Presolve/postsolve correctness: unit rules, collective round trips,
-randomized differential tests against the un-presolved solver and the
-dense oracle, and the canonical-vertex identity guarantee."""
+randomized differential tests against the un-presolved solver and a
+certified revised-engine optimum, and the canonical-vertex identity
+guarantee."""
 
 import random
 from fractions import Fraction
@@ -13,11 +14,12 @@ from repro.core.reduce_op import ReduceProblem
 from repro.core.reduce_scatter import ReduceScatterProblem
 from repro.core.scatter import ScatterProblem
 from repro.lp import solve
-from repro.lp.dense_simplex import DenseSimplexSolver
+from repro.lp.certificate import certify
 from repro.lp.dispatch import clear_cache
 from repro.lp.exact_simplex import ExactSimplexSolver
 from repro.lp.model import LinearProgram
 from repro.lp.presolve import presolve
+from repro.lp.revised_simplex import RevisedSimplexSolver
 from repro.lp.solution import SolveStatus
 from repro.platform.examples import (
     figure2_platform,
@@ -296,8 +298,12 @@ class TestRandomizedDifferential:
                         n_rows=rng.randint(1, 8),
                         force_structure=seed % 2 == 0)
         direct = ExactSimplexSolver().solve(lp)
-        oracle = DenseSimplexSolver().solve(lp)
+        # the oracle: a revised-engine optimum its own duals prove exact
+        oracle = RevisedSimplexSolver().solve(lp, want_duals=True)
         assert direct.status is oracle.status
+        if oracle.optimal:
+            assert certify(lp, oracle.values, oracle.duals) == []
+            assert direct.objective == oracle.objective
         pr = presolve(lp)
         if pr.infeasible:
             assert oracle.status is SolveStatus.INFEASIBLE

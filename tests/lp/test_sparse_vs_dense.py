@@ -1,11 +1,11 @@
 """Correctness of the sparse fraction-free simplex under the new arithmetic.
 
-The sparse solver (`repro.lp.exact_simplex`) replaced the dense Fraction
-tableau; the original implementation survives as
-:class:`repro.lp.dense_simplex.DenseSimplexSolver` and serves as the oracle
-here: same statuses on pathological LPs, bit-identical objectives on
-randomized rational LPs.  Also covers the dispatch-layer additions (memo
-cache, warm starts, ERROR-with-diagnostics on iteration overrun).
+The reference for the sparse tableau (`repro.lp.exact_simplex`) is a
+proof rather than a second implementation: the revised engine's optimum
+and duals must pass :func:`repro.lp.certificate.certify` at ``tol=0``,
+and the tableau must reach the same status and the same exact objective
+— on pathological LPs and on randomized rational LPs.  Also covers the dispatch-layer additions
+(memo cache, warm starts, ERROR-with-diagnostics on iteration overrun).
 """
 
 import random
@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.lp import dispatch
-from repro.lp.dense_simplex import DenseSimplexSolver
+from repro.lp.certificate import certify
 from repro.lp.exact_simplex import ExactSimplexSolver
 from repro.lp.model import LinearProgram
+from repro.lp.revised_simplex import RevisedSimplexSolver
 from repro.lp.solution import SolveStatus
 
 
@@ -25,8 +26,12 @@ def sparse(lp, **kw):
     return ExactSimplexSolver().solve(lp, **kw)
 
 
-def dense(lp):
-    return DenseSimplexSolver().solve(lp)
+def certified(lp):
+    """Revised-engine solve whose optimum, if any, is proved by its duals."""
+    s = RevisedSimplexSolver().solve(lp, want_duals=True)
+    if s.optimal:
+        assert certify(lp, s.values, s.duals) == []
+    return s
 
 
 class TestPathologies:
@@ -117,7 +122,7 @@ class TestPathologies:
         s = sparse(lp)
         assert s.status is SolveStatus.OPTIMAL
         assert s.objective == 0 and s.value(x) == 0
-        assert dense(lp).objective == 0
+        assert certified(lp).objective == 0
 
     def test_negative_lower_bounds_mixed(self):
         lp = LinearProgram()
@@ -127,7 +132,7 @@ class TestPathologies:
         lp.minimize(x + 2 * y)
         s = sparse(lp)
         assert s.status is SolveStatus.OPTIMAL
-        assert s.objective == dense(lp).objective == -4
+        assert s.objective == certified(lp).objective == -4
         assert s.value(x) == -2 and s.value(y) == -1
 
     def test_bland_pricing_mode(self):
@@ -156,16 +161,6 @@ class TestIterationLimit:
         assert "iterlimit" in s.message
         assert "vars" in s.message  # names the LP shape for debugging
         assert s.iterations >= 1
-
-    def test_dense_reference_also_reports_error(self):
-        lp = LinearProgram()
-        x, y = lp.var("x"), lp.var("y")
-        lp.add(x + y >= 3)
-        lp.add(x - y == 1)
-        lp.minimize(2 * x + y)
-        s = DenseSimplexSolver(max_iterations=1).solve(lp)
-        assert s.status is SolveStatus.ERROR
-        assert s.message
 
 
 class TestWarmStart:
@@ -294,25 +289,26 @@ def _random_rational_lp(rng):
     return lp
 
 
-class TestDifferentialVsDenseOracle:
+class TestDifferentialVsCertifiedRevised:
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=60, deadline=None)
-    def test_same_status_and_objective_as_dense(self, seed):
+    def test_same_status_and_objective_as_certified_revised(self, seed):
         lp = _random_rational_lp(random.Random(seed))
         fast = sparse(lp)
-        slow = dense(lp)
-        assert fast.status is slow.status
+        ref = certified(lp)
+        assert fast.status is ref.status
         if fast.status is SolveStatus.OPTIMAL:
-            assert fast.objective == slow.objective  # bit-exact rationals
-            assert lp.check_feasible(fast.values, tol=0) == []
+            assert fast.objective == ref.objective  # bit-exact rationals
+            # the revised duals prove the tableau's own vertex optimal
+            assert certify(lp, fast.values, ref.duals) == []
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=25, deadline=None)
-    def test_warm_started_resolve_matches_dense(self, seed):
+    def test_warm_started_resolve_matches_certified_revised(self, seed):
         lp = _random_rational_lp(random.Random(seed))
         cold = sparse(lp)
         if cold.status is not SolveStatus.OPTIMAL:
             return
         warm = sparse(_random_rational_lp(random.Random(seed)),
                       warm_basis=cold.basis_labels)
-        assert warm.objective == dense(lp).objective
+        assert warm.objective == certified(lp).objective

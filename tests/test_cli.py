@@ -189,6 +189,33 @@ class TestLpStatsFlag:
         assert "after presolve" in out
         assert "no engine counters recorded" in out
 
+    def test_highs_prints_the_certificate(self, plat_file, capsys):
+        from repro.lp import dispatch
+
+        dispatch.clear_cache()
+        rc = main(["scatter", "--platform", plat_file, "--source", "Ps",
+                   "--targets", "P0,P1", "--backend", "highs",
+                   "--lp-stats"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "route: highs (backend='highs')\n    certificate: proved" \
+            in out
+
+    def test_highs_prints_why_uncertified(self, plat_file, capsys,
+                                          monkeypatch):
+        from repro.lp import dispatch
+
+        dispatch.clear_cache()
+        monkeypatch.setattr(dispatch, "rationalize_solution",
+                            lambda sol: (None, "gap: dual bound 1 != 0"))
+        rc = main(["scatter", "--platform", plat_file, "--source", "Ps",
+                   "--targets", "P0,P1", "--backend", "highs",
+                   "--lp-stats"])
+        out = capsys.readouterr().out
+        dispatch.clear_cache()
+        assert rc == 0
+        assert "uncertified: gap: dual bound 1 != 0" in out
+
     def test_colgen_prints_the_pricing_split(self, tmp_path, capsys):
         """A reduce-scatter on colgen: every block by the tree DP."""
         from repro.platform.examples import figure6_platform
