@@ -71,16 +71,14 @@ def _add_solve_subcommand(sub, spec) -> None:
     sp.add_argument("--backend", default="auto",
                     choices=["auto", "exact", "tableau", "revised", "highs",
                              "colgen"])
-    sp.add_argument("--jobs", type=int, default=None, metavar="N",
-                    help="pricing worker processes for the colgen backend "
-                         "(default: REPRO_JOBS, else 1; results are "
-                         "identical for any value)")
     sp.add_argument("--lp-stats", action="store_true",
-                    help="print solver statistics (pivot counts, LU "
-                         "refactorizations, crash path, per-phase timings) "
-                         "after solving; the revised backend records them, "
-                         "tableau/HiGHS solves report none, and HiGHS "
-                         "solves say whether their optimum was certified")
+                    help="print solver statistics after solving: pivot "
+                         "counts, LU refactorizations and the crash path "
+                         "for the revised backend; rounds, columns, the "
+                         "pricing split and master/pricing seconds for "
+                         "colgen; variable counts only for tableau/HiGHS "
+                         "solves, and whether a HiGHS optimum was "
+                         "certified")
     if isinstance(spec, CompositeCollectiveSpec):
         sp.add_argument("--mode", default=None, choices=COMPOSITION_MODES,
                         help=f"composition mode (default: {spec.mode})")
@@ -116,7 +114,6 @@ def _cmd_solve(spec, args) -> int:
     sol = solve_collective(problem, collective=spec.name,
                            backend=args.backend,
                            mode=getattr(args, "mode", None),
-                           jobs=getattr(args, "jobs", None),
                            on_infeasible=args.on_infeasible)
     print(f"platform {g.name}: TP = {sol.throughput}"
           f"{spec.tp_suffix(problem, sol)}")
@@ -193,8 +190,7 @@ def _print_engine_stats(lead: str, lps, stats) -> None:
               f"skipped {stats['pricing_skipped']}")
         print(f"    time: master {stats['master_s']:.3f}s "
               f"({stats['master_pivots']} pivots), pricing "
-              f"{stats['pricing_s']:.3f}s on {stats['jobs']} job(s) "
-              f"(speedup {stats['parallel_speedup']:.2f}x)")
+              f"{stats['pricing_s']:.3f}s")
         return
     if "path" not in stats:
         # tableau/HiGHS solves carry only the dispatch-stamped

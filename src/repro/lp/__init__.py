@@ -34,9 +34,9 @@ provides the substrate from scratch:
   entry from a recorded basis for tightened re-solves.
 - :mod:`repro.lp.colgen` — Dantzig-Wolfe **column generation** over the
   LPs' commodity-block structure: a restricted master holding only the
-  shared capacity rows over tree/path columns, priced per commodity by
-  exact-dual shortest paths (or small pricing LPs), optionally across a
-  process pool — deterministic regardless of worker count.
+  shared capacity rows over tree/path columns, priced per commodity,
+  serially and deterministically, by exact-dual shortest paths, the
+  reduction-tree dynamic program, or small pricing LPs.
 - :mod:`repro.lp.certificate` — exact optimality proofs at ``tol=0``
   (primal and dual feasibility, no duality gap) for a point and its row
   multipliers; every rationalized HiGHS optimum must pass, and the

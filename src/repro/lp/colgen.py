@@ -32,15 +32,13 @@ This module solves such LPs by the classic decomposition:
   every admitted column has ``rc >= 0``, so an improving ray is always
   *new* — finitely many slice vertices per block bound the round count.
 
-Pricing across blocks is embarrassingly parallel and fans out over a
-``concurrent.futures`` process pool (``jobs``/``REPRO_JOBS``).  The
-result is **deterministic and independent of the worker count**: per
-block the subproblem is a deterministic solve seeded only by the duals
-and the block's *own* previous basis (warm bases travel through the
-parent, never through worker-local caches), and the admitted columns
-are ordered by a stable key — ``(block id, sorted vertex)`` — not by
-arrival.  ``jobs`` therefore changes wall-clock only, never the
-solution or the column set (enforced by ``tests/lp/test_colgen.py``).
+Pricing runs serially, in-process, one block after another, and the
+result is **deterministic**: per block the subproblem is a
+deterministic solve seeded only by the duals and the block's *own*
+state from earlier rounds (its last tableau basis and its last float
+price-out certificate, see :class:`_BlockPricer`), and the admitted
+columns are ordered by a stable key — ``(block id, sorted vertex)`` —
+not by pricing order.
 
 :func:`solve_colgen` is wired into :func:`repro.lp.dispatch.solve` as
 ``backend="colgen"`` and picked automatically, before presolve, above
@@ -59,12 +57,15 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
+from scipy import sparse
+from scipy.optimize import linprog as _linprog
 
 from repro.lp.exact_simplex import ExactSimplexSolver
 from repro.lp.model import EQ, LE, Constraint, LinearProgram, LinExpr
@@ -78,9 +79,9 @@ from repro.lp.solution import LPSolution, SolveStatus
 #: treating either as block rows would merge commodities).
 MASTER_ROW_PREFIXES = ("edge[", "out[", "in[", "alpha[", "chain[")
 
-#: Pricing LPs up to this many variables use the tableau engine; larger
-#: blocks use the revised engine (whose float crash pays off once per
-#: block — later rounds warm-start from the block's previous basis).
+#: Pricing LPs up to this many variables use the tableau engine,
+#: warm-started from the block's previous basis; larger blocks use the
+#: revised engine, cold every round (its float crash finds the basis).
 PRICING_TABLEAU_LIMIT = 600
 
 #: Blocks with more variables than this try float-guided pricing first
@@ -89,35 +90,11 @@ PRICING_TABLEAU_LIMIT = 600
 #: tableau solve is already ~1 ms and the float detour only adds noise.
 FLOAT_PRICE_MIN = 120
 
-#: Fallback direct solves route like dispatch's exact split.
-_FALLBACK_TABLEAU_LIMIT = 5000
-
 #: Safety net on the round loop; real instances converge in tens of
 #: rounds (finitely many slice vertices per block bound it anyway).
 MAX_ROUNDS = 10_000
 
 ZERO = Fraction(0)
-
-def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """Worker count: explicit ``jobs``, else ``REPRO_JOBS``, else 1."""
-    if jobs is None:
-        try:
-            jobs = int(os.environ.get("REPRO_JOBS", "1"))
-        except ValueError:
-            jobs = 1
-    return max(1, int(jobs))
-
-
-def resolve_chunksize(n_tasks: int, njobs: int) -> int:
-    """Pricing-pool ``pool.map`` chunk size for one round.
-
-    Each worker gets ~4 chunks per round (``ceil(n_tasks / (4 * njobs))``),
-    which amortizes per-task pickling/IPC on wide rounds while still
-    letting fast workers steal from stragglers.  Chunking only reorders *when*
-    results come back, never *what* they are — column admission sorts by
-    key, so the optimum stays jobs- and chunk-invariant.
-    """
-    return max(1, -(-n_tasks // (4 * max(1, njobs))))
 
 
 # ----------------------------------------------------------------------
@@ -126,7 +103,7 @@ def resolve_chunksize(n_tasks: int, njobs: int) -> int:
 
 @dataclass
 class _BlockPayload:
-    """One commodity block, picklable for the worker pool.
+    """One commodity block.
 
     ``rows`` and ``graph`` use *local* variable indices (positions in
     ``var_idx``); ``master_coefs[j]`` lists this variable's coefficients
@@ -314,16 +291,8 @@ def _attach_graphs(lp: LinearProgram, blocks: Sequence[_BlockPayload],
 # pricing
 # ----------------------------------------------------------------------
 
-try:
-    import numpy as _np
-    from scipy import sparse as _sparse
-    from scipy.optimize import linprog as _linprog
-    _HAVE_SCIPY = True
-except ImportError:            # pragma: no cover - scipy is baked in
-    _HAVE_SCIPY = False
-
 #: Denominator cap when rationalizing float pricing duals for the
-#: exact price-out certificate (see :meth:`_BlockPricer._certify`).
+#: exact price-out certificate (see :meth:`_BlockPricer._cert_check`).
 _CERT_DENOM = 10 ** 6
 
 #: Float pricing considers a reduced cost negative below this; anything
@@ -331,9 +300,8 @@ _CERT_DENOM = 10 ** 6
 _FLOAT_EPS = 1e-9
 
 
-
 class _BlockPricer:
-    """Per-block pricing state living in the parent or a pool worker.
+    """Per-block pricing state, kept across the rounds of one solve.
 
     Small blocks (up to :data:`PRICING_TABLEAU_LIMIT` variables) price
     by an exact tableau solve outright.  Large blocks price
@@ -343,9 +311,12 @@ class _BlockPricer:
     re-solved exactly on its support (a tiny tableau LP), and a
     priced-out verdict is certified by an exact weak-duality check of
     the rationalized float duals.  Only when both fail does the full
-    exact LP run.  Every path is deterministic, so a block prices
-    identically whichever worker runs it; all round-to-round state (the
-    warm basis) is passed in and returned explicitly.
+    exact LP run.  Every path is deterministic given the duals and the
+    block's two pieces of round-to-round state: ``basis``, the basis of
+    its last exact pricing LP (the next tableau solve's warm start), and
+    ``cert``, the multipliers of its last float price-out certificate
+    (tried before the next float solve).  Seed-round pricings
+    (``want_any``) start cold and use neither.
     """
 
     def __init__(self, payload: _BlockPayload) -> None:
@@ -353,6 +324,8 @@ class _BlockPricer:
         self._lp: Optional[LinearProgram] = None
         self._dead = False
         self._float = None     # lazily built persistent scipy model
+        self.basis: Optional[tuple] = None
+        self.cert: Optional[tuple] = None
         # transposed master coefs scaled to integers: pos -> [(lj, c)],
         # each c times _cscale
         self._by_row = None
@@ -432,14 +405,14 @@ class _BlockPricer:
                     ri.append(r)
                     ci.append(lj)
                     vv.append(float(c))
-            return _sparse.csr_matrix((vv, (ri, ci)), shape=(len(rows), n))
+            return sparse.csr_matrix((vv, (ri, ci)), shape=(len(rows), n))
         a_ub = _csr(ub_rows) if ub_rows else None
         eq_all = eq_rows + [tuple((lj, Fraction(1)) for lj in range(n))]
         a_eq = _csr(eq_all)
-        b_eq = _np.zeros(len(eq_all))
+        b_eq = np.zeros(len(eq_all))
         b_eq[-1] = 1.0
         self._float = {
-            "a_ub": a_ub, "b_ub": _np.zeros(len(ub_rows)),
+            "a_ub": a_ub, "b_ub": np.zeros(len(ub_rows)),
             "a_eq": a_eq, "b_eq": b_eq,
             "ub_rows": ub_rows, "eq_rows": eq_rows,
             "bounds": [(0, None)] * n,
@@ -528,59 +501,52 @@ class _BlockPricer:
                 local[lj] = v
         return (sol.objective, local)
 
-    def _float_price(self, w: List[Fraction], want_any: bool, fwarm):
-        """Float-guided pricing; ``(None, fwarm)`` defers to the full
-        exact LP.
+    def _float_price(self, w: List[Fraction], want_any: bool):
+        """Float-guided pricing; ``None`` defers to the full exact LP.
 
-        ``fwarm`` is the float path's warm token ``("fw", cert)``
-        threaded through :func:`solve_colgen` round to round: ``cert``
-        holds the last successful certificate multipliers, tried
-        *before* the float solve — a cached certificate that still
-        checks proves price-out outright (a stale ``u`` only weakens
-        the bound, and no ``u`` can pass while an improving ray
-        exists).  Keeping this state in the token rather than the
-        pricer makes pricing a pure function of the task, so results
-        cannot depend on which worker ran earlier rounds.
+        The cached certificate ``self.cert`` is tried *before* the float
+        solve: if it still checks it proves price-out outright (a stale
+        ``u`` only weakens the bound, and no ``u`` can pass while an
+        improving ray exists).
         """
         f = self._float or self._float_setup()
-        cert0 = fwarm[1] if fwarm else None
-        if (not want_any and cert0 is not None
-                and self._cert_check(w, cert0)):
-            return ("none",), fwarm
+        if (not want_any and self.cert is not None
+                and self._cert_check(w, self.cert)):
+            return ("none",)
         n = len(w)
-        c = _np.fromiter((float(x) for x in w), dtype=float, count=n)
+        c = np.fromiter((float(x) for x in w), dtype=float, count=n)
         res = _linprog(c, A_ub=f["a_ub"], b_ub=f["b_ub"],
                        A_eq=f["a_eq"], b_eq=f["b_eq"], bounds=f["bounds"],
                        method="highs", options={"presolve": False})
         if res.status == 2:
             self._dead = True
-            return ("dead", None), None
+            return ("dead",)
         if not res.success:
-            return None, fwarm
+            return None
         if res.fun < -_FLOAT_EPS or want_any:
-            support = [int(j) for j in _np.nonzero(res.x > 1e-9)[0]]
+            support = [int(j) for j in np.nonzero(res.x > 1e-9)[0]]
             if support:
                 got = self._restricted_exact(w, support, want_any)
                 if got is not None:
                     rc, local = got
-                    return ("col", rc, local), fwarm
+                    return ("col", rc, local)
         if res.fun >= -_FLOAT_EPS and not want_any:
             mults = self._cert_mults(res)
             if self._cert_check(w, mults):
-                return ("none",), ("fw", mults)
-        return None, fwarm
+                self.cert = mults
+                return ("none",)
+        return None
 
     # ------------------------------------------------------ entry point
-    def price(self, duals: Dict[int, Fraction], warm: Optional[tuple],
-              want_any: bool = False):
-        """One pricing round: ``("col", rc, vertex, warm')`` with
-        ``rc < 0`` and ``vertex`` a local-index ray, ``("none", warm')``
-        at local optimality, ``("dead", None)`` for an empty cone.
-        ``want_any`` (the seed round) returns a ray regardless of its
-        reduced cost, so every block enters the first master."""
+    def price(self, duals: Dict[int, Fraction], want_any: bool = False):
+        """One pricing round: ``("col", rc, vertex)`` with ``rc < 0``
+        and ``vertex`` a local-index ray, ``("none",)`` at local
+        optimality, ``("dead",)`` for an empty cone.  ``want_any`` (the
+        seed round) returns a ray regardless of its reduced cost, so
+        every block enters the first master."""
         self.dijkstra_bailed = False
         if self._dead:
-            return ("dead", None)
+            return ("dead",)
         w, scale = self.weights(duals)
         graph = self.p.graph
         if graph is not None:
@@ -588,15 +554,13 @@ class _BlockPricer:
                              else _dijkstra_price)
             res = combinatorial(graph, w, want_any=want_any, scale=scale)
             if res is not None:
-                return res + (warm,)    # graphs carry no warm basis
+                return res
             self.dijkstra_bailed = True
         w = [Fraction(x, scale) if x else ZERO for x in w]
-        if _HAVE_SCIPY and len(w) > FLOAT_PRICE_MIN:
-            fwarm = (warm if isinstance(warm, tuple) and warm
-                     and warm[0] == "fw" else None)
-            res, fwarm = self._float_price(w, want_any, fwarm)
+        if len(w) > FLOAT_PRICE_MIN:
+            res = self._float_price(w, want_any)
             if res is not None:
-                return res if res[0] == "dead" else res + (fwarm,)
+                return res
         lp = self._pricing_lp()
         obj = LinExpr()
         for lj, wj in enumerate(w):
@@ -604,20 +568,22 @@ class _BlockPricer:
                 obj.add_term(lp.variables[lj], wj)
         lp.minimize(obj)
         if lp.num_vars() <= PRICING_TABLEAU_LIMIT:
-            sol = ExactSimplexSolver().solve(lp, warm_basis=warm)
+            sol = ExactSimplexSolver().solve(
+                lp, warm_basis=None if want_any else self.basis)
         else:
             sol = RevisedSimplexSolver().solve(lp)
         if sol.status is SolveStatus.INFEASIBLE:
             self._dead = True
-            return ("dead", None)
+            return ("dead",)
         if not sol.optimal:
             raise RuntimeError(
                 f"pricing solve failed on block {self.p.bid}: {sol.status}"
                 f" {sol.message}")
+        self.basis = sol.basis_labels
         if sol.objective >= 0 and not want_any:
-            return ("none", sol.basis_labels)
+            return ("none",)
         vertex = {lj: v for lj, v in sol.values.items() if v}
-        return ("col", sol.objective, vertex, sol.basis_labels)
+        return ("col", sol.objective, vertex)
 
 
 def _common_denominator(values) -> int:
@@ -829,29 +795,6 @@ def _tree_price(graph: dict, w: Sequence, want_any: bool = False,
     return ("col", Fraction(total, scale), vertex)
 
 
-# pool workers: payloads ship once through the initializer, warm bases
-# travel with every task (worker-local caches would break the
-# jobs-invariance contract)
-_POOL_PRICERS: Optional[Dict[int, _BlockPricer]] = None
-
-
-def _pool_init(payloads: Sequence[_BlockPayload]) -> None:
-    global _POOL_PRICERS
-    _POOL_PRICERS = {p.bid: _BlockPricer(p) for p in payloads}
-
-
-def _run_pricer(pricer: _BlockPricer, task):
-    """One pricing task: ``(bid, result, seconds, dijkstra bailed)``."""
-    bid, duals, warm, want_any = task
-    t0 = perf_counter()
-    res = pricer.price(duals, warm, want_any=want_any)
-    return bid, res, perf_counter() - t0, pricer.dijkstra_bailed
-
-
-def _pool_price(task):
-    return _run_pricer(_POOL_PRICERS[task[0]], task)
-
-
 # ----------------------------------------------------------------------
 # the master loop
 # ----------------------------------------------------------------------
@@ -920,7 +863,9 @@ def _build_master(lp: LinearProgram, struct: Structure,
 def _direct_fallback(lp: LinearProgram, reason: str) -> LPSolution:
     """No block structure (or a shape colgen does not speak): one
     direct exact solve, still reported under the colgen backend."""
-    if lp.num_vars() <= _FALLBACK_TABLEAU_LIMIT:
+    from repro.lp.dispatch import TABLEAU_VAR_LIMIT  # dispatch imports colgen
+
+    if lp.num_vars() <= TABLEAU_VAR_LIMIT:
         sol = ExactSimplexSolver().solve(lp)
     else:
         sol = RevisedSimplexSolver().solve(lp)
@@ -935,7 +880,6 @@ def _direct_fallback(lp: LinearProgram, reason: str) -> LPSolution:
 
 def solve_colgen(lp: LinearProgram,
                  pricing: Optional[Sequence[dict]] = None,
-                 jobs: Optional[int] = None,
                  structure: Optional[Structure] = None,
                  max_rounds: int = MAX_ROUNDS) -> LPSolution:
     """Solve ``lp`` exactly by Dantzig-Wolfe column generation.
@@ -943,10 +887,10 @@ def solve_colgen(lp: LinearProgram,
     ``pricing`` is an optional list of per-commodity descriptors in the
     :meth:`CollectiveSpec.pricing_graphs` format — path graphs and
     reduction trees; matched blocks price by shortest path or by the
-    tree DP, everything else by a small exact LP.  ``jobs``
-    (default ``REPRO_JOBS``, else 1) prices blocks on a process pool;
-    the returned solution is identical for every worker count.  Run on
-    the *raw* LP — presolve substitutions would break the block/name
+    tree DP, everything else by a small exact LP.  Blocks price one
+    after another in this process, and the fresh columns of a round are
+    admitted in stable-key order, so the result is deterministic.  Run
+    on the *raw* LP — presolve substitutions would break the block/name
     structure the decomposition and the graphs rely on.  A passed
     ``structure`` comes from :func:`detect` on a model the caller has
     already found rational (:func:`repro.lp.dispatch.solve` does), so
@@ -961,8 +905,6 @@ def solve_colgen(lp: LinearProgram,
     if structure is None:
         reason = "minimize" if not lp.sense_max else "no blocks"
         return _direct_fallback(lp, reason)
-    jobs = resolve_jobs(jobs)
-    njobs = min(jobs, len(structure.blocks))
     stats: Dict[str, object] = {
         "engine": "colgen", "blocks": len(structure.blocks),
         "path_blocks": sum(1 for b in structure.blocks
@@ -973,10 +915,9 @@ def solve_colgen(lp: LinearProgram,
                            and b.graph.get("kind") == "tree"),
         "master_rows": len(structure.master_rows),
         "master_vars": len(structure.master_var_idx),
-        "jobs": njobs, "rounds": 0, "columns": 0, "columns_priced": 0,
+        "rounds": 0, "columns": 0, "columns_priced": 0,
         "pricing_skipped": 0, "seed_columns": 0, "dijkstra_fallbacks": 0,
-        "master_s": 0.0, "pricing_s": 0.0, "pricing_serial_s": 0.0,
-        "master_pivots": 0,
+        "master_s": 0.0, "pricing_s": 0.0, "master_pivots": 0,
         # blocks an LP priced at least once, by reason
         "lp_blocks": {"no descriptor": sum(1 for b in structure.blocks
                                            if b.graph is None),
@@ -986,21 +927,9 @@ def solve_colgen(lp: LinearProgram,
 
     columns: List[_Column] = []
     seen_keys = set()
-    payload_of = {b.bid: b for b in structure.blocks}
-    warm_of: Dict[int, Optional[tuple]] = {b.bid: None
-                                           for b in structure.blocks}
+    pricers = {b.bid: _BlockPricer(b) for b in structure.blocks}
     alive = [b.bid for b in structure.blocks]
     solver = RevisedSimplexSolver()
-    pool = None
-    pricers: Dict[int, _BlockPricer] = {}
-    if njobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(max_workers=njobs,
-                                   initializer=_pool_init,
-                                   initargs=(structure.blocks,))
-    else:
-        pricers = {b.bid: _BlockPricer(b) for b in structure.blocks}
 
     # rows whose duals a block's pricing can see: skip a block when they
     # did not move since its last priced-out round (the result would be
@@ -1011,46 +940,35 @@ def solve_colgen(lp: LinearProgram,
     last_key: Dict[int, tuple] = {}
     last_none: Dict[int, bool] = {}
 
-    def run_tasks(tasks):
+    def price_round(tasks, want_any=False):
+        """Price ``(bid, duals)`` tasks in order; admit the fresh
+        columns by stable key and drop dead blocks from ``alive``."""
         stats["columns_priced"] += len(tasks)
         t0 = perf_counter()
-        if pool is not None:
-            chunk = resolve_chunksize(len(tasks), njobs)
-            stats["pricing_chunk"] = max(int(stats.get("pricing_chunk", 0)),
-                                         chunk)
-            results = list(pool.map(_pool_price, tasks, chunksize=chunk))
-        else:
-            results = [_run_pricer(pricers[task[0]], task)
-                       for task in tasks]
-        stats["pricing_s"] += perf_counter() - t0
-        stats["pricing_serial_s"] += sum(r[2] for r in results)
-        stats["dijkstra_fallbacks"] += sum(r[3] for r in results)
-        declined.update(r[0] for r in results if r[3])
-        stats["lp_blocks"]["declined"] = len(declined)
-        return results
-
-    def harvest(results, live):
         fresh: List[_Column] = []
         dead = set()
-        for bid, res, _secs, _bailed in results:
+        for bid, duals in tasks:
+            pricer = pricers[bid]
+            res = pricer.price(duals, want_any=want_any)
+            if pricer.dijkstra_bailed:
+                stats["dijkstra_fallbacks"] += 1
+                declined.add(bid)
             if res[0] == "dead":
                 dead.add(bid)
                 continue
             last_none[bid] = res[0] == "none"
-            if res[0] == "none":
-                warm_of[bid] = res[1]
-                continue
-            _tag, rc, local_vertex, warm = res
-            warm_of[bid] = warm
-            col = _column_from_vertex(payload_of[bid], local_vertex)
-            if col.key not in seen_keys:
-                fresh.append(col)
+            if res[0] == "col":
+                col = _column_from_vertex(pricer.p, res[2])
+                if col.key not in seen_keys:
+                    fresh.append(col)
+        stats["pricing_s"] += perf_counter() - t0
+        stats["lp_blocks"]["declined"] = len(declined)
         fresh.sort(key=lambda c: c.key)     # stable admission order
         for col in fresh:
             seen_keys.add(col.key)
             columns.append(col)
         if dead:
-            live[:] = [bid for bid in live if bid not in dead]
+            alive[:] = [bid for bid in alive if bid not in dead]
         return fresh
 
     # coupling rows: the homogeneous master rows that tie commodity
@@ -1067,87 +985,80 @@ def solve_colgen(lp: LinearProgram,
                       or not objective_vars.isdisjoint(
                           lp.constraints[ci].expr.coefs))}
 
-    try:
-        # seed round: rays of extremal rate per block (any reduced
-        # cost) before the first master, so chain-coupled commodities
-        # (pipelined composites) all carry flow from round 0 — without
-        # them the master sits at TP=0 for tens of rounds while duals
-        # wake the stages up one by one.  Pricing minimizes
-        # w.x = sum_r y_r a_rj x_j, so y = -1 (+1) on the rate rows
-        # maximizes (minimizes) the block's coupling contribution.
-        seed_tasks = [(bid,
-                       {p: Fraction(s) for p in dual_rows[bid]
-                        if p in seed_rows},
-                       None, True)
-                      for bid in alive for s in (-1, 1)]
-        seed_results = run_tasks(seed_tasks)
-        stats["seed_columns"] = len(harvest(seed_results, alive))
+    # seed round: rays of extremal rate per block (any reduced cost)
+    # before the first master, so chain-coupled commodities (pipelined
+    # composites) all carry flow from round 0 — without them the master
+    # sits at TP=0 for tens of rounds while duals wake the stages up one
+    # by one.  Pricing minimizes w.x = sum_r y_r a_rj x_j, so y = -1
+    # (+1) on the rate rows maximizes (minimizes) the block's coupling
+    # contribution.
+    seed_tasks = [(bid, {p: Fraction(s) for p in dual_rows[bid]
+                         if p in seed_rows})
+                  for bid in alive for s in (-1, 1)]
+    stats["seed_columns"] = len(price_round(seed_tasks, want_any=True))
+    stats["columns"] = len(columns)
+
+    master_res = None
+    inc: Optional[IncrementalColumnMaster] = None
+    pending: List[_Column] = []     # admitted, not yet in the master
+    for rnd in range(max_rounds):
+        t0 = perf_counter()
+        res = None
+        if inc is not None and inc.live:
+            # hot path: splice the fresh columns into the live core and
+            # continue the primal — no crash, no refactorization
+            res = inc.add_and_resolve(
+                [(c.name, c.row_coefs) for c in pending])
+            if res is not None and res.status is SolveStatus.ERROR:
+                res = None          # poisoned core: full re-solve
+        if res is None:
+            master = _build_master(lp, structure, columns)
+            inc = IncrementalColumnMaster(master, solver)
+            res = inc.solve_full()
+        pending = []
+        master_res = res
+        stats["master_s"] += perf_counter() - t0
+        stats["master_pivots"] += res.pivots
+        if res.status is SolveStatus.UNBOUNDED:
+            # the restricted master's rays expand to rays of the full
+            # LP, so unboundedness transfers directly
+            return LPSolution(SolveStatus.UNBOUNDED, backend="colgen",
+                              lp=lp, stats=stats)
+        if not res.optimal:
+            if rnd == 0 and res.status is SolveStatus.INFEASIBLE:
+                # a zero-column master can be infeasible while the full
+                # LP is not (columns only add feasibility)
+                return _direct_fallback(lp, "master infeasible")
+            return LPSolution(res.status, backend="colgen",
+                              lp=lp, stats=stats,
+                              message=f"master solve failed in round "
+                                      f"{rnd} on {lp.name!r}")
+        duals = res.duals
+        stats["rounds"] = rnd + 1
+
+        # a block whose visible duals match its last priced-out round
+        # would return "none" again (pricing with unchanged weights
+        # cannot find a ray it just proved absent; a block that just
+        # yielded a column always sees moved duals — the new master
+        # optimum prices every admitted column >= 0), so skip it
+        tasks = []
+        for bid in alive:
+            key = tuple(duals.get(pos) for pos in dual_rows[bid])
+            if last_none.get(bid) and last_key.get(bid) == key:
+                stats["pricing_skipped"] += 1
+                continue
+            last_key[bid] = key
+            tasks.append((bid, duals))
+        fresh = price_round(tasks)
+        if not fresh:
+            break
+        pending = fresh
         stats["columns"] = len(columns)
-
-        master_res = None
-        inc: Optional[IncrementalColumnMaster] = None
-        pending: List[_Column] = []     # admitted, not yet in the master
-        for rnd in range(max_rounds):
-            t0 = perf_counter()
-            res = None
-            if inc is not None and inc.live:
-                # hot path: splice the fresh columns into the live core
-                # and continue the primal — no crash, no refactorization
-                res = inc.add_and_resolve(
-                    [(c.name, c.row_coefs) for c in pending])
-                if res is not None and res.status is SolveStatus.ERROR:
-                    res = None          # poisoned core: full re-solve
-            if res is None:
-                master = _build_master(lp, structure, columns)
-                inc = IncrementalColumnMaster(master, solver)
-                res = inc.solve_full()
-            pending = []
-            master_res = res
-            stats["master_s"] += perf_counter() - t0
-            stats["master_pivots"] += res.pivots
-            if res.status is SolveStatus.UNBOUNDED:
-                # the restricted master's rays expand to rays of the
-                # full LP, so unboundedness transfers directly
-                return LPSolution(SolveStatus.UNBOUNDED, backend="colgen",
-                                  lp=lp, stats=stats)
-            if not res.optimal:
-                if rnd == 0 and res.status is SolveStatus.INFEASIBLE:
-                    # a zero-column master can be infeasible while the
-                    # full LP is not (columns only add feasibility)
-                    return _direct_fallback(lp, "master infeasible")
-                return LPSolution(res.status, backend="colgen",
-                                  lp=lp, stats=stats,
-                                  message=f"master solve failed in round "
-                                          f"{rnd} on {lp.name!r}")
-            duals = res.duals
-            stats["rounds"] = rnd + 1
-
-            # a block whose visible duals match its last priced-out
-            # round would return "none" again bit-identically (pricing
-            # is a pure function of those duals; a block that just
-            # yielded a column always sees moved duals — the new master
-            # optimum prices every admitted column >= 0), so skip it
-            tasks = []
-            for bid in alive:
-                key = tuple(duals.get(pos) for pos in dual_rows[bid])
-                if last_none.get(bid) and last_key.get(bid) == key:
-                    stats["pricing_skipped"] += 1
-                    continue
-                last_key[bid] = key
-                tasks.append((bid, duals, warm_of[bid], False))
-            fresh = harvest(run_tasks(tasks), alive)
-            if not fresh:
-                break
-            pending = fresh
-            stats["columns"] = len(columns)
-        else:
-            return LPSolution(SolveStatus.ERROR, backend="colgen", lp=lp,
-                              stats=stats,
-                              message=f"colgen hit the {max_rounds}-round "
-                                      f"limit on {lp.name!r}")
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+    else:
+        return LPSolution(SolveStatus.ERROR, backend="colgen", lp=lp,
+                          stats=stats,
+                          message=f"colgen hit the {max_rounds}-round "
+                                  f"limit on {lp.name!r}")
 
     # expand the master optimum back to original variables
     values: Dict[int, Fraction] = {}
@@ -1171,13 +1082,9 @@ def solve_colgen(lp: LinearProgram,
                           stats=stats,
                           message=f"expanded colgen optimum violates "
                                   f"{bad[:5]} on {lp.name!r}")
-    # digest of the admitted column keys, in admission order: the
-    # jobs-invariance contract says this never depends on worker count
+    # digest of the admitted column keys, in admission order
     stats["columns_digest"] = hashlib.blake2b(
         repr([c.key for c in columns]).encode(), digest_size=8).hexdigest()
-    ser = stats["pricing_serial_s"]
-    stats["parallel_speedup"] = (
-        round(ser / stats["pricing_s"], 2) if stats["pricing_s"] else 1.0)
     stats["total_s"] = perf_counter() - t_start
     return LPSolution(SolveStatus.OPTIMAL,
                       objective=lp.objective.evaluate(values),

@@ -38,9 +38,7 @@ combinatorial pricer owns (a reduce LP's reduction-tree block), it
 routes there, with no presolve, instead of to the monolithic revised
 solve; the restricted masters themselves reuse the revised engine.
 Every dispatched solve stamps the engine it took and why into
-``stats["route"]`` / ``stats["route_reason"]``.  Pricing parallelism
-(``jobs``) never changes the returned solution, so it is not part of
-the cache key.
+``stats["route"]`` / ``stats["route_reason"]``.
 
 Three layers of reuse sit in front of the solvers:
 
@@ -171,7 +169,7 @@ def solve(lp: LinearProgram, backend: str = "auto",
           presolve: bool = True,
           dual: bool = False,
           pricing: Optional[Tuple] = None,
-          jobs: Optional[int] = None) -> LPSolution:
+          jobs: int = 1) -> LPSolution:
     """Solve ``lp`` with the requested backend.
 
     Parameters
@@ -206,10 +204,9 @@ def solve(lp: LinearProgram, backend: str = "auto",
         and reduction-tree pricers; collective specs supply it via their
         ``pricing_graphs`` hook.  Only consulted on the colgen routes.
     jobs:
-        Worker processes for parallel pricing (default: ``REPRO_JOBS``
-        env var, else serial).  Never affects the returned solution —
-        column admission is ordered by a stable key — so it is not part
-        of the cache key.
+        Must be 1 (column generation prices serially); any other value
+        raises ``ValueError``.  Kept only for callers that still pass
+        ``jobs=1``.
     dual:
         Exact path only: enter the dual simplex from the crashed basis
         (``warm_basis`` is the intended companion — the tightened-
@@ -248,6 +245,9 @@ def solve(lp: LinearProgram, backend: str = "auto",
         is identical with presolve on or off.
     """
     global _disk_hits
+    if jobs != 1:
+        raise ValueError(f"jobs={jobs!r}: column generation prices "
+                         f"serially, only jobs=1 is accepted")
     if backend not in ("exact", "tableau", "revised", "highs", "auto",
                        "colgen"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -272,7 +272,7 @@ def solve(lp: LinearProgram, backend: str = "auto",
         tag = f"t{cache_tag};" if cache_tag is not None else ""
         # pricing graphs can steer colgen to a different optimal vertex
         # (path columns vs generic LP columns), so their presence splits
-        # the key on the colgen-capable routes; ``jobs`` never does
+        # the key on the colgen-capable routes
         gtag = ("g;" if pricing is not None
                 and backend in ("auto", "colgen") else "")
         key = (f"{backend};{EXACT_VAR_LIMIT};{TABLEAU_VAR_LIMIT};"
@@ -312,7 +312,7 @@ def solve(lp: LinearProgram, backend: str = "auto",
             route_reason = "1 block" if n_blocks else "no blocks"
 
     if backend == "colgen" or colgen_struct is not None:
-        sol = colgen_mod.solve_colgen(lp, pricing=pricing, jobs=jobs,
+        sol = colgen_mod.solve_colgen(lp, pricing=pricing,
                                       structure=colgen_struct)
         return _finish(sol, "colgen", route_reason or "backend='colgen'",
                        n_raw, n_raw, key)

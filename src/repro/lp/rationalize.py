@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 from typing import Dict, List, Optional, Tuple
 
 from repro.lp.certificate import certify, dual_bound
@@ -68,20 +69,27 @@ def rationalize_solution(sol: LPSolution
     if not lp.is_rational():
         return None, "float data"
     primals, duals = _snaps(sol.values), _snaps(sol.duals or {})
-    objs: list = []                   # objective of primals[k] or None
+    objs = [lp.objective.evaluate(values) for values in primals]
+
+    @cache
+    def feasible(k: int) -> bool:
+        return not lp.check_feasible(primals[k], tol=0)
+
+    bounded = False
     for y in duals[-1:] + duals[:-1]:
         bound = dual_bound(lp, y)[0]
         if bound is None:
             continue
+        bounded = True
+        # the objective is cheap, the feasibility scan is not: scan only
+        # the candidates that would meet the bound
         for k, values in enumerate(primals):
-            if k == len(objs):
-                objs.append(None if lp.check_feasible(values, tol=0)
-                            else lp.objective.evaluate(values))
-            if objs[k] == bound:
+            if objs[k] == bound and feasible(k):
                 return replace(sol, objective=bound, values=values, duals=y,
                                backend=sol.backend + "+rationalized",
                                exact=True), None
     # why the first feasible (else the most precise) snap is unproved
-    x = next((v for v, o in zip(primals, objs) if o is not None),
-             primals[-1])
+    x = primals[-1]
+    if bounded:
+        x = next((v for k, v in enumerate(primals) if feasible(k)), x)
     return None, "; ".join(certify(lp, x, duals[-1])[:3])

@@ -40,6 +40,10 @@ from math import gcd
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+from scipy.optimize import linprog
+from scipy.sparse import csr_array
+
 from repro.lp.exact_simplex import _fdiv, _row_sub
 from repro.lp.fastfrac import frac_div, sub_mul
 from repro.lp.model import EQ, GE, LE, LinearProgram
@@ -129,15 +133,9 @@ def _float_crash_labels(
     when the perturbed vertex is still degenerate (rank-deficient row
     systems: ring topologies).  The caller crashes ``primary`` first
     and escalates to ``full`` only when that basis is not already
-    optimal.  Returns ``None`` when scipy is unavailable or the float
-    solve fails — the caller falls back to a cold exact solve.
+    optimal.  Returns ``None`` when the float solve fails — the caller
+    falls back to a cold exact solve.
     """
-    try:
-        import numpy as np
-        from scipy.optimize import linprog
-        from scipy.sparse import csr_array
-    except ImportError:                                # pragma: no cover
-        return None
     n = lp.num_vars()
     m = len(lp.constraints)
     if n == 0 or m == 0:

@@ -15,9 +15,10 @@ Four layers are pinned here:
   reduction-tree DP against the exact optimum of the block cone per
   unit delivered — including the preconditions under which either must
   decline (``None``) and leave the block to LP pricing.
-- **Determinism.** ``jobs ∈ {1, 2, 4}`` must produce the identical
+- **Determinism.** Repeated serial solves must produce the identical
   solution *and* the identical admitted column set (``columns_digest``),
-  per the contract in :mod:`repro.lp.colgen`'s docstring.
+  per the contract in :mod:`repro.lp.colgen`'s docstring, and a block
+  whose float pricing gives out must still price exactly.
 - **Routing.** ``backend="colgen"`` through dispatch, auto-routing above
   ``COLGEN_VAR_LIMIT`` raw variables without a presolve, the
   ``route``/``route_reason`` stamps, cached colgen hits, the
@@ -27,14 +28,16 @@ Four layers are pinned here:
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from repro.collectives import get_collective
 from repro.core.scatter import ScatterProblem, build_scatter_lp
+from repro.lp import colgen as colgen_mod
 from repro.lp import dispatch
 from repro.lp.colgen import (_BlockPricer, _dijkstra_price, _tree_price,
-                             detect, resolve_jobs, solve_colgen)
+                             detect, solve_colgen)
 from repro.lp.exact_simplex import ExactSimplexSolver
 from repro.lp.model import EQ, GE, LE, LinearProgram, LinExpr
 from repro.lp.revised_simplex import (IncrementalColumnMaster,
@@ -196,13 +199,13 @@ class TestPricing:
         # y(alpha[0]) = 3, y(edge[cap]) = 1:
         # w = (1*1 + 3*(-1), 1*1) = (-2, 1); rc = w . (1/2, 1/2) = -1/2
         duals = {pos["alpha[0]"]: Fraction(3), pos["edge[cap]"]: Fraction(1)}
-        tag, rc, vertex, _warm = pricer.price(duals, None)
+        tag, rc, vertex = pricer.price(duals)
         assert tag == "col"
         assert rc == Fraction(-1, 2)
         assert vertex == {0: Fraction(1, 2), 1: Fraction(1, 2)}
 
         # y(edge[cap]) = 1 alone: w = (1, 1), rc = 1 >= 0 -> priced out
-        res = pricer.price({pos["edge[cap]"]: Fraction(1)}, None)
+        res = pricer.price({pos["edge[cap]"]: Fraction(1)})
         assert res[0] == "none"
 
     def test_dijkstra_picks_cheapest_path(self):
@@ -278,7 +281,7 @@ class TestPricing:
         promoted direct source->sink arc touches them, so every pricing
         of a path block, seed round included, stays on Dijkstra."""
         lp, graphs = _decomposable_lp("ring")
-        sol = solve_colgen(lp, pricing=graphs, jobs=1)
+        sol = solve_colgen(lp, pricing=graphs)
         assert sol.optimal and sol.objective == Fraction(1, 7)
         assert sol.stats["path_blocks"] == sol.stats["blocks"]
         assert sol.stats["columns_priced"] >= 2 * sol.stats["blocks"]
@@ -416,31 +419,24 @@ class TestTreePricing:
                         if lp.constraints[struct.master_rows[pos]]
                         .name.startswith("edge["))
         pricer = _BlockPricer(b)
-        res = pricer.price({edge_pos: Fraction(-1)}, None)
+        res = pricer.price({edge_pos: Fraction(-1)})
         assert pricer.dijkstra_bailed
         assert res[0] == "col" and res[1] < 0
 
-    def test_reduce_scatter_colgen_is_jobs_invariant(self):
-        """Every block tree-priced, no LP pricing, and jobs 1 and 2 admit
-        the same columns and return the same optimum."""
+    def test_reduce_scatter_colgen_prices_every_block_by_tree(self):
+        """Every block tree-priced, no LP pricing, the exact optimum."""
         from repro.core.reduce_scatter import ReduceScatterProblem
 
         g = gen.heterogenize(gen.complete(4), seed=3)
         problem = ReduceScatterProblem(g, g.compute_nodes())
         spec = get_collective("reduce-scatter")
         lp = spec.build_lp(problem)
-        graphs = spec.pricing_graphs(problem)
-        runs = {jobs: solve_colgen(lp, pricing=graphs, jobs=jobs)
-                for jobs in (1, 2)}
-        base = runs[1]
-        assert base.optimal and base.stats["rounds"] >= 2
-        assert base.stats["tree_blocks"] == base.stats["blocks"] == 4
-        assert base.stats["lp_blocks"] == {"no descriptor": 0,
-                                           "declined": 0}
-        assert base.objective == ExactSimplexSolver().solve(lp).objective
-        for key in ("columns_digest", "rounds", "columns"):
-            assert runs[2].stats[key] == base.stats[key], key
-        assert runs[2].values == base.values
+        sol = solve_colgen(lp, pricing=spec.pricing_graphs(problem))
+        assert sol.optimal and sol.stats["rounds"] >= 2
+        assert sol.stats["tree_blocks"] == sol.stats["blocks"] == 4
+        assert sol.stats["lp_blocks"] == {"no descriptor": 0,
+                                          "declined": 0}
+        assert sol.objective == ExactSimplexSolver().solve(lp).objective
 
     @pytest.mark.parametrize("trial", range(4))
     def test_random_reduce_matches_tableau(self, trial):
@@ -498,31 +494,57 @@ class TestDifferential:
 
 
 class TestDeterminism:
-    def test_jobs_invariance(self):
-        """jobs ∈ {1, 2, 4}: identical solution values, identical
-        admitted column set, identical round/pricing counters.  The
-        instance must stay multi-round so later rounds are covered too
-        (a seeded ring scatter now converges in the seed round)."""
+    def test_repeated_solves_are_identical(self):
+        """Two serial solves of a multi-round instance: identical
+        solution values, admitted column set and round/pricing counters
+        (pricing state lives in one solve's pricers, never across
+        solves).  A seeded ring scatter converges in the seed round, so
+        this instance is a complete graph."""
         g = gen.heterogenize(gen.complete(6), seed=3)
         nodes = g.compute_nodes()
         lp = build_scatter_lp(ScatterProblem(g, nodes[0], nodes[1:]))
-        runs = {jobs: solve_colgen(lp, jobs=jobs) for jobs in (1, 2, 4)}
-        base = runs[1]
+        base, again = solve_colgen(lp), solve_colgen(lp)
         assert base.optimal and base.stats["rounds"] >= 2
-        for jobs, sol in runs.items():
-            assert sol.values == base.values, f"jobs={jobs}"
-            for key in ("columns_digest", "rounds", "columns",
-                        "columns_priced", "seed_columns"):
-                assert sol.stats[key] == base.stats[key], (jobs, key)
+        assert again.values == base.values
+        for key in ("columns_digest", "rounds", "columns",
+                    "columns_priced", "seed_columns"):
+            assert again.stats[key] == base.stats[key], key
 
-    def test_resolve_jobs_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        assert resolve_jobs() == 1
-        assert resolve_jobs(3) == 3
-        monkeypatch.setenv("REPRO_JOBS", "2")
-        assert resolve_jobs() == 2
-        monkeypatch.setenv("REPRO_JOBS", "junk")
-        assert resolve_jobs() == 1
+    @pytest.mark.parametrize("failure", ["float solve", "support solve"])
+    def test_exact_fallback_after_a_certified_price_out(self, monkeypatch,
+                                                        failure):
+        """With no descriptors, the 157-variable reduce-scatter blocks
+        price by LP, float-first, and cache price-out certificates.  When
+        a later round's float pricing gives out (HiGHS fails after 16
+        solves, or the exact solve on the float support never prices
+        negative), the full exact LP prices the block, warm-started from
+        a tableau basis only — never from the certificate."""
+        from repro.core.allreduce import AllReduceProblem
+
+        g = gen.heterogenize(gen.complete(4), seed=1)
+        lp = get_collective("all-reduce").build_lp(
+            AllReduceProblem(g, g.compute_nodes()), "pipelined")
+        assert max(len(b.var_idx) for b in detect(lp).blocks) == 157
+        if failure == "float solve":
+            real, calls = colgen_mod._linprog, [0]
+
+            def linprog(*args, **kwargs):
+                calls[0] += 1
+                if calls[0] > 16:
+                    return SimpleNamespace(status=4, success=False)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(colgen_mod, "_linprog", linprog)
+        else:
+            real = _BlockPricer._restricted_exact
+            monkeypatch.setattr(
+                _BlockPricer, "_restricted_exact",
+                lambda self, w, support, want_any:
+                    real(self, w, support, want_any) if want_any else None)
+        sol = solve_colgen(lp)
+        assert sol.optimal and sol.exact
+        assert sol.objective == Fraction(1, 20)
+        assert lp.check_feasible(sol.values, tol=0) == []
 
 
 class TestFallbacksAndRouting:
@@ -580,6 +602,14 @@ class TestFallbacksAndRouting:
         # bypasses presolve so they coincide
         assert colgen.stats["vars_raw"] == lp.num_vars()
         assert colgen.stats["vars_presolved"] == lp.num_vars()
+
+    def test_dispatch_accepts_only_serial_jobs(self):
+        """``jobs`` survives only as ``jobs=1``: pricing is serial."""
+        lp = _two_block_lp()
+        sol = dispatch.solve(lp, backend="colgen", cache=False, jobs=1)
+        assert sol.optimal and sol.objective == Fraction(1, 4)
+        with pytest.raises(ValueError, match="jobs=2"):
+            dispatch.solve(lp, backend="colgen", cache=False, jobs=2)
 
     def test_auto_routes_to_colgen_above_limit(self, monkeypatch):
         monkeypatch.setattr(dispatch, "COLGEN_VAR_LIMIT", 10)

@@ -194,6 +194,44 @@ class TestCertifiedRationalization:
         s = HighsSolver().solve(lp2)
         assert s.optimal and s.objective == Fraction(5, 2)
 
+    def test_only_snaps_meeting_the_bound_are_scanned(self, monkeypatch):
+        """The fig9 reduce LP: comparing the cheap objective with the
+        dual bound first leaves one feasibility scan, where scanning
+        every snap in ladder order took six — and the certified point
+        and duals are the ones that ladder-order scan returns."""
+        from repro.core.reduce_op import ReduceProblem, build_reduce_lp
+        from repro.lp.certificate import dual_bound
+        from repro.lp.rationalize import _snaps
+        from repro.platform.examples import (figure9_participants,
+                                             figure9_platform,
+                                             figure9_target)
+
+        lp = build_reduce_lp(ReduceProblem(
+            figure9_platform(), figure9_participants(), figure9_target()))
+        s = HighsSolver().solve(lp)
+        primals, duals = _snaps(s.values), _snaps(s.duals)
+        scanned = None
+        for y in duals[-1:] + duals[:-1]:
+            bound = dual_bound(lp, y)[0]
+            if bound is None:
+                continue
+            scanned = next((x for x in primals
+                            if not lp.check_feasible(x, tol=0)
+                            and lp.objective.evaluate(x) == bound), None)
+            if scanned is not None:
+                break
+
+        calls = []
+        check = LinearProgram.check_feasible
+        monkeypatch.setattr(LinearProgram, "check_feasible",
+                            lambda self, *a, **k:
+                                calls.append(1) or check(self, *a, **k))
+        r, why = rationalize_solution(s)
+        assert why is None and r.exact
+        assert len(calls) == 1
+        assert r.values == scanned and r.duals == y
+        assert certify(lp, r.values, r.duals) == []
+
     def test_float_lp_is_uncertified(self):
         lp = LinearProgram()
         x = lp.var("x")

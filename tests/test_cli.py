@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -230,6 +232,21 @@ class TestLpStatsFlag:
         assert "3 block(s)" in out
         assert ("pricing: 0 by shortest path, 3 by reduction-tree DP, "
                 "LP for 0 without a descriptor and 0 declined") in out
+        # pricing is serial: seconds, no job count or speedup
+        assert re.search(r"\n    time: master \d+\.\d{3}s \(\d+ pivots\), "
+                         r"pricing \d+\.\d{3}s\n", out)
+        assert "job" not in out
+
+    def test_jobs_flag_rejected_by_argparse(self, tmp_path, capsys):
+        from repro.platform.examples import figure6_platform
+
+        path = str(tmp_path / "tri.json")
+        save_platform(figure6_platform(), path)
+        with pytest.raises(SystemExit):
+            main(["reduce-scatter", "--platform", path,
+                  "--participants", "0,1,2", "--backend", "colgen",
+                  "--jobs", "2"])
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
     def test_colgen_direct_fallback_prints_why(self, tmp_path, capsys):
         """A one-edge scatter LP has no block rows, so colgen falls back
