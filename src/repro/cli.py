@@ -417,14 +417,6 @@ def _cmd_perturb(args) -> int:
           f"{sum(1 for _ in g2.edges())} links "
           f"({'tightening' if delta.tightened else 'loosening'}, "
           f"fingerprint {delta.fingerprint})")
-    if delta.row_edits:
-        print("LP row edits (incremental re-solve path):")
-        for ed in delta.row_edits:
-            what = (f"scale x{ed.factor}" if ed.kind == "scale" else ed.kind)
-            print(f"  {ed.row:<24} {what}")
-    else:
-        print("LP row edits: none expressible -- full rebuild required "
-              "(node-level event)")
     return 0
 
 
@@ -502,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("perturb",
                         help="apply perturbation events to a platform and "
-                             "show the exact LP row-edit delta")
+                             "describe the perturbed platform")
     pe.add_argument("--platform", required=True, help="platform JSON file")
     pe.add_argument("--events", default=None,
                     help="comma-separated events: fail:SRC:DST, "

@@ -54,7 +54,7 @@ def solve_collective(problem, collective: Optional[str] = None,
         the problem exactly as given.
     solve_kwargs:
         Forwarded to :func:`repro.lp.solve` (``canonical``, ``cache``,
-        ``warm_basis``, ``cache_tag``, ...).
+        ``warm_basis``, ...).
     """
     sacrificed = ()
     if on_infeasible not in (None, "error", "degrade"):

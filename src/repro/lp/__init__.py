@@ -60,7 +60,8 @@ float, ``exact=False``, with the reason in ``stats["uncertified"]``).
 Within the exact route the fraction-free tableau serves models up to
 :data:`repro.lp.dispatch.TABLEAU_VAR_LIMIT` (5000) presolved variables
 plus every ``canonical=True`` solve, and the revised simplex serves
-everything larger and every ``dual=True`` re-solve; both produce
+everything larger and the warm replans of :func:`repro.lp.resolve.replan`
+(``backend="revised"``); both produce
 bit-identical objectives (the differential suite checks it, and
 certifies the revised engine's optima with their duals).  Models
 above :data:`repro.lp.dispatch.COLGEN_VAR_LIMIT` (6000) raw variables

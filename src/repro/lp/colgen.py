@@ -959,14 +959,13 @@ def solve_colgen(lp: LinearProgram,
             last_none[bid] = res[0] == "none"
             if res[0] == "col":
                 col = _column_from_vertex(pricer.p, res[2])
-                if col.key not in seen_keys:
+                if col.key not in seen_keys:  # also within this round
+                    seen_keys.add(col.key)
                     fresh.append(col)
         stats["pricing_s"] += perf_counter() - t0
         stats["lp_blocks"]["declined"] = len(declined)
         fresh.sort(key=lambda c: c.key)     # stable admission order
-        for col in fresh:
-            seen_keys.add(col.key)
-            columns.append(col)
+        columns.extend(fresh)
         if dead:
             alive[:] = [bid for bid in alive if bid not in dead]
         return fresh

@@ -18,9 +18,11 @@ Two exact engines sit behind the ``"exact"`` route:
   every ``canonical=True`` solve (its lexicographic tie-break is defined
   on the tableau), and
 - the **revised** simplex (:mod:`repro.lp.revised_simplex`) — LU-
-  factorized basis, float-assisted crash, dual re-solve entry — for
-  everything above, up to :data:`EXACT_VAR_LIMIT`.  ``dual=True``
-  re-solves always use it, whatever the size.
+  factorized basis, float-assisted crash, dual simplex entry from a
+  dual-feasible warm crash — for everything above, up to
+  :data:`EXACT_VAR_LIMIT`, and for the warm re-solves of
+  :func:`repro.lp.resolve.replan` (``backend="revised"``), whatever the
+  size.
 
 Both return bit-identical optimal objectives (the differential suite in
 ``tests/lp/test_revised_simplex.py`` enforces it), so the split is purely
@@ -61,7 +63,7 @@ Three layers of reuse sit in front of the solvers:
   growing platform families.  :func:`repro.lp.resolve.replan` uses it
   for perturbed re-solves.  A failed crash falls back to a cold start, so
   the *objective* is never affected — but the returned vertex can differ
-  from a cold solve's, so warm solves get their own cache tag.
+  from a cold solve's, so warm solves get their own cache key.
 """
 
 from __future__ import annotations
@@ -165,9 +167,7 @@ def solve(lp: LinearProgram, backend: str = "auto",
           cache: bool = True,
           warm_basis: Optional[Tuple] = None,
           canonical: bool = False,
-          cache_tag: Optional[str] = None,
           presolve: bool = True,
-          dual: bool = False,
           pricing: Optional[Tuple] = None,
           jobs: int = 1) -> LPSolution:
     """Solve ``lp`` with the requested backend.
@@ -197,7 +197,7 @@ def solve(lp: LinearProgram, backend: str = "auto",
         decomposes into >= 2 commodity blocks, or into one block that
         ``pricing`` lets price combinatorially, route to column
         generation, skipping presolve, instead of the monolithic
-        revised simplex (never under ``dual`` or ``canonical``).
+        revised simplex (never under ``canonical``).
     pricing:
         Optional tuple of commodity pricing descriptors (see
         :func:`repro.lp.colgen.solve_colgen`) enabling the shortest-path
@@ -207,30 +207,18 @@ def solve(lp: LinearProgram, backend: str = "auto",
         Must be 1 (column generation prices serially); any other value
         raises ``ValueError``.  Kept only for callers that still pass
         ``jobs=1``.
-    dual:
-        Exact path only: enter the dual simplex from the crashed basis
-        (``warm_basis`` is the intended companion — the tightened-
-        perturbation re-solves of :mod:`repro.lp.resolve` pass the old
-        optimal basis, which stays dual feasible when constraints only
-        tighten).  Forces the revised engine, which owns the dual
-        method; incompatible with ``canonical=True``.
     cache:
         Memoize solutions under :func:`canonical_key`; repeated solves of
         an identical model return the cached solution (re-attached to the
         caller's LP object so ``by_name`` etc. keep working).
     warm_basis:
         Basis-label tuple (an earlier solution's ``basis_labels``) for the
-        exact engine to crash in — the incremental re-solve path of
-        :mod:`repro.lp.resolve` passes the previous solution's basis here.
+        exact engine to crash in — the warm replans of
+        :mod:`repro.lp.resolve` pass the previous solution's basis here.
         A warm start may land on a *different optimal vertex* than a cold
         solve, and downstream artifacts (tree extraction, schedules)
-        depend on which vertex they get, so it implies a ``cache_tag`` of
-        ``"warm"`` unless one is given and the warm vertex never collides
-        with cold cache entries.
-    cache_tag:
-        Extra discriminator folded into the memo/disk cache key (``None``
-        leaves the key exactly as before).  Perturbed-platform re-solves
-        tag their entries with the perturbation-delta fingerprint.
+        depend on which vertex they get, so warm solves are cached under
+        their own ``"warm"`` key and never collide with cold entries.
     canonical:
         Exact backend only: lexicographically tie-break among optimal
         vertices (see :class:`repro.lp.exact_simplex.ExactSimplexSolver`),
@@ -251,32 +239,25 @@ def solve(lp: LinearProgram, backend: str = "auto",
     if backend not in ("exact", "tableau", "revised", "highs", "auto",
                        "colgen"):
         raise ValueError(f"unknown backend {backend!r}")
-    if dual and canonical:
-        raise ValueError("dual=True needs the revised engine, which has "
-                         "no canonical mode")
-    if dual and backend in ("tableau", "highs", "colgen"):
-        raise ValueError(f"dual=True is incompatible with backend="
-                         f"{backend!r}")
     if canonical and backend in ("revised", "colgen"):
         raise ValueError("canonical=True is tableau-only; use "
                          "backend='exact' or 'tableau'")
     rational = lp.is_rational()
-    if warm_basis is not None and cache_tag is None:
-        cache_tag = "warm"  # a warm vertex must not shadow the cold one
 
     key = None
     if cache:
         # the route is a deterministic function of the model and these
-        # arguments (backend, var limits, dual/canonical, the presolve
-        # *request*), so a cache hit never has to re-derive it
-        tag = f"t{cache_tag};" if cache_tag is not None else ""
+        # arguments (backend, var limits, canonical, the presolve
+        # *request*), so a cache hit never has to re-derive it; a warm
+        # vertex must not shadow the cold one
+        tag = "twarm;" if warm_basis is not None else ""
         # pricing graphs can steer colgen to a different optimal vertex
         # (path columns vs generic LP columns), so their presence splits
         # the key on the colgen-capable routes
         gtag = ("g;" if pricing is not None
                 and backend in ("auto", "colgen") else "")
         key = (f"{backend};{EXACT_VAR_LIMIT};{TABLEAU_VAR_LIMIT};"
-               f"{COLGEN_VAR_LIMIT};d{int(dual)};{int(canonical)};"
+               f"{COLGEN_VAR_LIMIT};{int(canonical)};"
                f"p{int(presolve)};{gtag}{tag}{canonical_key(lp)}")
         hit = _memo.get(key)
         if hit is not None:
@@ -293,7 +274,7 @@ def solve(lp: LinearProgram, backend: str = "auto",
     n_raw = lp.num_vars()
     colgen_struct = None
     route_reason = None
-    if (backend == "auto" and rational and not dual and not canonical
+    if (backend == "auto" and rational and not canonical
             and COLGEN_VAR_LIMIT < n_raw <= EXACT_VAR_LIMIT):
         # decided on the *raw* model, before presolve: colgen detects
         # block structure on the raw LP and expands its column optimum
@@ -337,8 +318,6 @@ def solve(lp: LinearProgram, backend: str = "auto",
         route, why = "highs", f"{n_model} vars > EXACT_VAR_LIMIT"
     elif canonical:
         route, why = "tableau", "canonical"
-    elif dual:
-        route, why = "revised", "dual"
     elif n_model <= TABLEAU_VAR_LIMIT:
         route, why = "tableau", f"{n_model} vars <= TABLEAU_VAR_LIMIT"
     else:
@@ -347,8 +326,7 @@ def solve(lp: LinearProgram, backend: str = "auto",
         why = f"{route_reason}; {why}"
 
     if route == "revised":
-        sol = RevisedSimplexSolver().solve(model, warm_basis=warm_basis,
-                                           dual=dual)
+        sol = RevisedSimplexSolver().solve(model, warm_basis=warm_basis)
     elif route == "tableau":
         sol = ExactSimplexSolver().solve(model, warm_basis=warm_basis,
                                          canonical=canonical)

@@ -57,15 +57,10 @@ order of measured impact:
   previously optimal basis (identified by stable variable/constraint-name
   labels, so it transfers across growing LP families) into the tableau; if
   the resulting basis is primal feasible Phase 1 is skipped entirely and
-  Phase 2 usually needs a handful of pivots.  A *nearly*-feasible crash —
-  the incremental re-solve case, where a capacity-tightening perturbation
-  invalidates only the touched rows (:mod:`repro.lp.resolve`) — goes
-  through a feasibility-restoring repair: each negative-rhs row is negated
-  and handed a fresh basic artificial, and phase 1 restarts from that
-  near-feasible vertex instead of from scratch.  Only a badly infeasible
-  crash (more than ``max(8, rows/4)`` violated rows) falls back to a cold
-  start — either way a warm start can never change the optimum, only the
-  route to it.
+  Phase 2 usually needs a handful of pivots (colgen's block pricers
+  re-solve one subproblem under new objective weights this way).  An
+  infeasible crash falls back to a cold start — either way a warm start
+  can never change the optimum, only the route to it.
 - **Canonical vertex (opt-in).**  ``solve(lp, canonical=True)`` runs a
   lexicographic phase 3 after optimality: over the optimal face it
   minimizes ``x_0``, then ``x_1`` with ``x_0`` held at its minimum, and
@@ -371,7 +366,6 @@ class ExactSimplexSolver:
         T = build()
         iterations = 0
         warm_ok = False
-        repair_arts: List[int] = []  # fresh artificials from a warm repair
 
         # ---------------- Warm start (crash basis) ----------------
         if warm_basis:
@@ -394,44 +388,14 @@ class ExactSimplexSolver:
                     T.pivot(pick, j)
                     basic.add(j)
                     iterations += 1
-            bad = [i for i, d in enumerate(T.D)
-                   if d.get(RHS, 0) < 0
-                   or (T.basis[i] in art_set and d.get(RHS, 0) != 0)]
-            warm_ok = not bad
+            warm_ok = not any(d.get(RHS, 0) < 0
+                              or (T.basis[i] in art_set and d.get(RHS, 0))
+                              for i, d in enumerate(T.D))
             if not warm_ok:
-                # Feasibility-restoring repair: a capacity-tightening delta
-                # (see repro.platform.perturb) leaves the old optimal basis
-                # violating only the touched rows.  Rebuilding cold would
-                # forfeit the whole crash; instead, negate each negative-rhs
-                # row (rhs >= 0 again) and install a *fresh* artificial as
-                # its basic variable — the old basic column had its only
-                # nonzero in that row, so the basis invariant survives —
-                # then run phase 1 from this nearly-feasible basis.  With
-                # few violated rows phase 1 needs a handful of pivots
-                # instead of a from-scratch pass.  A badly infeasible crash
-                # (many violated rows) still restarts cold: driving a far
-                # vertex to feasibility can cost more than phase 1 itself.
-                if len(bad) <= max(8, len(T.D) // 4):
-                    nxt = col
-                    for i in bad:
-                        d = T.D[i]
-                        if d.get(RHS, 0) >= 0:
-                            continue  # basic artificial at positive value:
-                            # already covered by the phase-1 objective
-                        for c in list(d):
-                            d[c] = -d[c]
-                        d[nxt] = T.W[i]
-                        T.basis[i] = nxt
-                        art_set.add(nxt)
-                        repair_arts.append(nxt)
-                        nxt += 1
-                    T.reindex()
-                else:
-                    T = build()  # crash unrepairable — cold start
-                    repair_arts = []
+                T = build()  # infeasible crash: cold start
 
         # ---------------- Phase 1 ----------------
-        if (art_col or repair_arts) and not warm_ok:
+        if art_col and not warm_ok:
             od: Row = {c: 1 for c in art_set}
             oden = 1
             for i, bvar in enumerate(T.basis):
@@ -465,7 +429,7 @@ class ExactSimplexSolver:
         # (Markowitz fill control), repairing sparse rows first; rows with
         # no structural entry are redundant and dropped.  Artificial
         # columns are then physically deleted.
-        if art_col or repair_arts:
+        if art_col:
             iterations += self._repair_artificials(T, art_set, n_struct_slack)
 
         # ---------------- Phase 2 ----------------

@@ -23,9 +23,11 @@ count, which is what caps it at ~5k variables.  This module keeps only
   covers the conservation rows per block before any simplex pivot.
 
 A **dual simplex** entry point re-solves from a recorded basis after a
-capacity-tightening perturbation: the old vertex stays *dual* feasible
-(reduced costs unchanged sign) while a handful of ``x_B`` entries go
-negative, exactly the shape :func:`repro.lp.resolve.replan` produces.
+capacity-tightening perturbation: the old vertex often stays *dual*
+feasible (reduced costs unchanged sign) while a handful of ``x_B``
+entries go negative, the usual shape of a :func:`repro.lp.resolve.replan`
+crash.  The crash ladder in :meth:`RevisedSimplexSolver.solve` enters it
+whenever a crash is dual feasible but not primal feasible.
 
 The returned optimum is bit-identical to the tableau solver's (both are
 exact); only the vertex reached and the pivot path may differ.  The
@@ -1077,6 +1079,15 @@ class _Core:
         The dual ratio test scans the pivot row for the sign-eligible
         column minimizing ``d_j / |alpha_rj|``; no eligible column
         means the dual is unbounded, i.e. the LP is INFEASIBLE.
+
+        After :data:`DEGENERACY_LIMIT` consecutive dual-degenerate pivots
+        (``d_q = 0``) both choices switch to Bland's rule for the dual —
+        the infeasible row with the smallest basic column index, then the
+        smallest column index among ratio ties — until the next
+        nondegenerate pivot, so the loop cannot cycle.  The collective
+        LPs price only the throughput column, so nearly every reduced
+        cost is 0 and the most-infeasible rule alone can cycle forever
+        (a seeded 8-node reduce did, for over 8000 pivots).
         """
         t0 = perf_counter()
         basis, x_b, art = self.basis, self.x_b, self.art_cols
@@ -1086,19 +1097,27 @@ class _Core:
             if self.iterations >= max_iterations:
                 status = "iterlimit"
                 break
+            bland = degen_streak >= DEGENERACY_LIMIT
             r = -1
             worst = ZERO
             for pos, v in enumerate(x_b):
                 infeas = -v if v < 0 else (v if basis[pos] in art else ZERO)
-                if infeas > worst or (infeas and infeas == worst
-                                      and r >= 0 and basis[pos] < basis[r]):
+                if not infeas:
+                    continue
+                if r < 0:
+                    take = True
+                elif bland:
+                    take = basis[pos] < basis[r]
+                else:
+                    take = infeas > worst or (infeas == worst
+                                              and basis[pos] < basis[r])
+                if take:
                     worst = infeas
                     r = pos
             if r < 0:
                 break              # primal feasible + dual feasible = optimal
             alpha, aden = self.pivot_row_alpha(r)
             sgn = 1 if x_b[r] > 0 else -1
-            bland = degen_streak >= DEGENERACY_LIMIT
             q = None
             qn = qd = 1
             for j, av in alpha.items():
@@ -1173,7 +1192,6 @@ class RevisedSimplexSolver:
     # ------------------------------------------------------------------
     def solve(self, lp: LinearProgram,
               warm_basis: Optional[Sequence[Label]] = None,
-              dual: bool = False,
               want_duals: bool = False) -> LPSolution:
         """Solve ``lp`` exactly; optionally warm from a recorded basis.
 
@@ -1194,9 +1212,7 @@ class RevisedSimplexSolver:
         dual simplex; neither -> the next candidate basis.  A warm
         basis that lands neither-feasible (e.g. the perturbation scaled
         matrix coefficients, which moves the reduced costs) falls back
-        to the float crash, and only then to a cold start.  ``dual=True``
-        insists on trying the dual route first even when the crash
-        happens to be primal feasible.
+        to the float crash, and only then to a cold start.
         """
         if not lp.is_rational():
             raise ValueError(
@@ -1235,7 +1251,7 @@ class RevisedSimplexSolver:
             core.compute_d(2)
             dual_ok = all(v >= 0 for v in core.dnum.values())
             primal_ok = core.primal_feasible()
-            if primal_ok and dual_ok and not dual:
+            if primal_ok and dual_ok:
                 path = f"{tag}-primal"   # crash is already optimal
                 break
             more = stage + 1 < len(cands) or float_pending
@@ -1249,7 +1265,7 @@ class RevisedSimplexSolver:
                 # for ordinary pivots.
                 stage += 1
                 continue
-            if primal_ok and not (dual and dual_ok):
+            if primal_ok:
                 path = f"{tag}-primal"
             elif dual_ok:
                 path = f"{tag}-dual"
@@ -1279,13 +1295,11 @@ class RevisedSimplexSolver:
         elif path.endswith("-primal"):
             status = self._run(core, 2)
         else:
+            # the dual stops at primal feasibility; reduced costs stay
+            # nonnegative throughout, so "optimal" is the optimum
             status = core.dual(self.max_iterations)
             if status == "infeasible":
                 return self._done(core, lp, SolveStatus.INFEASIBLE, path)
-            if status == "optimal":
-                # the dual stops at primal feasibility; reduced costs
-                # stayed nonnegative throughout, so this is the optimum
-                pass
         if status == "unbounded":
             return self._done(core, lp, SolveStatus.UNBOUNDED, path)
         if status != "optimal":

@@ -1,28 +1,14 @@
-"""Typed platform perturbations with exact LP row-edit deltas.
+"""Typed platform perturbations.
 
 The steady-state LPs assume a fixed platform; this module makes the
 platform *dynamic*.  A perturbation is a sequence of typed, composable
 events — :class:`LinkFailure`, :class:`LinkDegradation`,
 :class:`NodeFailure`, :class:`NodeJoin` — and :func:`perturb` maps
-``(platform, events)`` to a perturbed platform **plus** an exact
-description of how the collective LPs change: a
-:class:`PerturbationDelta` listing the capacity rows
-(``edge[..]``/``out[..]``/``in[..]``/``alpha[..]`` — the
-``CAPACITY_PREFIXES`` contract of :mod:`repro.collectives.base`) that
-are dropped, added, or rescaled.
-
-The delta is what makes degraded planning *incremental* rather than
-from-scratch:
-
-- its :attr:`~PerturbationDelta.fingerprint` keys the solve caches, so a
-  perturbed-platform solve can never collide with (or poison) the
-  pristine platform's cached solution (see ``cache_tag`` in
-  :func:`repro.lp.dispatch.solve`);
-- its :attr:`~PerturbationDelta.tightened` bit drives the warm-vs-cold
-  decision rule in :mod:`repro.lp.resolve`: capacity tightening keeps
-  the old basis *structurally* valid but possibly primal-infeasible
-  (repaired by the exact solver's feasibility-restoring phase), pure
-  loosening keeps it feasible and only re-prices.
+``(platform, events)`` to a perturbed platform plus a
+:class:`PerturbationDelta` recording the events, whether any of them
+can only shrink the feasible region (``tightened``) and a stable
+``fingerprint`` of the sequence.  :func:`repro.lp.resolve.replan`
+re-solves a collective on the perturbed platform.
 
 :func:`failure_trace` is the seeded scenario generator behind the
 degraded conformance axis (``tests/conformance/test_degraded.py``): it
@@ -35,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable, List, Optional, Tuple
 
@@ -117,51 +103,21 @@ Event = object  # LinkFailure | LinkDegradation | NodeFailure | NodeJoin
 
 
 # ----------------------------------------------------------------------
-# the row-edit delta
+# the delta
 # ----------------------------------------------------------------------
-
-#: ``RowEdit.kind`` values, in the order they are emitted.
-ROW_EDIT_KINDS = ("drop", "add", "scale")
-
-
-@dataclass(frozen=True)
-class RowEdit:
-    """One capacity row's change under a perturbation.
-
-    ``kind``:
-
-    - ``"drop"`` — with ``edge`` set, the terms belonging to that link
-      leave the row (for the ``edge[..]`` row itself that is the whole
-      row plus its variables); without ``edge``, the row disappears
-      entirely (node failure);
-    - ``"add"`` — the symmetric appearance (node join);
-    - ``"scale"`` — the coefficients of the terms belonging to ``edge``
-      are multiplied by ``factor`` (link degradation: the ``edge[..]``
-      row scales entirely, the shared ``out[..]``/``in[..]`` rows scale
-      only that link's terms).
-    """
-
-    row: str
-    kind: str
-    edge: Optional[Tuple[NodeId, NodeId]] = None
-    factor: object = None
-
 
 @dataclass(frozen=True)
 class PerturbationDelta:
-    """Exact LP-level description of a platform perturbation."""
+    """What a perturbation did, as the CLI and the replan report show it."""
 
     events: Tuple[Event, ...]
-    row_edits: Tuple[RowEdit, ...]
     #: True when any event can only shrink the feasible region (link or
-    #: node loss, slowdown factor > 1).  Tightening may leave a warm
-    #: basis primal-infeasible — the exact solver repairs it; pure
-    #: loosening keeps the old vertex feasible and only re-prices.
+    #: node loss, slowdown factor > 1).
     tightened: bool = False
 
     @property
     def fingerprint(self) -> str:
-        """Stable short hash of the event sequence, for cache keys."""
+        """Stable short hash of the event sequence."""
         h = hashlib.blake2b(digest_size=8)
         for ev in self.events:
             h.update(repr(ev).encode())
@@ -171,24 +127,14 @@ class PerturbationDelta:
         return "; ".join(ev.describe() for ev in self.events) or "no events"
 
 
-def _edge_rows(src: NodeId, dst: NodeId, kind: str,
-               factor: object = None) -> List[RowEdit]:
-    """The three capacity rows a single directed link participates in."""
-    e = (src, dst)
-    return [RowEdit(f"edge[{src}->{dst}]", kind, edge=e, factor=factor),
-            RowEdit(f"out[{src}]", kind, edge=e, factor=factor),
-            RowEdit(f"in[{dst}]", kind, edge=e, factor=factor)]
-
-
-def _apply(g: PlatformGraph, ev: Event) -> List[RowEdit]:
-    """Apply one event to ``g`` in place; return its row edits."""
+def _apply(g: PlatformGraph, ev: Event) -> None:
+    """Apply one event to ``g`` in place."""
     if isinstance(ev, LinkFailure):
         if not g.has_edge(ev.src, ev.dst):
             raise PerturbationError(
                 f"cannot fail missing link {ev.src!r}->{ev.dst!r}")
         g.remove_edge(ev.src, ev.dst)
-        return _edge_rows(ev.src, ev.dst, "drop")
-    if isinstance(ev, LinkDegradation):
+    elif isinstance(ev, LinkDegradation):
         if not g.has_edge(ev.src, ev.dst):
             raise PerturbationError(
                 f"cannot degrade missing link {ev.src!r}->{ev.dst!r}")
@@ -202,41 +148,23 @@ def _apply(g: PlatformGraph, ev: Event) -> List[RowEdit]:
                                     f"got {f!r}")
         # overwrite in place: re-adding an existing edge keeps its position
         # in the adjacency order, so LPs rebuilt from the perturbed platform
-        # index their variables exactly like the original (the canonical-key
-        # equivalence apply_delta's tests pin relies on this)
+        # index their variables exactly like the original
         g.add_edge(ev.src, ev.dst, g.cost(ev.src, ev.dst) * f)
-        return _edge_rows(ev.src, ev.dst, "scale", factor=f)
-    if isinstance(ev, NodeFailure):
+    elif isinstance(ev, NodeFailure):
         if ev.node not in g:
             raise PerturbationError(f"cannot fail missing node {ev.node!r}")
-        edits: List[RowEdit] = []
-        for dst in g.successors(ev.node):
-            edits.extend(_edge_rows(ev.node, dst, "drop"))
-        for src in g.predecessors(ev.node):
-            edits.extend(_edge_rows(src, ev.node, "drop"))
-        edits.append(RowEdit(f"out[{ev.node}]", "drop"))
-        edits.append(RowEdit(f"in[{ev.node}]", "drop"))
-        if g.is_compute(ev.node):
-            edits.append(RowEdit(f"alpha[{ev.node}]", "drop"))
         g.remove_node(ev.node)
-        return edits
-    if isinstance(ev, NodeJoin):
+    elif isinstance(ev, NodeJoin):
         if ev.node in g:
             raise PerturbationError(f"node {ev.node!r} already exists")
         g.add_node(ev.node, ev.speed)
-        edits = [RowEdit(f"out[{ev.node}]", "add"),
-                 RowEdit(f"in[{ev.node}]", "add")]
-        if ev.speed:
-            edits.append(RowEdit(f"alpha[{ev.node}]", "add"))
         for peer, cost in ev.links:
             if peer not in g:
                 raise PerturbationError(
                     f"join peer {peer!r} is not in the platform")
             g.add_link(ev.node, peer, cost)
-            edits.extend(_edge_rows(ev.node, peer, "add"))
-            edits.extend(_edge_rows(peer, ev.node, "add"))
-        return edits
-    raise PerturbationError(f"unknown perturbation event {ev!r}")
+    else:
+        raise PerturbationError(f"unknown perturbation event {ev!r}")
 
 
 def _tightens(ev: Event) -> bool:
@@ -263,10 +191,9 @@ def perturb(platform: PlatformGraph, events: Iterable[Event],
     g = platform.copy()
     g.name = f"{platform.name}~{'+'.join(type(e).__name__ for e in events)}" \
         if events else platform.name
-    edits: List[RowEdit] = []
     for ev in events:
-        edits.extend(_apply(g, ev))
-    return g, PerturbationDelta(events=events, row_edits=tuple(edits),
+        _apply(g, ev)
+    return g, PerturbationDelta(events=events,
                                 tightened=any(_tightens(e) for e in events))
 
 

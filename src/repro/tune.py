@@ -57,14 +57,6 @@ class TuneReport:
     rows: List[GapRow] = field(default_factory=list)
     instance_seconds: Dict[str, float] = field(default_factory=dict)
 
-    @property
-    def lp_dominates(self) -> bool:
-        return all(row.gap >= 1 for row in self.rows)
-
-    @property
-    def sim_exact(self) -> bool:
-        return all(row.sim_matches for row in self.rows)
-
 
 def applicable_baselines(problem) -> List[object]:
     """Registered classical-algorithm specs that can run this instance."""

@@ -53,8 +53,8 @@ def degradation_table(report, run=None, title: str = "degradation") -> str:
     rows = [("events", report.delta.describe()),
             ("TP before", report.base_throughput),
             ("TP after", report.throughput),
-            ("replan path", "warm (incremental)" if report.warm
-             else "cold (rebuild)"),
+            ("replan path", "warm (basis crashed)" if report.warm
+             else "cold"),
             ("replan latency", f"{report.replan_s * 1e3:.1f} ms")]
     if report.cold_s is not None:
         rows.append(("cold solve", f"{report.cold_s * 1e3:.1f} ms"))

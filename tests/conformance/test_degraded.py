@@ -11,10 +11,13 @@ every ``conformance_problem`` remains solvable).  Checked per case:
   platform, with ``verify()`` clean and one-port occupations within
   budget;
 - HiGHS agrees with the exact optimum on the same perturbed instance;
+- :func:`repro.lp.resolve.replan` of the pristine solution reaches the
+  same exact optimum (warm from the old basis when it is large enough,
+  cold otherwise);
 - degradation can only lower throughput (events are tightening), and
   the perturbed solve must not have been served from a cached pristine
-  solution (the ``cache_tag`` satellite guards the key space — a stale
-  hit would show up here as a pristine TP on a degraded platform).
+  solution (the perturbed LP hashes to its own cache key — a stale hit
+  would show up here as a pristine TP on a degraded platform).
 
 Seeded by ``REPRO_CONFORMANCE_SEED`` like the base suite; CI pins it.
 """
@@ -27,6 +30,7 @@ from fractions import Fraction
 import pytest
 
 from repro.collectives import available_collectives, solve_collective
+from repro.lp.resolve import replan
 from repro.platform import generators as gen
 from repro.platform.perturb import failure_trace, perturb
 
@@ -85,6 +89,8 @@ def test_degraded_exact_and_highs_agree_and_verify(plat, spec):
 
     if not isinstance(spec, AlgorithmSpec):
         assert exact.throughput <= pristine.throughput
+
+    assert replan(pristine, events).throughput == exact.throughput
 
     highs = solve_collective(degraded_problem, collective=spec.name,
                              backend="highs")

@@ -698,8 +698,6 @@ class TestFallbacksAndRouting:
     def test_incompatible_flags_rejected(self):
         lp = _two_block_lp()
         with pytest.raises(ValueError):
-            dispatch.solve(lp, backend="colgen", dual=True, cache=False)
-        with pytest.raises(ValueError):
             dispatch.solve(lp, backend="colgen", canonical=True,
                            cache=False)
 

@@ -160,22 +160,6 @@ class TestDispatchIntegration:
         solve(_fig2_lp())  # memo hit; disk untouched
         assert cache_stats()["disk_hits"] == before
 
-    def test_cache_tag_separates_entries(self, cache_dir):
-        """Perturbed-platform re-solves tag their keys: the same model
-        solved under a tag must not collide with the untagged entry (a
-        warm solve can land on a different optimal vertex, and a stale
-        pristine hit would fake a degraded result)."""
-        solve(_fig2_lp())
-        assert diskcache.stats()["entries"] == 1
-        solve(_fig2_lp(), cache_tag="perturb:deadbeef")
-        assert diskcache.stats()["entries"] == 2        # distinct key spaces
-        before = cache_stats()["disk_hits"]
-        clear_cache()
-        solve(_fig2_lp(), cache_tag="perturb:deadbeef")  # tagged hit
-        solve(_fig2_lp())                                # untagged hit
-        assert cache_stats()["disk_hits"] == before + 2
-        assert diskcache.stats()["entries"] == 2
-
     def test_warm_basis_implies_a_tag(self, cache_dir):
         """An explicit warm basis must never shadow the cold cache slot."""
         first = solve(_fig2_lp())

@@ -77,12 +77,10 @@ class TestDifferentialRandom:
             assert rev.objective == tab.objective, trial
             assert rev.exact and isinstance(rev.objective, (int, Fraction))
             assert lp.check_feasible(rev.values, tol=0) == []
-            # warm and dual restarts from the revised basis, and a warm
-            # start from the *tableau's* basis, all reproduce the optimum
+            # a warm restart from the revised basis, and one from the
+            # *tableau's* basis, both reproduce the optimum
             for restart in (
                 RevisedSimplexSolver().solve(lp, warm_basis=rev.basis_labels),
-                RevisedSimplexSolver().solve(lp, warm_basis=rev.basis_labels,
-                                             dual=True),
                 RevisedSimplexSolver().solve(lp, warm_basis=tab.basis_labels),
             ):
                 assert restart.optimal and restart.objective == rev.objective
@@ -156,10 +154,9 @@ class TestDifferentialRandom:
         assert rev.optimal and tab.optimal
         assert rev.objective == tab.objective == Fraction(1, 4)
         assert lp.check_feasible(rev.values, tol=0) == []
-        # dual restart from the recorded basis stays bit-identical
-        d = RevisedSimplexSolver().solve(lp, warm_basis=rev.basis_labels,
-                                         dual=True)
-        assert d.optimal and d.objective == rev.objective
+        # a warm restart from the recorded basis stays bit-identical
+        w = RevisedSimplexSolver().solve(lp, warm_basis=rev.basis_labels)
+        assert w.optimal and w.objective == rev.objective
 
 
 class TestLUUpdates:
@@ -247,17 +244,13 @@ class TestDispatchRouting:
             assert sol.optimal and sol.objective == 3
             assert sol.backend == expect
 
-    def test_dual_and_canonical_constraints(self):
+    def test_canonical_and_backend_constraints(self):
         from repro.lp.dispatch import solve
 
         lp = LinearProgram(name="route2")
         x = lp.var("x", 0, 4)
         lp.add(x <= 3, name="c")
         lp.maximize(x)
-        with pytest.raises(ValueError):
-            solve(lp, backend="tableau", dual=True)
-        with pytest.raises(ValueError):
-            solve(lp, canonical=True, dual=True)
         with pytest.raises(ValueError):
             solve(lp, backend="revised", canonical=True)
         with pytest.raises(ValueError):
@@ -281,18 +274,3 @@ class TestDispatchRouting:
             assert sol.objective == 3
         finally:
             dispatch.TABLEAU_VAR_LIMIT = old
-
-    def test_dual_solves_cache_separately(self):
-        from repro.lp.dispatch import clear_cache, solve
-
-        lp = LinearProgram(name="cachekey")
-        x = lp.var("x", 0, 4)
-        lp.add(x <= 3, name="c")
-        lp.maximize(x)
-        clear_cache()
-        a = solve(lp, backend="revised")
-        b = solve(lp, backend="revised", dual=True,
-                  warm_basis=a.basis_labels, cache_tag="t")
-        assert a.objective == b.objective == 3
-        # the dual entry leaves its mark on the solve stats
-        assert b.stats["path"].endswith("-dual") or b.stats["path"] == "cold"

@@ -98,24 +98,24 @@ PINS = {
         # the 12 broadcast blocks by LP (no descriptor)
         "fig9_8host_allreduce_pipelined": {
             "throughput": F(2, 81), "route": "colgen", "vars_raw": 17217,
-            "vars_presolved": 17217, "max_rounds": 69, "max_columns": 171,
+            "vars_presolved": 17217, "max_rounds": 69, "max_columns": 168,
             "tree_blocks": 8, "dijkstra_fallbacks": 0,
             "lp_blocks": {"no descriptor": 12, "declined": 0}},
         "ring128_scatter": {
             "throughput": F(1, 127), "route": "colgen", "vars_raw": 32259,
             "vars_presolved": 32259, "rounds": 1,
-            "columns": 504, "columns_digest": "1b332e9537ccc530",
+            "columns": 252, "columns_digest": "d4609fffd224028b",
             "dijkstra_fallbacks": 0},
         "fattree6_scatter": {
             "throughput": F(1, 53), "route": "colgen", "vars_raw": 17120,
             "vars_presolved": 17120, "rounds": 1,
-            "columns": 106, "columns_digest": "102cbf66c773224f",
+            "columns": 53, "columns_digest": "667b2338e4883518",
             "dijkstra_fallbacks": 0},
         # one SSR block, colgen-routed because it prices by the tree DP
         "complete12_reduce": {
             "throughput": F(1), "route": "colgen", "vars_raw": 13718,
-            "vars_presolved": 13718, "rounds": 13, "columns": 14,
-            "columns_digest": "74137bc15b3f6042", "blocks": 1,
+            "vars_presolved": 13718, "rounds": 13, "columns": 13,
+            "columns_digest": "e5345cf2b22b2882", "blocks": 1,
             "tree_blocks": 1, "dijkstra_fallbacks": 0,
             "lp_blocks": {"no descriptor": 0, "declined": 0}},
     },
@@ -329,7 +329,7 @@ def test_replan_work(case):
 
 
 def test_x20_warm_replan_beats_cold_by_2x():
-    """On the 20-node scatter rung the warm incremental re-solve must
+    """On the 20-node scatter rung the warm replan must
     finish in under half the cold solve, with a bit-identical rational
     optimum.  (Paper-figure LPs are millisecond-scale, where the basis
     crash costs about one cold solve; there only exactness is pinned.)"""

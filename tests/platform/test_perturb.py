@@ -1,8 +1,8 @@
 """Unit tests for the platform perturbation API (PR 6).
 
-Events must (a) reshape the platform exactly, (b) emit the row-edit
-delta the incremental re-solver consumes, and (c) be deterministic under
-seeding — the degraded conformance axis depends on all three.
+Events must (a) reshape the platform exactly, (b) report whether they
+tighten it, with a stable fingerprint, and (c) be deterministic under
+seeding — the degraded conformance axis depends on (a) and (c).
 """
 
 from fractions import Fraction
@@ -74,24 +74,14 @@ class TestEvents:
 
 
 class TestDelta:
-    def test_link_failure_row_edits(self):
-        _, delta = perturb(ring(4), [LinkFailure("p0", "p1")])
-        assert [(e.row, e.kind) for e in delta.row_edits] == [
-            ("edge[p0->p1]", "drop"),
-            ("out[p0]", "drop"),
-            ("in[p1]", "drop"),
-        ]
-        assert all(e.edge == ("p0", "p1") for e in delta.row_edits)
-
-    def test_degradation_row_edits_carry_factor(self):
-        _, delta = perturb(ring(4), [LinkDegradation("p0", "p1", factor=5)])
-        assert {e.kind for e in delta.row_edits} == {"scale"}
-        assert {e.factor for e in delta.row_edits} == {5}
-
-    def test_node_failure_drops_port_and_alpha_rows(self):
-        _, delta = perturb(complete(3), [NodeFailure("p1")])
-        rows = {e.row for e in delta.row_edits}
-        assert {"out[p1]", "in[p1]", "alpha[p1]"} <= rows
+    def test_tightened_flags_only_shrinking_events(self):
+        g = ring(4)
+        for ev in (LinkFailure("p0", "p1"), NodeFailure("p1"),
+                   LinkDegradation("p0", "p1", factor=5)):
+            assert perturb(g, [ev])[1].tightened, ev
+        for ev in (LinkDegradation("p0", "p1", factor=Fraction(1, 2)),
+                   NodeJoin("px", links=(("p0", 1),))):
+            assert not perturb(g, [ev])[1].tightened, ev
 
     def test_fingerprint_deterministic_and_event_sensitive(self):
         _, d1 = perturb(ring(4), [LinkFailure("p0", "p1")])
