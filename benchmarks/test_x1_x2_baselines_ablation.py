@@ -85,10 +85,14 @@ def test_x2_multiroute_ablation(benchmark, report):
 
 
 def test_x2_multitree_ablation(benchmark, report):
+    # the tableau's optimal vertex mixes two trees (2/27 + 4/27), each
+    # strictly worse alone; the revised engine's and the canonical vertex
+    # are a single 2/9 tree (see test_fig11_12_trees), where a mix buys
+    # nothing — so the ablation names the vertex that has one
     problem = ReduceProblem(figure9_platform(),
                             participants=figure9_participants(),
                             target=figure9_target(), msg_size=10, task_work=10)
-    sol = solve_collective(problem)
+    sol = solve_collective(problem, backend="tableau")
     trees = sol.extract()
     single, _tree = benchmark(lambda: best_single_tree_throughput(trees, problem))
     report.row("X2b (Fig 9): optimal multi-tree TP", "2/9", sol.throughput)

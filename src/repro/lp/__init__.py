@@ -57,13 +57,14 @@ exact engine whenever the reduced model has at most
 fig9 8-host pipelined all-reduce and the 128-node ring scatter tier), else
 HiGHS followed by certified rationalization (an uncertified optimum stays
 float, ``exact=False``, with the reason in ``stats["uncertified"]``).
-Within the exact route the fraction-free tableau serves models up to
-:data:`repro.lp.dispatch.TABLEAU_VAR_LIMIT` (5000) presolved variables
-plus every ``canonical=True`` solve, and the revised simplex serves
-everything larger and the warm replans of :func:`repro.lp.resolve.replan`
-(``backend="revised"``); both produce
-bit-identical objectives (the differential suite checks it, and
-certifies the revised engine's optima with their duals).  Models
+Within the exact route the revised simplex serves every model above
+:data:`repro.lp.dispatch.TABLEAU_VAR_LIMIT` (125) presolved variables and
+the warm replans of :func:`repro.lp.resolve.replan`
+(``backend="revised"``); the fraction-free tableau keeps the tiny models
+at or below that cut-over, where the revised engine's start-up costs
+more than the whole tableau solve, plus every ``canonical=True`` solve.
+Both produce bit-identical objectives (the differential suite checks it,
+and certifies the revised engine's optima with their duals).  Models
 above :data:`repro.lp.dispatch.COLGEN_VAR_LIMIT` (6000) raw variables
 whose raw LP decomposes into commodity blocks route to column
 generation (:mod:`repro.lp.colgen`) before presolve — same exact

@@ -489,6 +489,8 @@ class _BlockPricer:
             if w[lj]:
                 obj.add_term(xs[lj], w[lj])
         lp.minimize(obj)
+        # the tableau at any size: its vertex is the column that enters, so
+        # another engine would move the datacenter tier's pinned columns
         sol = ExactSimplexSolver().solve(lp)
         if not sol.optimal:
             return None
@@ -567,6 +569,7 @@ class _BlockPricer:
             if wj:
                 obj.add_term(lp.variables[lj], wj)
         lp.minimize(obj)
+        # own limit, not the dispatch cut-over (see _restricted_exact)
         if lp.num_vars() <= PRICING_TABLEAU_LIMIT:
             sol = ExactSimplexSolver().solve(
                 lp, warm_basis=None if want_any else self.basis)
@@ -865,10 +868,10 @@ def _direct_fallback(lp: LinearProgram, reason: str) -> LPSolution:
     direct exact solve, still reported under the colgen backend."""
     from repro.lp.dispatch import TABLEAU_VAR_LIMIT  # dispatch imports colgen
 
-    if lp.num_vars() <= TABLEAU_VAR_LIMIT:
-        sol = ExactSimplexSolver().solve(lp)
-    else:
-        sol = RevisedSimplexSolver().solve(lp)
+    # the model is rational: both entry points have checked it
+    engine = (ExactSimplexSolver() if lp.num_vars() <= TABLEAU_VAR_LIMIT
+              else RevisedSimplexSolver())
+    sol = engine._solve_rational(lp)
     stats = dict(sol.stats or {})
     stats.update({"engine": "colgen", "fallback": reason, "rounds": 0,
                   "columns": 0, "columns_priced": 0, "blocks": 0,
@@ -893,15 +896,24 @@ def solve_colgen(lp: LinearProgram,
     on the *raw* LP — presolve substitutions would break the block/name
     structure the decomposition and the graphs rely on.  A passed
     ``structure`` comes from :func:`detect` on a model the caller has
-    already found rational (:func:`repro.lp.dispatch.solve` does), so
-    only a call without one scans the data for floats.
+    already found rational, so only a call without one scans the data
+    for floats.
     """
-    t_start = perf_counter()
     if structure is None:
         if not lp.is_rational():
             raise ValueError("colgen requires int/Fraction data; use the "
                              "HiGHS backend for float LPs")
         structure = detect(lp, pricing=pricing)
+    return _solve_structured(lp, structure, pricing, max_rounds)
+
+
+def _solve_structured(lp: LinearProgram, structure: Optional[Structure],
+                      pricing: Optional[Sequence[dict]] = None,
+                      max_rounds: int = MAX_ROUNDS) -> LPSolution:
+    """:func:`solve_colgen` on a rational ``lp`` whose :func:`detect`
+    result is ``structure`` (``None``: one direct exact solve).
+    :func:`repro.lp.dispatch.solve` calls it after its own single scan."""
+    t_start = perf_counter()
     if structure is None:
         reason = "minimize" if not lp.sense_max else "no blocks"
         return _direct_fallback(lp, reason)

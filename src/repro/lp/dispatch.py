@@ -13,22 +13,24 @@ oversized LP back onto the exact path.
 
 Two exact engines sit behind the ``"exact"`` route:
 
-- the fraction-free **tableau** simplex (:mod:`repro.lp.exact_simplex`)
-  for models up to :data:`TABLEAU_VAR_LIMIT` presolved variables and for
-  every ``canonical=True`` solve (its lexicographic tie-break is defined
-  on the tableau), and
 - the **revised** simplex (:mod:`repro.lp.revised_simplex`) — LU-
   factorized basis, float-assisted crash, dual simplex entry from a
-  dual-feasible warm crash — for everything above, up to
+  dual-feasible warm crash — for every model above
+  :data:`TABLEAU_VAR_LIMIT` presolved variables, up to
   :data:`EXACT_VAR_LIMIT`, and for the warm re-solves of
   :func:`repro.lp.resolve.replan` (``backend="revised"``), whatever the
-  size.
+  size;
+- the fraction-free **tableau** simplex (:mod:`repro.lp.exact_simplex`)
+  for the small models at or below that cut-over and for every
+  ``canonical=True`` solve (its lexicographic tie-break is defined on the
+  tableau).  It also stays the differential reference.
 
 Both return bit-identical optimal objectives (the differential suite in
 ``tests/lp/test_revised_simplex.py`` enforces it), so the split is purely
-a performance decision: below ~5000 variables the dense tableau's cheap
-pivots win; above it the revised path's sparse LU and crash basis are the
-only thing that finishes.
+a performance decision: the revised engine's float-guided crash finishes
+most collective LPs in a handful of pivots, but its start-up (a HiGHS
+solve plus two exact LU factorizations) costs a few milliseconds that a
+tiny LP's tableau pivots do not.
 
 A third exact route sits on top for the largest collective LPs:
 Dantzig-Wolfe **column generation** (:mod:`repro.lp.colgen`,
@@ -80,7 +82,7 @@ from repro.lp.fastfrac import paused_gc
 from repro.lp.highs import HighsSolver
 from repro.lp.model import LinearProgram
 from repro.lp.presolve import presolve as run_presolve
-from repro.lp.rationalize import rationalize_solution
+from repro.lp.rationalize import _certify_snaps
 from repro.lp.revised_simplex import RevisedSimplexSolver
 from repro.lp.solution import LPSolution, SolveStatus
 
@@ -95,11 +97,13 @@ from repro.lp.solution import LPSolution, SolveStatus
 EXACT_VAR_LIMIT = 50000
 
 #: Within the exact route, models up to this many presolved variables use
-#: the fraction-free tableau simplex; larger ones use the revised simplex.
-#: The tableau's dense pivots are cheaper per iteration on small models
-#: and it is the reference ("oracle") implementation the differential
-#: suite compares against; ``canonical=True`` solves always use it.
-TABLEAU_VAR_LIMIT = 5000
+#: the fraction-free tableau simplex; larger ones use the revised simplex,
+#: whose ~4 ms start-up (2 vCPU) the tableau beats only on tiny LPs: fig2
+#: scatter (10 vars) 0.4 vs 4 ms, but a 6-node pipelined all-reduce (481
+#: vars) 380 vs 18 ms.  On the paper_mix LPs of seeds 1, 3 and 7, cut-overs
+#: of 100-150 total within 2% (125 least), 250 costs 22% more and 5000
+#: four times as much.  ``canonical=True`` always uses the tableau.
+TABLEAU_VAR_LIMIT = 125
 
 #: Above this many raw variables, ``backend="auto"`` tries the
 #: Dantzig-Wolfe column generation (:mod:`repro.lp.colgen`) before
@@ -107,7 +111,7 @@ TABLEAU_VAR_LIMIT = 5000
 #: decomposes into at least two commodity blocks tied only by shared
 #: capacity rows, or into one block priced combinatorially (the 12-node
 #: complete reduce, 13718 raw vars, one reduction-tree block).  The
-#: threshold sits above the tableau limit — colgen's
+#: threshold sits well above the revised engine's start — colgen's
 #: restricted masters carry overhead per round that only pays off once
 #: the raw LP is large — and below the 64-node ring scatter (7939 raw
 #: vars), the smallest colgen-routed model of the datacenter tier.
@@ -177,7 +181,7 @@ def solve(lp: LinearProgram, backend: str = "auto",
     backend:
         ``"exact"`` — rational simplex (requires rational data): the
         tableau engine up to :data:`TABLEAU_VAR_LIMIT` presolved
-        variables, the revised engine above it;
+        variables and for ``canonical=True``, the revised engine above;
         ``"tableau"`` / ``"revised"`` — force a specific exact engine
         (differential tests and benchmarks);
         ``"colgen"`` — Dantzig-Wolfe column generation
@@ -242,7 +246,12 @@ def solve(lp: LinearProgram, backend: str = "auto",
     if canonical and backend in ("revised", "colgen"):
         raise ValueError("canonical=True is tableau-only; use "
                          "backend='exact' or 'tableau'")
+    # the one rationality scan of this solve: the engines and the snap
+    # certifier below are entered past their own checks
     rational = lp.is_rational()
+    if not rational and backend in ("exact", "tableau", "revised", "colgen"):
+        raise ValueError(f"backend={backend!r} requires int/Fraction data; "
+                         f"convert the LP or use the HiGHS backend")
 
     key = None
     if cache:
@@ -293,8 +302,9 @@ def solve(lp: LinearProgram, backend: str = "auto",
             route_reason = "1 block" if n_blocks else "no blocks"
 
     if backend == "colgen" or colgen_struct is not None:
-        sol = colgen_mod.solve_colgen(lp, pricing=pricing,
-                                      structure=colgen_struct)
+        if backend == "colgen":
+            colgen_struct = colgen_mod.detect(lp, pricing=pricing)
+        sol = colgen_mod._solve_structured(lp, colgen_struct, pricing)
         return _finish(sol, "colgen", route_reason or "backend='colgen'",
                        n_raw, n_raw, key)
 
@@ -326,14 +336,16 @@ def solve(lp: LinearProgram, backend: str = "auto",
         why = f"{route_reason}; {why}"
 
     if route == "revised":
-        sol = RevisedSimplexSolver().solve(model, warm_basis=warm_basis)
+        sol = RevisedSimplexSolver()._solve_rational(model,
+                                                     warm_basis=warm_basis)
     elif route == "tableau":
-        sol = ExactSimplexSolver().solve(model, warm_basis=warm_basis,
-                                         canonical=canonical)
+        sol = ExactSimplexSolver()._solve_rational(
+            model, warm_basis=warm_basis, canonical=canonical)
     else:
         sol = HighsSolver().solve(model)
         if sol.optimal:
-            certified, uncertified = rationalize_solution(sol)
+            certified, uncertified = (_certify_snaps(sol) if rational
+                                      else (None, "float data"))
             sol = certified or replace(sol, stats={"uncertified": uncertified})
 
     if pres is not None:

@@ -275,6 +275,13 @@ class ExactSimplexSolver:
             raise ValueError(
                 "exact simplex requires int/Fraction data; convert the LP or "
                 "use the HiGHS backend")
+        return self._solve_rational(lp, warm_basis, canonical)
+
+    def _solve_rational(self, lp: LinearProgram,
+                        warm_basis: Optional[Sequence[Label]] = None,
+                        canonical: bool = False) -> LPSolution:
+        """:meth:`solve` on a model the caller has already found rational
+        (:func:`repro.lp.dispatch.solve` scans each model once)."""
         n = lp.num_vars()
         lbs = [Fraction(v.lb) for v in lp.variables]
 

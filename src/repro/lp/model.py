@@ -308,20 +308,16 @@ class LinearProgram:
 
     def is_rational(self) -> bool:
         """True when every coefficient/bound is int or Fraction (no floats)."""
-        def ok(x) -> bool:
-            return x is None or isinstance(x, (int, Fraction))
-
+        exact = (int, Fraction)
         for v in self.variables:
-            if not (ok(v.lb) and ok(v.ub)):
+            if not ((v.lb is None or isinstance(v.lb, exact))
+                    and (v.ub is None or isinstance(v.ub, exact))):
                 return False
         exprs = [self.objective] + [c.expr for c in self.constraints]
-        for e in exprs:
-            if not ok(e.constant):
-                return False
-            for c in e.coefs.values():
-                if not ok(c):
-                    return False
-        return True
+        types = {type(e.constant) for e in exprs}
+        for e in exprs:           # the types seen, gathered at C speed
+            types.update(map(type, e.coefs.values()))
+        return all(issubclass(t, exact) for t in types)
 
     def __repr__(self) -> str:
         return (f"LinearProgram({self.name!r}, vars={self.num_vars()}, "

@@ -43,9 +43,10 @@ from repro.platform.perturb import Event, PerturbationDelta, perturb
 #: up — fig6 pipelined all-reduce (96 labels) re-solves in ~18 ms vs a
 #: ~29 ms cold solve, fig9 scatter (108) hits ``warm-dual`` with 0 pivots
 #: at ~16 ms vs ~20 ms cold, ring24 (577) 166 ms vs 252 ms, x20 scatter
-#: ~36x.  Below the floor (fig2: 10 labels, ring8: 65) the exact-LU setup
-#: costs more than the couple of milliseconds a cold tableau solve needs,
-#: so replan solves cold.
+#: ~3.4x over a cold revised solve.  Below the floor (fig2: 10 labels,
+#: ring8: 65) replan solves cold on the engine the dispatch cut-over
+#: (:data:`repro.lp.dispatch.TABLEAU_VAR_LIMIT`) names; the paper_mix
+#: gossip replans (123-129 vars, under 90 labels) sit on either side.
 WARM_BASIS_MIN_LABELS = 90
 
 

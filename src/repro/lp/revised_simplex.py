@@ -30,8 +30,7 @@ crash.  The crash ladder in :meth:`RevisedSimplexSolver.solve` enters it
 whenever a crash is dual feasible but not primal feasible.
 
 The returned optimum is bit-identical to the tableau solver's (both are
-exact); only the vertex reached and the pivot path may differ.  The
-tableau backend stays the differential oracle below its size cap.
+exact); only the vertex reached and the pivot path may differ.
 """
 
 from __future__ import annotations
@@ -103,8 +102,9 @@ def _to_int_vec(fracs: Dict[int, Fraction]) -> Tuple[Dict[int, int], int]:
 FLOAT_CRASH_EPS = 1e-6
 
 
-def _crash_eps(i: int) -> float:
-    """Deterministic pseudo-random perturbation in ``[0.5, 1.5) * EPS``."""
+def _crash_eps(i):
+    """Deterministic pseudo-random perturbation in ``[0.5, 1.5) * EPS``
+    (elementwise over an integer array)."""
     return FLOAT_CRASH_EPS * (0.5 + ((i * 2654435761) & 0xFFFF) / 65536.0)
 
 
@@ -148,46 +148,42 @@ def _float_crash_labels(
     if lp.sense_max:
         c = -c
 
-    # sparse triplets: ring128-scale rows would not fit densely
-    def triplets(rows):
-        data, ri, cj = [], [], []
-        for i, coefs in enumerate(rows):
-            for j, v in coefs.items():
-                ri.append(i)
-                cj.append(j)
-                data.append(v)
-        return csr_array((data, (ri, cj)), shape=(len(rows), n))
-
-    ub_coefs, b_ub, ub_rows = [], [], []
-    eq_coefs, b_eq = [], []
+    # one pass over the rows into CSR arrays (ring128-scale rows would
+    # not fit densely): the <= block (>= rows negated) and the == block,
+    # each row's entries in expression order
+    ub = ([], [], [0], [])        # data, column indices, indptr, rhs
+    eq = ([], [], [0], [])
+    ub_rows: List[int] = []
     for ci, con in enumerate(lp.constraints):
-        coefs = {j: float(v) for j, v in con.expr.coefs.items()}
-        b = -float(con.expr.constant)
-        if con.sense == LE:
-            ub_coefs.append(coefs)
-            b_ub.append(b + _crash_eps(ci))
-            ub_rows.append(ci)
-        elif con.sense == GE:
-            ub_coefs.append({j: -v for j, v in coefs.items()})
-            b_ub.append(-b + _crash_eps(ci))
-            ub_rows.append(ci)
+        coefs = con.expr.coefs
+        if con.sense == EQ:
+            blk, sign = eq, 1.0
         else:
-            eq_coefs.append(coefs)
-            b_eq.append(b)
+            blk, sign = ub, (-1.0 if con.sense == GE else 1.0)
+            ub_rows.append(ci)
+        blk[0].extend(sign * float(v) for v in coefs.values())
+        blk[1].extend(coefs)
+        blk[2].append(len(blk[1]))
+        blk[3].append(-sign * float(con.expr.constant))
+
+    def matrix(blk):
+        if not blk[3]:
+            return None, None
+        return (csr_array((np.array(blk[0], dtype=float), blk[1], blk[2]),
+                          shape=(len(blk[3]), n)), np.array(blk[3]))
+
+    a_ub, b_ub = matrix(ub)
+    a_eq, b_eq = matrix(eq)
+    if a_ub is not None:
+        b_ub = b_ub + _crash_eps(np.array(ub_rows, dtype=np.int64))
     lbs = np.array([float(v.lb) for v in lp.variables])
-    lb_shift = np.array([_crash_eps(m + j) for j in range(n)])
-    bounds = []
-    for j, v in enumerate(lp.variables):
-        hi = (None if v.ub is None
-              else float(v.ub) + _crash_eps(2 * m + n + j))
-        bounds.append((lbs[j] - lb_shift[j], hi))
+    lo = lbs - _crash_eps(np.arange(m, m + n, dtype=np.int64))
+    hi = np.array([np.inf if v.ub is None else float(v.ub)
+                   for v in lp.variables])
+    hi = hi + _crash_eps(np.arange(2 * m + n, 2 * m + 2 * n, dtype=np.int64))
     try:
-        res = linprog(c,
-                      A_ub=triplets(ub_coefs) if ub_coefs else None,
-                      b_ub=np.array(b_ub) if ub_coefs else None,
-                      A_eq=triplets(eq_coefs) if eq_coefs else None,
-                      b_eq=np.array(b_eq) if eq_coefs else None,
-                      bounds=bounds, method="highs-ds")
+        res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                      bounds=np.column_stack((lo, hi)), method="highs-ds")
     except (ValueError, TypeError):                    # pragma: no cover
         return None
     if not res.success or res.x is None:
@@ -205,21 +201,17 @@ def _float_crash_labels(
 
     # Primary labels: columns strictly off their (shifted) bounds and
     # slacks of strictly loose rows — unambiguously basic at the vertex.
-    labels: List[Label] = []
-    off_lb = [False] * n
-    for j, v in enumerate(lp.variables):
-        if x[j] - (lbs[j] - lb_shift[j]) > tol:
-            off_lb[j] = True
-            labels.append(("v", v.name))
-    slack = [0.0] * len(ub_rows)
-    for k, ci in enumerate(ub_rows):
-        slack[k] = b_ub[k] - sum(v * x[j] for j, v in ub_coefs[k].items())
-        if slack[k] > tol:
-            con = lp.constraints[ci]
-            labels.append(("s", con.name or f"#c{ci}"))
-    for j, v in enumerate(lp.variables):
-        if v.ub is not None and bounds[j][1] - x[j] > tol:
-            labels.append(("s", f"#ub:{v.name}"))
+    # The CSR product sums each row left to right, like a Python loop.
+    names = [v.name for v in lp.variables]
+    row_names = [lp.constraints[ci].name or f"#c{ci}" for ci in ub_rows]
+    off_lb = x - lo > tol
+    slack = b_ub - a_ub @ x if a_ub is not None else np.zeros(0)
+    loose = slack > tol
+    off_ub = hi - x > tol          # +inf for a variable without an ub
+    labels: List[Label] = [("v", names[j]) for j in np.flatnonzero(off_lb)]
+    labels += [("s", row_names[k]) for k in np.flatnonzero(loose)]
+    labels += [("s", f"#ub:{names[j]}")
+               for j in np.flatnonzero(off_ub & np.isfinite(hi))]
     primary = tuple(labels)
     # Secondary candidates: even the perturbed vertex keeps *basic at
     # bound* columns when the row system is rank-deficient (ring
@@ -231,16 +223,15 @@ def _float_crash_labels(
     # artificials (which distort the duals and strand the exact cleanup
     # on a degenerate vertex).
     if low_marg is not None:
-        for j, v in enumerate(lp.variables):
-            if not off_lb[j] and abs(low_marg[j]) < dtol:
-                labels.append(("v", v.name))
-            if (v.ub is not None and bounds[j][1] - x[j] <= tol
-                    and abs(up_marg[j]) < dtol):
-                labels.append(("s", f"#ub:{v.name}"))
-        for k, ci in enumerate(ub_rows):
-            if slack[k] <= tol and abs(row_marg[k]) < dtol:
-                con = lp.constraints[ci]
-                labels.append(("s", con.name or f"#c{ci}"))
+        at_lb = ~off_lb & (np.abs(low_marg) < dtol)
+        at_ub = np.isfinite(hi) & ~off_ub & (np.abs(up_marg) < dtol)
+        for j in np.flatnonzero(at_lb | at_ub):
+            if at_lb[j]:
+                labels.append(("v", names[j]))
+            if at_ub[j]:
+                labels.append(("s", f"#ub:{names[j]}"))
+        labels += [("s", row_names[k]) for k in
+                   np.flatnonzero(~loose & (np.abs(row_marg) < dtol))]
     return primary, tuple(labels)
 
 
@@ -267,11 +258,14 @@ class _LU:
 
     All four solve passes walk a heap of dirty positions, so a sparse
     right-hand side touches only the reachable part of the factors.
+    A probe (``allow_deficient=True``) stops after the elimination; it
+    reports the rows it left uncovered and the columns it could not pivot,
+    and :meth:`finish` builds its solve tables only when it is complete.
     """
 
     __slots__ = ("m", "row_of", "pos_of", "piv", "t_of_row", "t_of_pos",
                  "lrows", "ltrans", "urow", "ucol", "uncovered_rows",
-                 "unused_pos", "nnz")
+                 "unused_pos", "nnz", "raw")
 
     def __init__(self, cols: List[SpVec], m: int,
                  allow_deficient: bool = False) -> None:
@@ -289,19 +283,21 @@ class _LU:
         self.row_of: List[int] = []
         self.pos_of: List[int] = []
         self.piv: List[Fraction] = []
-        raw_l: List[List[Tuple[int, Fraction]]] = []   # (orig row, f)
-        raw_u: List[List[Tuple[int, Fraction]]] = []   # (basis pos, u)
+        row_of, pos_of, piv = self.row_of, self.pos_of, self.piv
+        raw_l: List[Sequence[Tuple[int, Fraction]]] = []   # (orig row, f)
+        raw_u: List[Dict[int, Fraction]] = []              # basis pos -> u
         # lazy min-count heap over active columns
         heap = [(len(s), pos) for pos, s in colrows.items()]
         heapq.heapify(heap)
+        heappop, heappush = heapq.heappop, heapq.heappush
         while heap:
-            cnt, pc = heapq.heappop(heap)
+            cnt, pc = heappop(heap)
             s = colrows.get(pc)
             if s is None:
                 continue
             if len(s) != cnt:          # stale key: re-queue at current size
                 if s:
-                    heapq.heappush(heap, (len(s), pc))
+                    heappush(heap, (len(s), pc))
                 elif not allow_deficient:
                     raise ValueError("singular basis: empty active column")
                 continue
@@ -310,26 +306,39 @@ class _LU:
                     continue
                 raise ValueError("singular basis: empty active column")
             # Markowitz tie-break: sparsest active row within the column
-            pr = min(s, key=lambda r: len(rows[r]))
+            if cnt == 1:
+                (pr,) = s
+            else:
+                pr = min(s, key=lambda r: len(rows[r]))
             prow = rows.pop(pr)
             pv = prow.pop(pc)
-            t = len(self.piv)
-            self.row_of.append(pr)
-            self.pos_of.append(pc)
-            self.piv.append(pv)
+            row_of.append(pr)
+            pos_of.append(pc)
+            piv.append(pv)
             # retire the pivot row from every column's support
             for c2 in prow:
                 colrows[c2].discard(pr)
+            raw_u.append(prow)
+            del colrows[pc]
+            if cnt == 1:               # a column singleton: nothing below
+                raw_l.append(())
+                continue
             s.discard(pr)
-            raw_u.append(list(prow.items()))
             # eliminate the pivot column from the remaining active rows
             lent: List[Tuple[int, Fraction]] = []
             for r in s:
                 row = rows[r]
-                f = frac_div(row.pop(pc), pv)
+                f = row.pop(pc)
+                if pv != 1:
+                    f = frac_div(f, pv)
                 lent.append((r, f))
+                f_int = type(f) is int
                 for c2, u in prow.items():
-                    nv = sub_mul(row.get(c2, ZERO), f, u)
+                    a = row.get(c2, 0)
+                    if f_int and type(u) is int and type(a) is int:
+                        nv = a - f * u      # integer entries stay ints
+                    else:
+                        nv = sub_mul(a, f, u)
                     if nv:
                         if c2 not in row:
                             colrows[c2].add(r)
@@ -338,14 +347,22 @@ class _LU:
                         del row[c2]
                         colrows[c2].discard(r)
             raw_l.append(lent)
-            del colrows[pc]
         self.uncovered_rows = sorted(rows)
         self.unused_pos = sorted(colrows)
-        if (self.uncovered_rows or self.unused_pos) and not allow_deficient:
+        self.raw = (raw_l, raw_u)
+        if allow_deficient:
+            return              # a probe: finish() only if it is complete
+        if self.uncovered_rows or self.unused_pos:
             raise ValueError("singular basis: deficient factorization")
-        # convert raw factors to pivot-order indices (+ transposes)
+        self.finish()
+
+    def finish(self) -> None:
+        """Index a complete elimination into the solve tables: pivot-order
+        indices plus transposes, U pre-scaled by the target pivot."""
+        raw_l, raw_u = self.raw
+        self.raw = None
         self.t_of_row = {r: t for t, r in enumerate(self.row_of)}
-        self.t_of_pos = {p: t for t, p in enumerate(self.pos_of)}
+        t_of_pos = self.t_of_pos = {p: t for t, p in enumerate(self.pos_of)}
         n_t = len(self.piv)
         self.lrows = [[] for _ in range(n_t)]
         self.ltrans = [[] for _ in range(n_t)]
@@ -354,21 +371,21 @@ class _LU:
         nnz = n_t
         for t, lent in enumerate(raw_l):
             for r, f in lent:
-                t2 = self.t_of_row.get(r)
-                if t2 is None:      # deficient probe: row never pivoted
-                    continue
+                t2 = self.t_of_row[r]
                 self.lrows[t].append((t2, f))
                 self.ltrans[t2].append((t, f))
                 nnz += 1
+        piv = self.piv
+        unit = [p == 1 for p in piv]
         for t, uent in enumerate(raw_u):
-            for p, u in uent:
-                t2 = self.t_of_pos.get(p)
-                if t2 is None:      # deficient probe: column never pivoted
-                    continue
+            for p, u in uent.items():
+                t2 = t_of_pos[p]
                 # scale by the *target* pivot once, so the solve sweeps
                 # are pure multiply-subtract (see ftran/btran)
-                self.urow[t].append((t2, frac_div(u, self.piv[t2])))
-                self.ucol[t2].append((t, frac_div(u, self.piv[t])))
+                self.urow[t].append(
+                    (t2, u if unit[t2] else frac_div(u, piv[t2])))
+                self.ucol[t2].append(
+                    (t, u if unit[t] else frac_div(u, piv[t])))
                 nnz += 1
         self.nnz = nnz
 
@@ -464,46 +481,65 @@ class _Core:
         self.lp = lp
         self.refactor_interval = refactor_interval
         n = self.n = lp.num_vars()
-        lbs = self.lbs = [Fraction(v.lb) for v in lp.variables]
+        lbs = self.lbs = [Fraction(v.lb) if v.lb else ZERO
+                          for v in lp.variables]
+        #: nonzero lower bounds by column, ascending
+        shift = self.lb_shift = {j: lb for j, lb in enumerate(lbs) if lb}
 
         # rows in ``sum a_ij y_j (sense) b_i`` form, y = x - lb >= 0,
-        # normalized to b >= 0 (negate + flip sense), same as the tableau
+        # normalized to b >= 0 (negate + flip sense), same as the tableau.
+        # Each row is kept twice: exact columns (``acols``, the FTRAN and
+        # factorization input, int or Fraction as given) and integer rows
+        # over one denominator per row (``arows``/``row_den``), so the
+        # pivot-row and reduced-cost arithmetic is fraction-free.
         senses: List[str] = []
-        bs: List[Fraction] = []
+        bs: List[Fraction] = []        # int or Fraction, like acols
         tags: List[Label] = []
-        rows_coefs: List[Dict[int, Fraction]] = []
+        acols: Dict[int, SpVec] = {j: {} for j in range(n)}
+        arows: List[List[Tuple[int, int]]] = []
+        row_den: List[int] = []
         self.row_flip: List[int] = []   # -1 when the row was negated below
         for ci, con in enumerate(lp.constraints):
-            b = -Fraction(con.expr.constant)
-            coefs: Dict[int, Fraction] = {}
-            for j, c in con.expr.coefs.items():
-                c = Fraction(c)
-                if c:
-                    coefs[j] = c
-                    if lbs[j]:
-                        b -= c * lbs[j]
+            items = con.expr.coefs.items()
+            b = -con.expr.constant
+            if shift:
+                for j, c in items:
+                    if j in shift:
+                        b -= c * shift[j]
             sense = con.sense
             flip = 1
             if b < 0:
-                coefs = {j: -c for j, c in coefs.items()}
                 b = -b
                 sense = {LE: GE, GE: LE, EQ: EQ}[sense]
                 flip = -1
-            rows_coefs.append(coefs)
+            i = len(senses)
+            row: List[Tuple[int, object]] = []
+            den = 1
+            for j, c in items:
+                if c:
+                    if flip < 0:
+                        c = -c
+                    acols[j][i] = c
+                    row.append((j, c))
+                    dc = c.denominator
+                    if den % dc:
+                        den = den // gcd(den, dc) * dc
+            arows.append([(j, c.numerator * (den // c.denominator))
+                          for j, c in row])
+            row_den.append(den)
             senses.append(sense)
             bs.append(b)
             tags.append(("s", con.name or f"#c{ci}"))
             self.row_flip.append(flip)
         for v in lp.variables:
             if v.ub is not None:
-                b = Fraction(v.ub) - lbs[v.index]
-                coefs = {v.index: ONE}
-                sense = LE
+                b = v.ub - shift.get(v.index, 0)
+                a, sense = 1, LE
                 if b < 0:          # infeasible box, keep it honest
-                    coefs = {v.index: -ONE}
-                    b = -b
-                    sense = GE
-                rows_coefs.append(coefs)
+                    a, b, sense = -1, -b, GE
+                acols[v.index][len(senses)] = a
+                arows.append([(v.index, a)])
+                row_den.append(1)
                 senses.append(sense)
                 bs.append(b)
                 tags.append(("s", f"#ub:{v.name}"))
@@ -512,16 +548,10 @@ class _Core:
         self.bs = bs
         self.b_vec: SpVec = {i: b for i, b in enumerate(bs) if b}
 
-        # column layout: [structural 0..n) | slacks | artificials...].
-        # Rows are kept twice: exact Fraction columns (``acols``, the
-        # FTRAN/factorization input) and integerized rows over one
-        # denominator per row (``arows``/``row_den``), so the pivot-row
-        # and reduced-cost arithmetic is pure-integer (fraction-free).
-        self.acols: Dict[int, SpVec] = {j: {} for j in range(n)}
-        arows_f: List[Dict[int, Fraction]] = [dict(c) for c in rows_coefs]
-        for i, coefs in enumerate(rows_coefs):
-            for j, c in coefs.items():
-                self.acols[j][i] = c
+        # column layout: [structural 0..n) | slacks | artificials...]
+        self.acols = acols
+        self.arows = arows
+        self.row_den = row_den
         self.slack_of: Dict[int, int] = {}
         self.labels: Dict[int, Label] = {v.index: ("v", v.name)
                                          for v in lp.variables}
@@ -530,24 +560,26 @@ class _Core:
         for i, s in enumerate(senses):
             if s in (LE, GE):
                 self.slack_of[i] = col
-                sv = ONE if s == LE else -ONE
-                self.acols[col] = {i: sv}
-                arows_f[i][col] = sv
+                sv = 1 if s == LE else -1
+                acols[col] = {i: sv}
+                arows[i].append((col, sv * row_den[i]))
                 self.labels[col] = tags[i]
                 slack_cols.append(col)
                 col += 1
-        self.arows: List[List[Tuple[int, int]]] = []
-        self.row_den: List[int] = []
-        for coefs in arows_f:
-            nums, den = _to_int_vec(coefs)
-            self.arows.append(list(nums.items()))
-            self.row_den.append(den)
         self.n_priceable = col
         self.art_cols: Set[int] = set()
-        self.next_col = col
         self.blocks = _blocks_of(lp, col - n, slack_cols)
-        self.block_ptr = 0
+        self.reset()
 
+    def reset(self) -> None:
+        """Back to the state :meth:`__init__` leaves: no artificial
+        columns, no basis, fresh stats — a failed crash's leftovers
+        gone without rebuilding the rows."""
+        for c in self.art_cols:
+            self.acols.pop(c, None)    # expelled ones are already gone
+        self.art_cols = set()
+        self.next_col = self.n_priceable
+        self.block_ptr = 0
         # basis state (filled by a crash)
         self.basis: List[int] = []
         self.basic: Set[int] = set()
@@ -564,7 +596,7 @@ class _Core:
             "pivots": 0, "phase1_pivots": 0, "phase2_pivots": 0,
             "dual_pivots": 0, "refactorizations": 0, "ftran": 0,
             "btran": 0, "factor_s": 0.0, "phase1_s": 0.0,
-            "phase2_s": 0.0, "dual_s": 0.0, "basis_m": m,
+            "phase2_s": 0.0, "dual_s": 0.0, "basis_m": self.m,
         }
 
     # -- columns -------------------------------------------------------
@@ -579,10 +611,15 @@ class _Core:
         return self.acols[col]
 
     # -- factorization + solves ---------------------------------------
-    def factorize(self) -> None:
+    def factorize(self, probe: Optional[_LU] = None) -> None:
+        """Strict LU of the basis; a complete ``probe`` of the same
+        columns in the same order already is its elimination."""
         t0 = perf_counter()
-        cols = [self.column(c) for c in self.basis]
-        self.lu = _LU(cols, self.m)
+        if probe is None:
+            self.lu = _LU([self.column(c) for c in self.basis], self.m)
+        else:
+            probe.finish()
+            self.lu = probe
         self.etas = []
         self.eta_nnz = 0
         self.stats["refactorizations"] += 1
@@ -732,7 +769,9 @@ class _Core:
                 basis.append(self.new_artificial(i))
         self.basis = basis
         self.basic = set(basis)
-        self.factorize()
+        # nothing dropped or completed: reuse the probe
+        self.factorize(probe if len(probe.piv) == len(want) == self.m
+                       else None)
         self.set_x_from_b()
 
     def primal_feasible(self) -> bool:
@@ -770,7 +809,7 @@ class _Core:
                 cb[pos] = v
         y = self.btran(cb) if cb else {}
         # fold each row's integerization denominator into y once
-        w = {r: yv / self.row_den[r] for r, yv in y.items()}
+        w = {r: frac_div(yv, self.row_den[r]) for r, yv in y.items()}
         for j, cv in cost.items():
             if j not in self.basic and j not in self.art_cols:
                 w[-1 - j] = cv       # stash c_j under an impossible row key
@@ -781,18 +820,7 @@ class _Core:
                 j = -1 - k
                 if cn:
                     acc[j] = acc.get(j, 0) + cn
-        basic = self.basic
-        for r, yn in wi.items():
-            if r < 0 or not yn:
-                continue
-            for j, a in self.arows[r]:
-                if j in basic:
-                    continue
-                nv = acc.get(j, 0) - yn * a
-                if nv:
-                    acc[j] = nv
-                elif j in acc:
-                    del acc[j]
+        self._add_rows(acc, wi, -1)
         g = gcd(den, *acc.values()) if acc else 1
         if g > 1:
             den //= g
@@ -835,19 +863,25 @@ class _Core:
         w = {row: frac_div(zv, self.row_den[row]) for row, zv in z.items()}
         wi, den = _to_int_vec(w)
         alpha: Dict[int, int] = {}
+        self._add_rows(alpha, wi, 1)
+        return alpha, den
+
+    def _add_rows(self, acc: Dict[int, int], wi: Dict[int, int],
+                  sign: int) -> None:
+        """``acc += sign * sum_r wi[r] * arows[r]`` on the nonbasic
+        columns, over the rows (keys ``>= 0``) of ``wi``."""
         basic = self.basic
-        for row, zn in wi.items():
-            if not zn:
+        for r, yn in wi.items():
+            if r < 0 or not yn:
                 continue
-            for j, a in self.arows[row]:
+            for j, a in self.arows[r]:
                 if j in basic:
                     continue
-                nv = alpha.get(j, 0) + zn * a
+                nv = acc.get(j, 0) + sign * yn * a
                 if nv:
-                    alpha[j] = nv
-                elif j in alpha:
-                    del alpha[j]
-        return alpha, den
+                    acc[j] = nv
+                elif j in acc:
+                    del acc[j]
 
     # -- pricing ---------------------------------------------------------
     def _score(self, j: int) -> float:
@@ -1063,11 +1097,8 @@ class _Core:
                         take = bcol < basis[leave]
             if take:
                 leave, ln, ld = pos, r, a
-        if leave >= 0 and basis[leave] in art and x_b[leave] == 0 \
-                and w[leave] < 0:
-            # pinned-artificial exit with a negative pivot element is
-            # still valid (theta = 0), the pivot just flips signs
-            pass
+        # a pinned artificial may leave on a negative pivot element too:
+        # theta = 0, the pivot just flips signs
         return leave
 
     # -- dual loop -------------------------------------------------------
@@ -1218,6 +1249,13 @@ class RevisedSimplexSolver:
             raise ValueError(
                 "revised simplex requires int/Fraction data; convert the "
                 "LP or use the HiGHS backend")
+        return self._solve_rational(lp, warm_basis, want_duals)
+
+    def _solve_rational(self, lp: LinearProgram,
+                        warm_basis: Optional[Sequence[Label]] = None,
+                        want_duals: bool = False) -> LPSolution:
+        """:meth:`solve` on a model the caller has already found rational
+        (:func:`repro.lp.dispatch.solve` scans each model once)."""
         core = _Core(lp, self.refactor_interval)
         path = "cold"
         # candidate bases, tried in order; the float guess is generated
@@ -1242,11 +1280,11 @@ class RevisedSimplexSolver:
                     break
             tag, labels = cands[stage]
             if stage and core.art_cols:
-                # a previous crash added artificial columns, whose arows
-                # entries would leak into the next candidate's pricing —
-                # rebuild.  An artificial-free failed crash (the common
-                # warm-miss) leaves the core clean for re-crashing.
-                core = _Core(lp, self.refactor_interval)
+                # a previous crash added artificial columns, which would
+                # count against the next candidate's crash — reset.  An
+                # artificial-free failed crash (the common warm-miss)
+                # leaves the core clean for re-crashing.
+                core.reset()
             core.crash_from_labels(labels)
             core.compute_d(2)
             dual_ok = all(v >= 0 for v in core.dnum.values())
@@ -1270,7 +1308,7 @@ class RevisedSimplexSolver:
             elif dual_ok:
                 path = f"{tag}-dual"
             elif core.art_cols:                           # cold restart
-                core = _Core(lp, self.refactor_interval)
+                core.reset()
             break
         status = "optimal"
         if path == "cold":
@@ -1330,9 +1368,9 @@ class RevisedSimplexSolver:
                 x = core.x_b[pos] + core.lbs[c]
                 if x:
                     values[c] = x
-        for j in range(core.n):
-            if j not in basic_struct and core.lbs[j]:
-                values[j] = core.lbs[j]
+        for j, lb in core.lb_shift.items():
+            if j not in basic_struct:
+                values[j] = lb
         objective = lp.objective.evaluate(values)
         labels = tuple(core.labels[c] for c in core.basis
                        if c in core.labels)
@@ -1487,10 +1525,10 @@ class IncrementalColumnMaster:
                     values[self.lp.variables[c].name] = x
             elif x and c in self._col_names:
                 values[self._col_names[c]] = x
-        for j in range(core.n):
-            if j not in basic_struct and core.lbs[j]:
-                by_idx[j] = core.lbs[j]
-                values[self.lp.variables[j].name] = core.lbs[j]
+        for j, lb in core.lb_shift.items():
+            if j not in basic_struct:
+                by_idx[j] = lb
+                values[self.lp.variables[j].name] = lb
         return MasterResult(SolveStatus.OPTIMAL,
                             objective=self.lp.objective.evaluate(by_idx),
                             duals=core.extract_duals(), values=values,

@@ -648,7 +648,8 @@ class TestFallbacksAndRouting:
         def no_solve(*_a, **_k):
             raise AssertionError("a cached solve must not re-run colgen")
 
-        monkeypatch.setattr(dispatch.colgen_mod, "solve_colgen", no_solve)
+        monkeypatch.setattr(dispatch.colgen_mod, "_solve_structured",
+                            no_solve)
         hit = dispatch.solve(lp, pricing=graphs, cache=True)
         dispatch.clear_cache()
         assert hit.lp is lp and hit.stats is first.stats
@@ -677,6 +678,8 @@ class TestFallbacksAndRouting:
     def test_every_route_is_stamped(self, monkeypatch):
         lp = _two_block_lp()
         cases = {"exact": ("tableau", "vars <= TABLEAU_VAR_LIMIT"),
+                 "auto": ("tableau", "vars <= TABLEAU_VAR_LIMIT"),
+                 "tableau": ("tableau", "backend='tableau'"),
                  "revised": ("revised", "backend='revised'"),
                  "highs": ("highs", "backend='highs'"),
                  "colgen": ("colgen", "backend='colgen'")}
@@ -694,6 +697,19 @@ class TestFallbacksAndRouting:
         sol = dispatch.solve(flat, cache=False)
         assert sol.stats["route"] == "tableau"
         assert sol.stats["route_reason"].startswith("no blocks; ")
+        # above the cut-over "exact"/"auto" take the revised engine,
+        # canonical solves stay on the tableau
+        monkeypatch.setattr(dispatch, "TABLEAU_VAR_LIMIT", 1)
+        monkeypatch.setattr(dispatch, "COLGEN_VAR_LIMIT", lp.num_vars())
+        for backend in ("exact", "auto"):
+            sol = dispatch.solve(lp, backend=backend, cache=False)
+            assert sol.stats["route"] == "revised", backend
+            assert sol.stats["route_reason"].endswith(
+                "vars > TABLEAU_VAR_LIMIT"), backend
+            sol = dispatch.solve(lp, backend=backend, cache=False,
+                                 canonical=True)
+            assert sol.stats["route"] == "tableau", backend
+            assert sol.stats["route_reason"] == "canonical", backend
 
     def test_incompatible_flags_rejected(self):
         lp = _two_block_lp()

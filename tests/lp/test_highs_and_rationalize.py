@@ -197,8 +197,8 @@ class TestCertifiedRationalization:
     def test_only_snaps_meeting_the_bound_are_scanned(self, monkeypatch):
         """The fig9 reduce LP: comparing the cheap objective with the
         dual bound first leaves one feasibility scan, where scanning
-        every snap in ladder order took six — and the certified point
-        and duals are the ones that ladder-order scan returns."""
+        every snap took six — and the certified point and duals are the
+        ones a full scan in snap order (most precise first) returns."""
         from repro.core.reduce_op import ReduceProblem, build_reduce_lp
         from repro.lp.certificate import dual_bound
         from repro.lp.rationalize import _snaps
@@ -211,7 +211,7 @@ class TestCertifiedRationalization:
         s = HighsSolver().solve(lp)
         primals, duals = _snaps(s.values), _snaps(s.duals)
         scanned = None
-        for y in duals[-1:] + duals[:-1]:
+        for y in duals:
             bound = dual_bound(lp, y)[0]
             if bound is None:
                 continue
@@ -230,6 +230,28 @@ class TestCertifiedRationalization:
         assert why is None and r.exact
         assert len(calls) == 1
         assert r.values == scanned and r.duals == y
+        assert certify(lp, r.values, r.duals) == []
+
+    def test_most_precise_primal_snap_is_scanned_first(self, monkeypatch):
+        """The reduce LP of a heterogenized complete(6): 20 of the
+        ladder's coarse snaps meet the dual bound yet are infeasible, so
+        trying them first cost 21 feasibility scans; the
+        ``limit_denominator`` snap comes first now and certifies at once."""
+        from repro.core.reduce_op import ReduceProblem, build_reduce_lp
+        from repro.platform.generators import complete, heterogenize
+
+        g = heterogenize(complete(6), seed=2)
+        lp = build_reduce_lp(ReduceProblem(g, g.nodes(), g.nodes()[0]))
+        s = HighsSolver().solve(lp)
+        calls = []
+        check = LinearProgram.check_feasible
+        monkeypatch.setattr(LinearProgram, "check_feasible",
+                            lambda self, *a, **k:
+                                calls.append(1) or check(self, *a, **k))
+        r, why = rationalize_solution(s)
+        assert why is None and r.exact and r.objective == Fraction(1, 3)
+        assert len(calls) == 1
+        monkeypatch.undo()
         assert certify(lp, r.values, r.duals) == []
 
     def test_float_lp_is_uncertified(self):

@@ -179,11 +179,14 @@ class TestDualResolve:
     def test_tightening_enters_the_dual_simplex(self):
         # above the crash threshold a tightening delta must re-solve via
         # dual pivots from the old basis (revised engine), not a phase-1
-        # repair — and still match the cold optimum bit-exactly
+        # repair — and still match the cold optimum bit-exactly.  The
+        # base plan comes from the tableau, whose vertex loads the
+        # degraded link (the revised engine's vertex stays primal
+        # feasible under this event)
         g = ring(24, cost=1)
         nodes = g.compute_nodes()
         problem = ScatterProblem(g, nodes[0], nodes[1:])
-        sol = solve_collective(problem, backend="exact", cache=False)
+        sol = solve_collective(problem, backend="tableau", cache=False)
         assert len(sol.lp_solution.basis_labels) >= WARM_BASIS_MIN_LABELS
         report = replan(sol, (LinkDegradation(nodes[1], nodes[2], factor=2),),
                         compare=True)

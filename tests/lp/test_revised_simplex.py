@@ -257,20 +257,141 @@ class TestDispatchRouting:
             solve(lp, backend="simplex")
 
     def test_size_routing_picks_the_engine(self):
+        """``"exact"`` and ``"auto"`` keep LPs at the cut-over on the
+        tableau and send one variable more to the revised engine."""
         from repro.lp import dispatch
 
-        lp = LinearProgram(name="size")
-        xs = [lp.var(f"x{j}", 0, 1) for j in range(6)]
-        lp.add(sum(xs) <= 3, name="c")
-        lp.maximize(sum(xs))
-        old = dispatch.TABLEAU_VAR_LIMIT
-        try:
-            sol = dispatch.solve(lp, backend="exact", cache=False)
-            assert sol.backend == "exact-simplex"  # small -> tableau
-            dispatch.TABLEAU_VAR_LIMIT = 2
-            sol = dispatch.solve(lp, backend="exact", cache=False,
-                                 presolve=False)
-            assert sol.backend == "revised-simplex"
-            assert sol.objective == 3
-        finally:
-            dispatch.TABLEAU_VAR_LIMIT = old
+        limit = dispatch.TABLEAU_VAR_LIMIT
+        for backend in ("exact", "auto"):
+            for n, route, engine, reason in (
+                    (limit, "tableau", "exact-simplex",
+                     f"{limit} vars <= TABLEAU_VAR_LIMIT"),
+                    (limit + 1, "revised", "revised-simplex",
+                     f"{limit + 1} vars > TABLEAU_VAR_LIMIT")):
+                sol = dispatch.solve(_box_lp(n), backend=backend,
+                                     cache=False, presolve=False)
+                assert sol.objective == n // 2, (backend, n)
+                assert sol.backend == engine, (backend, n)
+                assert sol.stats["route"] == route, (backend, n)
+                assert sol.stats["route_reason"] == reason, (backend, n)
+
+    def test_canonical_always_takes_the_tableau(self):
+        from repro.lp import dispatch
+
+        n = dispatch.TABLEAU_VAR_LIMIT + 1
+        for backend in ("exact", "auto"):
+            sol = dispatch.solve(_box_lp(n), backend=backend, cache=False,
+                                 canonical=True, presolve=False)
+            assert sol.backend == "exact-simplex"
+            assert sol.stats["route"] == "tableau"
+            assert sol.stats["route_reason"] == "canonical"
+
+    def test_colgen_direct_fallback_follows_the_cut_over(self):
+        """A model without blocks falls back to one direct solve, on the
+        engine the dispatch cut-over names."""
+        from repro.lp import dispatch
+        from repro.lp.colgen import solve_colgen
+
+        limit = dispatch.TABLEAU_VAR_LIMIT
+        for n, revised in ((limit, False), (limit + 1, True)):
+            sol = solve_colgen(_box_lp(n))
+            assert sol.stats["fallback"] == "no blocks"
+            assert sol.objective == n // 2
+            # only the revised engine reports its crash path
+            assert ("path" in sol.stats) is revised, n
+
+    def test_every_route_scans_the_model_once(self, monkeypatch):
+        """One rationality scan per dispatched solve: the engines and the
+        snap certifier are entered past their own checks."""
+        from repro.lp import dispatch
+
+        calls = []
+        scan = LinearProgram.is_rational
+        monkeypatch.setattr(LinearProgram, "is_rational",
+                            lambda self: calls.append(1) or scan(self))
+        limit = dispatch.TABLEAU_VAR_LIMIT
+        for backend, n in (("exact", limit), ("exact", limit + 1),
+                           ("auto", limit + 1), ("highs", 4),
+                           ("colgen", 4)):
+            calls.clear()
+            sol = dispatch.solve(_box_lp(n), backend=backend, cache=False)
+            assert sol.optimal and sol.exact, backend
+            assert len(calls) == 1, (backend, n, len(calls))
+
+    def test_float_data_rejected_before_any_engine(self):
+        from repro.lp import dispatch
+
+        lp = LinearProgram(name="floaty")
+        x = lp.var("x", 0, None)
+        lp.add(0.5 * x <= 1, name="c")
+        lp.maximize(x)
+        for backend in ("exact", "tableau", "revised", "colgen"):
+            with pytest.raises(ValueError, match="int/Fraction"):
+                dispatch.solve(lp, backend=backend, cache=False)
+        sol = dispatch.solve(lp, backend="auto", cache=False)
+        assert sol.stats["route"] == "highs" and not sol.exact
+        assert sol.objective == pytest.approx(2.0)
+
+
+def _box_lp(n):
+    """``max sum x`` over ``n`` unit boxes with ``sum x <= n // 2``: no
+    presolve rule fires, so the model keeps its ``n`` variables."""
+    lp = LinearProgram(name=f"box{n}")
+    xs = [lp.var(f"x{j}", 0, 1) for j in range(n)]
+    lp.add(sum(xs) <= n // 2, name="c")
+    lp.maximize(sum(xs))
+    return lp
+
+
+def _generated_lp(kind, n, seed):
+    """A collective LP on a seeded heterogeneous ``n``-node platform."""
+    from repro.collectives import get_collective
+    from repro.core.broadcast import BroadcastProblem
+    from repro.core.reduce_op import ReduceProblem
+    from repro.core.scatter import ScatterProblem
+    from repro.platform.generators import heterogenize, random_connected
+
+    g = heterogenize(random_connected(n, extra_edges=n // 2, seed=seed), seed)
+    nodes = g.compute_nodes()
+    if kind == "scatter":
+        return get_collective(kind).build_lp(
+            ScatterProblem(g, nodes[0], nodes[1:]))
+    if kind == "reduce":
+        return get_collective(kind).build_lp(
+            ReduceProblem(g, nodes[:4], nodes[0]))
+    if kind == "broadcast":
+        return get_collective(kind).build_lp(
+            BroadcastProblem(g, nodes[0], nodes[1:]))
+    return get_collective("all-reduce").build_lp(
+        AllReduceProblem(g, nodes[:3]), "pipelined")
+
+
+#: (kind, nodes): presolved sizes between the cut-over and 4x it
+GENERATED = [("scatter", 8), ("scatter", 12), ("reduce", 6), ("reduce", 8),
+             ("broadcast", 8), ("broadcast", 10), ("all-reduce", 6)]
+
+
+class TestDifferentialAboveCutOver:
+    """Generated collective LPs just above the cut-over, the sizes
+    ``"exact"`` now sends to the revised engine: its optimum must carry a
+    certificate at ``tol=0`` and match the tableau's objective."""
+
+    @pytest.mark.parametrize("kind,n", GENERATED)
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_revised_optimum_is_certified(self, kind, n, seed):
+        from repro.lp import dispatch
+        from repro.lp.certificate import certify
+        from repro.lp.presolve import presolve
+
+        lp = _generated_lp(kind, n, seed)
+        model = presolve(lp).lp
+        size = model.num_vars()
+        limit = dispatch.TABLEAU_VAR_LIMIT
+        assert limit < size <= 4 * limit, (kind, n, seed, size)
+        rev = RevisedSimplexSolver().solve(model, want_duals=True)
+        assert rev.optimal
+        assert certify(model, rev.values, rev.duals) == []
+        assert ExactSimplexSolver().solve(model).objective == rev.objective
+        routed = dispatch.solve(lp, backend="exact", cache=False)
+        assert routed.stats["route"] == "revised"
+        assert routed.objective == rev.objective

@@ -208,7 +208,7 @@ class TestLpStatsFlag:
         from repro.lp import dispatch
 
         dispatch.clear_cache()
-        monkeypatch.setattr(dispatch, "rationalize_solution",
+        monkeypatch.setattr(dispatch, "_certify_snaps",
                             lambda sol: (None, "gap: dual bound 1 != 0"))
         rc = main(["scatter", "--platform", plat_file, "--source", "Ps",
                    "--targets", "P0,P1", "--backend", "highs",
