@@ -8,7 +8,9 @@ the LP wins or ties everywhere.
 
 X2 — why it wins: (a) multi-route vs single shortest-path-tree routing for
 scatter; (b) multi-tree mixing vs the best single reduction tree for
-reduce (Figures 11-12's two trees).
+reduce: on Fig 9 (Figures 11-12) the LP dominates every extracted tree at
+every optimal vertex, and on Fig 6 with doubled merge work every optimal
+vertex needs two trees.
 """
 
 from fractions import Fraction
@@ -85,18 +87,35 @@ def test_x2_multiroute_ablation(benchmark, report):
 
 
 def test_x2_multitree_ablation(benchmark, report):
-    # the tableau's optimal vertex mixes two trees (2/27 + 4/27), each
-    # strictly worse alone; the revised engine's and the canonical vertex
-    # are a single 2/9 tree (see test_fig11_12_trees), where a mix buys
-    # nothing — so the ablation names the vertex that has one
-    problem = ReduceProblem(figure9_platform(),
-                            participants=figure9_participants(),
-                            target=figure9_target(), msg_size=10, task_work=10)
-    sol = solve_collective(problem, backend="tableau")
+    # X2b, restated so it holds at every optimal vertex.  Fig 9: the LP TP
+    # is at least the best extracted single tree at the tableau's vertex
+    # (trees 2/27 + 4/27), the revised engine's and the canonical one
+    # (each a single 2/9 tree) -- mixing is not strictly needed there.
+    fig9 = ReduceProblem(figure9_platform(), participants=figure9_participants(),
+                         target=figure9_target(), msg_size=10, task_work=10)
+    for vertex, kw in (("tableau", {"backend": "tableau"}),
+                       ("revised", {"backend": "revised"}),
+                       ("canonical", {"backend": "tableau", "canonical": True})):
+        sol = solve_collective(fig9, cache=False, **kw)
+        single, _tree = best_single_tree_throughput(sol.extract(), fig9)
+        report.row(f"X2b (Fig 9, {vertex} vertex): LP TP / best single "
+                   "extracted tree", ">= 1x",
+                   f"{sol.throughput} / {single}")
+        assert sol.throughput == Fraction(2, 9) and single <= sol.throughput
+    # Fig 6 with task_work=2: a single tree runs two merges, so its busiest
+    # CPU carries >= min(2 * 1, 2) = 2 per op (node 0 merges in 1, nodes 1
+    # and 2 in 2): no single tree beats 1/2, the LP reaches 1, and every
+    # optimal vertex mixes two or more trees
+    fig6 = ReduceProblem(figure6_platform(), participants=[0, 1, 2],
+                         target=0, task_work=2)
+    sol = solve_collective(fig6, backend="exact", cache=False)
     trees = sol.extract()
-    single, _tree = benchmark(lambda: best_single_tree_throughput(trees, problem))
-    report.row("X2b (Fig 9): optimal multi-tree TP", "2/9", sol.throughput)
-    report.row("X2b (Fig 9): best single extracted tree", "< 2/9", single)
-    report.row("X2b (Fig 9): multi-tree speedup", "> 1x",
+    single, _tree = benchmark(lambda: best_single_tree_throughput(trees, fig6))
+    report.row("X2b (Fig 6, task_work=2): optimal multi-tree TP", "1",
+               sol.throughput)
+    report.row("X2b (Fig 6, task_work=2): best single extracted tree",
+               "<= 1/2", single)
+    report.row("X2b (Fig 6, task_work=2): multi-tree speedup", ">= 2x",
                f"{float(Fraction(sol.throughput) / Fraction(single)):.3f}x")
-    assert single < sol.throughput
+    assert len(trees) >= 2
+    assert sol.throughput == 1 and single <= Fraction(1, 2)

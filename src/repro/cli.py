@@ -90,8 +90,10 @@ def _add_solve_subcommand(sub, spec) -> None:
         sp.add_argument("--sim-engine", default="auto",
                         choices=["auto", "compiled", "reference"],
                         help="simulation engine: 'compiled' replays on "
-                             "the vectorized engine (pure-communication "
-                             "schedules only), 'reference' forces the "
+                             "the vectorized count-exact engine (pure "
+                             "communication, and reductions without "
+                             "chained compute; faulted reductions stay "
+                             "on the reference), 'reference' forces the "
                              "per-instance executor, 'auto' picks "
                              "(default)")
         sp.add_argument("--faults", default=None, metavar="SPEC",

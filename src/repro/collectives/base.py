@@ -149,16 +149,6 @@ class SimSemantics:
     expected: Optional[object] = None
     combine: Optional[object] = None
 
-    @property
-    def value_checked(self) -> bool:
-        """Whether the replay must flow real payloads through compute
-        tasks (a combine operator).  Value-checked semantics pin the
-        simulation to the reference executor; pure-communication
-        semantics qualify for the compiled engine (payloads are pure
-        functions of their sequence stamp, so counting instances loses
-        nothing — see :func:`repro.sim.engine.resolve_sim_engine`)."""
-        return self.combine is not None
-
 
 class CollectiveSpec:
     """Plug-in points of the unified pipeline for one collective.

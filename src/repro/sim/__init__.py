@@ -12,7 +12,8 @@ engines that produce bit-identical observables:
   store-and-forward buffers (the Section 3.4 initialization / steady-state /
   clean-up structure emerges from empty buffers) and value-checked payloads,
 - :mod:`repro.sim.compiled` — the vectorized, count-exact engine for pure
-  communication,
+  communication and for unchained reductions under a static merge
+  certificate,
 - :mod:`repro.sim.engine` — the rule that picks between the two,
 - :mod:`repro.sim.faults` — link/node failures and schedule switches
   mid-replay,

@@ -4,30 +4,45 @@
 :class:`~repro.core.schedule.PeriodicSchedule` into dense numpy tables —
 flattened per-slot transfer arrays (draw key, pipe, landing target,
 micro-unit budget), per-pipe prefix sums, CSR-style replica fan-out /
-delivery / chain-credit maps — and :class:`VectorizedExecutor` replays
-them with array ops instead of per-instance Python dicts.
+delivery / chain-credit maps, per-node task lists — and
+:class:`VectorizedExecutor` replays them with array ops instead of
+per-instance Python dicts.
 
 The engine is **count-exact**: it tracks how many instances sit in each
 ``(node, item)`` buffer and how far each ``(src, dst, item)`` pipe has
 progressed, in integer *micro-units* (messages scaled by the lcm of all
 split denominators), instead of materializing stamped
-:class:`~repro.sim.executor.Instance` objects.  For pure-communication
-schedules this loses nothing: payloads are pure functions of their
-sequence stamp and are never transformed in flight, so the reference
-executor's per-delivery value checks are vacuous by construction and the
-two engines produce bit-identical delivery counts, delivery times and
-chain-credit behaviour (the conformance suite and the differential fuzz
-tests pit them against each other case by case).  Anything value-checked
-— compute tasks, a combine operator — must run on the reference
-executor; :func:`repro.sim.engine.resolve_sim_engine` enforces the split.
+:class:`~repro.sim.executor.Instance` objects.  Counting loses nothing
+when payloads are fixed by the schedule:
+
+- **Pure communication.**  Payloads are pure functions of their sequence
+  stamp and never transformed in flight, so the reference executor's
+  per-delivery value checks are vacuous by construction.
+- **Unchained reductions** that pass :func:`merge_certificate`.  Every
+  ``(node, item)`` key has one producer and one consumer and every task
+  merges ``[k,l] ⊕ [l+1,m]`` in order, so with FIFO pipes each key's
+  stream runs seq 0, 1, 2, … in order: a task pairs equal stamps,
+  deliveries arrive in order, and by associativity each delivered value
+  is the ordered fold of its interval's leaves.  A task is then a count
+  transform — ``min(count, left, right)`` reps per period — and
+  :func:`fold_errors` checks the leaf-supply convention by folding each
+  delivery's provenance with the real operator at stamps 0 and 1.
+
+On both, the two engines produce bit-identical delivery counts, delivery
+times and chain-credit behaviour (the conformance suite and the
+differential fuzz tests pit them against each other case by case).
+Chained compute (credit-gated task inputs can race for one credit),
+per-event traces and faulted replays of computing schedules stay on the
+reference executor; :func:`repro.sim.engine.resolve_sim_engine` enforces
+the split.
 
 Three speed tiers, all exact:
 
 1. **Vectorized period** — when no chain links exist and every draw
    provably succeeds (one ``bincount`` feasibility check against buffered
-   counts), the whole period commits as array ops: completions per
-   transfer are floor-differences of static micro-unit prefix sums, port
-   accounting and landings are ``bincount`` scatter-adds.
+   counts), the whole period's transfers commit as array ops: completions
+   per transfer are floor-differences of static micro-unit prefix sums,
+   port accounting and landings are ``bincount`` scatter-adds.
 2. **Scalar fallback** — warm-up periods (empty buffers) and chain-gated
    schedules run an integer loop over the flattened transfer table: no
    Fractions, no dicts in the hot path; the chain-credit ledger is a
@@ -36,17 +51,23 @@ Three speed tiers, all exact:
 3. **Transition memoization** — period dynamics are a pure function of
    the (relative) period-start state; once a state digest repeats, the
    recorded transition replays in O(buffers) without touching the
-   transfer table at all.  Steady state is exactly such a fixed point, so
-   long replays cost warm-up plus bookkeeping.
+   transfer table at all.  A transition whose post-state digest equals
+   its own pre-state digest is a *fixed point*: :meth:`run_periods`
+   commits every remaining period of it in one step (supply and stream
+   deltas times ``k``, one run-length entry in the replay log).  Steady
+   state is exactly such a fixed point, so long replays cost warm-up
+   plus bookkeeping.
 
 Time is integer *ticks*: each compiled epoch picks one tick scale ``q``
-that makes every slot start and every per-micro-unit occupation time
-integral, so chain-credit mint times, the gate's ``now`` and every
-pattern's delivery offsets are Python ints.  A delivery *time* becomes a
-Fraction only in :meth:`VectorizedExecutor.result`, built once per
-(period, event) from the period start and the offset in ticks of its
-epoch, so ``SimulationResult.delivery_times`` is bit-identical with the
-reference executor without any Fraction arithmetic in the replay.
+that makes every slot start, every per-micro-unit occupation time and
+every task's unit time integral, so chain-credit mint times, the gate's
+``now`` and every pattern's delivery offsets are Python ints.  The
+result keeps the replay log's shape: each delivery item's times are a
+:class:`ReplayTimes` sequence of period runs, whose Fractions are built
+only when read, straight from the period start and the offset in ticks
+of its epoch — equal element for element to the reference executor's
+list, with window counts (completed ops, steady-window throughput) taken
+in closed form per run.
 
 Faults and schedule switches recompile: :meth:`VectorizedExecutor.fail_link`,
 :meth:`~VectorizedExecutor.fail_node` and
@@ -54,21 +75,23 @@ Faults and schedule switches recompile: :meth:`VectorizedExecutor.fail_link`,
 transfers drop out, carried buffers are remapped by ``(node, item)``
 key) and invalidate the memoized transitions — the recompile-at-switch
 path that keeps :func:`repro.sim.faults.run_with_faults` on the fast
-engine end to end.
+engine end to end for pure-communication collectives.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right, insort
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import floor, gcd, lcm
 from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.schedule import PeriodicSchedule
-from repro.lp.fastfrac import paused_gc, raw_fraction
+from repro.core.schedule import PeriodicSchedule, untag_item
+from repro.lp.fastfrac import raw_fraction
 from repro.sim.executor import SimulationResult
 
 NodeId = Hashable
@@ -86,10 +109,12 @@ def _micro_units(schedule: PeriodicSchedule) -> Tuple[Optional[str], int]:
     """``(why the schedule cannot compile or None, micro-units per message
     instance)`` — integer math on the exact fields' numerators and
     denominators."""
-    if schedule.compute:
-        return "compute tasks need the reference executor", 1
     if not isinstance(schedule.period, _EXACT):
         return "float-timed schedule (inexact period)", 1
+    for tasks in schedule.compute.values():
+        for ct in tasks:
+            if not isinstance(ct.unit_time, _EXACT):
+                return "float-timed schedule (inexact task times)", 1
     mu = 1
     units = []
     for slot in schedule.slots:
@@ -110,8 +135,153 @@ def _micro_units(schedule: PeriodicSchedule) -> Tuple[Optional[str], int]:
 
 
 def compile_unsupported(schedule: PeriodicSchedule) -> Optional[str]:
-    """Why :func:`compile_schedule` cannot lower this schedule (None == ok)."""
-    return _micro_units(schedule)[0]
+    """Why :func:`compile_schedule` cannot lower this schedule (None == ok):
+    inexact times, an overflowing micro-unit scale, or compute tasks
+    without a :func:`merge_certificate`."""
+    reason = _micro_units(schedule)[0]
+    if reason is None and schedule.compute:
+        reason = merge_certificate(schedule)[0]
+    return reason
+
+
+Key = Tuple[NodeId, Item]
+
+
+def _value_item(item: Item) -> Optional[Tuple[tuple, Tuple[int, int], object]]:
+    """``(stage tags, (k, m), stream)`` of a ``("val", (k, m), stream)``
+    item under any number of stage tags, else None."""
+    tags = []
+    tagged = untag_item(item)
+    while tagged is not None:
+        tags.append(tagged[0])
+        item = tagged[1]
+        tagged = untag_item(item)
+    if isinstance(item, tuple) and len(item) == 3 and item[0] == "val":
+        return tuple(tags), item[1], item[2]
+    return None
+
+
+def _merge_shape(node: NodeId, ct) -> Optional[str]:
+    """Why task ``ct`` is not an in-order merge ``[k,l] ⊕ [l+1,m] ->
+    [k,m]`` of one stage's stream (None == it is)."""
+    name = f"task {ct.output!r} at {node!r}"
+    if len(ct.inputs) != 2:
+        return f"{name} has {len(ct.inputs)} inputs, not two"
+    out, left, right = (_value_item(it) for it in (ct.output, *ct.inputs))
+    if out is None or left is None or right is None:
+        return f"{name} does not merge value items"
+    if not (out[0] == left[0] == right[0] and out[2] == left[2] == right[2]):
+        return f"{name} mixes stages or streams"
+    (k, m), (lk, ll), (rk, rm) = out[1], left[1], right[1]
+    if rk == k and ll == m and lk == rm + 1:
+        return f"{name} swaps its operands"
+    if not (lk == k and rm == m and rk == ll + 1 and k <= ll < m):
+        return f"{name} does not merge adjacent intervals [k,l] + [l+1,m]"
+    return None
+
+
+def merge_certificate(schedule: PeriodicSchedule) \
+        -> Tuple[Optional[str], Dict[Key, Tuple[Key, ...]]]:
+    """The static merge certificate of a computing schedule.
+
+    Reads only the schedule and proves that counting its reductions loses
+    nothing: no chain links; every ``(node, item)`` key has exactly one
+    producer (an inbound pipe or a task; a consumed key with neither is a
+    supply) and at most one consumer; every task merges
+    ``("val", (k, l), t)`` then ``("val", (l+1, m), t)`` into
+    ``("val", (k, m), t)`` under one stage tag; supplies sit only on leaf
+    intervals.  With FIFO pipes each key's stream is then seq 0, 1, 2, …
+    in order, so a task's k-th left and right inputs share a stamp and
+    every delivered value is the ordered fold of its interval's leaves.
+
+    Returns ``(why it fails or None, sources)``; ``sources`` maps each
+    produced key to the key(s) it is made from — one for a pipe, ``(left,
+    right)`` for a task — the provenance :func:`fold_errors` walks.
+    """
+    if schedule.chain_links:
+        return ("chained compute (credit-gated task inputs) needs the "
+                "reference executor"), {}
+    sources: Dict[Key, Tuple[Key, ...]] = {}
+    consumer: Dict[Key, object] = {}
+
+    def produce(node, item, made_from) -> Optional[str]:
+        delivered, buffered = schedule.resolve_landing(node, item)
+        for key in buffered + tuple((node, it) for it in delivered):
+            if sources.setdefault(key, made_from) != made_from:
+                return f"{key!r} has two producers"
+        return None
+
+    def consume(key, who) -> Optional[str]:
+        if consumer.setdefault(key, who) != who:
+            return f"{key!r} has two consumers"
+        return None
+
+    for slot in schedule.slots:
+        for tr in slot.transfers:
+            if tr.units <= 0:
+                continue
+            key = (tr.src, tr.item)
+            why = (produce(tr.dst, tr.item, (key,))
+                   or consume(key, (tr.src, tr.dst)))
+            if why:
+                return why, {}
+    for node, tasks in schedule.compute.items():
+        for ti, ct in enumerate(tasks):
+            why = _merge_shape(node, ct)
+            if why:
+                return why, {}
+            left, right = (node, ct.inputs[0]), (node, ct.inputs[1])
+            why = (produce(node, ct.output, (left, right))
+                   or consume(left, (node, ti)) or consume(right, (node, ti)))
+            if why:
+                return why, {}
+    for key in consumer:
+        if key not in sources:
+            val = _value_item(key[1])
+            if val is not None and val[1][0] != val[1][1]:
+                return f"supply {key!r} is not a leaf interval", {}
+    return None, sources
+
+
+def fold_errors(schedule: PeriodicSchedule, supplies, combine, expected,
+                delivery_times) -> List[str]:
+    """The seq sanity check of a certified computing schedule's replay.
+
+    Folds each delivery item's provenance (:func:`merge_certificate`) with
+    the real ``combine`` at stamps 0 and 1 and compares the value with
+    ``expected`` — once per replay, for stamps the replay delivered.  This
+    checks the spec's leaf-supply convention, which the certificate (it
+    reads only the schedule) cannot see.  Messages match the reference
+    executor's wrong-value errors."""
+    if combine is None:
+        raise ValueError("schedule has compute tasks but no combine "
+                         "operator was given")
+    sources = merge_certificate(schedule)[1]
+    errors: List[str] = []
+
+    def value(key, seq, seen):
+        made_from = sources.get(key)
+        if made_from is None:
+            factory = supplies.get(key)
+            return None if factory is None else factory(seq)
+        if key in seen:
+            return None  # a producer cycle never delivers
+        seen.add(key)
+        vals = [value(k, seq, seen) for k in made_from]
+        if None in vals:
+            return None
+        return vals[0] if len(vals) == 1 else combine(*vals)
+
+    for item, node in schedule.deliveries.items():
+        for seq in (0, 1):
+            if len(delivery_times.get(item, ())) <= seq:
+                break
+            got = value((node, item), seq, set())
+            want = expected(item, seq) if expected is not None else None
+            if want is not None and got != want:
+                errors.append(f"delivery {item!r} seq {seq} has wrong "
+                              f"value {got!r} != {want!r}")
+    return errors
 
 
 @dataclass
@@ -160,6 +330,9 @@ class CompiledSchedule:
     item_index: Dict[Item, int]
     slot_start: List[int]        # tick offset of each slot in the period
     n_links: int
+    # compute tasks per node, in schedule order:
+    # (left key, right key, count, unit time in ticks, land id)
+    tasks: List[List[Tuple[int, int, int, int, int]]]
 
     def state_digest(self, avail, pipe, credit_old, gate_gap) -> bytes:
         """Relative period-start state: everything the period's behaviour
@@ -184,6 +357,13 @@ def compile_schedule(schedule: PeriodicSchedule,
     :func:`compile_unsupported` (or engine auto-dispatch) first.
     """
     reason, mu = _micro_units(schedule)
+    sources: Dict[Key, Tuple[Key, ...]] = {}
+    if reason is None and schedule.compute:
+        reason, sources = merge_certificate(schedule)
+    if reason is None:
+        stray = next((key for key in supplies if key in sources), None)
+        if stray is not None:
+            reason = f"supply {stray!r} sits on a produced key"
     if reason is not None:
         raise ValueError(f"cannot compile {schedule.name!r}: {reason}")
 
@@ -274,13 +454,22 @@ def compile_schedule(schedule: PeriodicSchedule,
             t_time.append((num, den))
             q = lcm(q, den)
 
-    # integer ticks of 1/q: slot starts and per-micro-unit occupation times
+    for cts in schedule.compute.values():
+        for ct in cts:
+            q = lcm(q, ct.unit_time.denominator)
+
+    # integer ticks of 1/q: slot starts, per-micro-unit occupation times
+    # and task unit times
     slot_start: List[int] = []
     tick = 0
     for slot in schedule.slots:
         slot_start.append(tick)
         tick += slot.duration.numerator * (q // slot.duration.denominator)
     t_unit_time = [num * (q // den) for num, den in t_time]
+    tasks = [[(key_id((node, ct.inputs[0])), key_id((node, ct.inputs[1])),
+               ct.count, ct.unit_time.numerator * (q // ct.unit_time.denominator),
+               land_id(node, ct.output)) for ct in cts]
+             for node, cts in schedule.compute.items()]
 
     for key in supplies:
         key_id(key)
@@ -337,7 +526,95 @@ def compile_schedule(schedule: PeriodicSchedule,
         ld_land=arr(ld_land), ld_item=arr(ld_item),
         lb_land=arr(lb_land), lb_key=arr(lb_key),
         items=items, item_index=item_index,
-        slot_start=slot_start, n_links=n_links)
+        slot_start=slot_start, n_links=n_links, tasks=tasks)
+
+
+class ReplayTimes(Sequence):
+    """One delivery item's times in a compiled replay, kept as runs of
+    identical periods: element for element the reference executor's list
+    (``==`` compares the two), at memory linear in the runs rather than
+    in the deliveries.
+
+    A run ``(sn, sd, step, k, offsets)`` is ``k`` periods starting at
+    ``sn / sd``, ``step / sd`` apart, each delivering at the normalized
+    offsets ``offsets`` (``(num, den)`` pairs in event order, one per
+    delivery).  Iteration builds each Fraction straight from integers —
+    ``(sn * den + num * sd) / (sd * den)``, already in lowest terms when
+    ``sd == 1``, else reduced by one gcd (:mod:`repro.lp.fastfrac`);
+    :meth:`count_between` counts a window in closed form per run and
+    offset, so completed-ops and steady-window metrics build no times.
+    """
+
+    __slots__ = ("_runs", "_len")
+
+    def __init__(self) -> None:
+        self._runs: List[Tuple[int, int, int, int, tuple]] = []
+        self._len = 0
+
+    def add_run(self, sn: int, sd: int, step: int, k: int,
+                offsets: tuple) -> None:
+        self._runs.append((sn, sd, step, k, offsets))
+        self._len += k * len(offsets)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        for sn, sd, step, k, offsets in self._runs:
+            for _ in range(k):
+                if sd == 1:  # an integral start keeps lowest terms
+                    yield from [raw_fraction(sn * den + num, den)
+                                for num, den in offsets]
+                else:
+                    for num, den in offsets:
+                        num, den = sn * den + num * sd, sd * den
+                        g = gcd(num, den)
+                        yield raw_fraction(num // g, den // g)
+                sn += step
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self)[index]
+        if index < 0:
+            index += self._len
+        if not 0 <= index < self._len:
+            raise IndexError("delivery index out of range")
+        for sn, sd, step, k, offsets in self._runs:
+            if index < k * len(offsets):
+                i, j = divmod(index, len(offsets))
+                num, den = offsets[j]
+                return Fraction(sn + i * step, sd) + Fraction(num, den)
+            index -= k * len(offsets)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, tuple, ReplayTimes)):
+            return NotImplemented
+        return len(self) == len(other) and \
+            all(a == b for a, b in zip(self, other))
+
+    __hash__ = None  # mutable, compares by value like a list
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+    def count_between(self, lo, hi) -> int:
+        """Deliveries ``t`` with ``lo < t <= hi`` (``lo=None``: no lower
+        bound): per run and offset, the periods ``i < k`` with ``lo <
+        base + i * step <= hi``."""
+        total = 0
+        for sn, sd, step, k, offsets in self._runs:
+            for (num, den), m in Counter(offsets).items():
+                base = Fraction(sn * den + num * sd, sd * den)
+                if k == 1:
+                    total += m if (lo is None or lo < base) and base <= hi \
+                        else 0
+                    continue
+                period = Fraction(step, sd)
+                first = 0 if lo is None else max(0, floor((lo - base) / period)
+                                                 + 1)
+                last = min(k - 1, floor((hi - base) / period))
+                total += m * max(0, last - first + 1)
+        return total
 
 
 @dataclass
@@ -345,15 +622,15 @@ class _Pattern:
     """One unique within-period movement pattern.
 
     ``events`` lists ``(item, end_offset, count)`` delivery events in the
-    reference executor's land order (transfer order == chronological
-    order, since a transfer always ends within its slot); every period
+    reference executor's land order (transfers in order — chronological,
+    since a transfer always ends within its slot — then task reps node by
+    node); every period
     that repeats the pattern lands the same deliveries at
     ``period_start + end_offset / q``, the offset in integer ticks of its
     epoch's tables.
     """
 
     events: List[Tuple[Item, int, int]]
-    delivered: List[Tuple[Item, int]]
     total: int
     q: int
 
@@ -369,13 +646,15 @@ class _Transition:
     credit_old: np.ndarray
     supply_delta: np.ndarray
     stream_delta: List[Dict[Hashable, int]]
+    fixed: bool      # the post-state digest equals the pre-state digest
 
 
 class VectorizedExecutor:
     """Drop-in count-exact replacement for
     :class:`~repro.sim.executor.ScheduleExecutor` on pure-communication
-    schedules: same ``run_period`` / ``fail_link`` / ``fail_node`` /
-    ``switch_schedule`` / ``result`` surface, numpy state inside."""
+    schedules and certified unchained reductions: same ``run_period`` /
+    ``fail_link`` / ``fail_node`` / ``switch_schedule`` / ``result``
+    surface, numpy state inside (faults need pure communication)."""
 
     def __init__(self, schedule: PeriodicSchedule, supplies):
         self.dead_links: set = set()
@@ -385,11 +664,11 @@ class VectorizedExecutor:
         self.periods_run = 0
         self.switches: List[Dict[str, object]] = []
         self.abandoned: List[str] = []
-        # replay log: one (start time, pattern id) per period
-        self._period_starts: List[object] = []
-        self._period_pattern: List[int] = []
+        # replay log: (start time, period, periods k, pattern id) runs of
+        # k periods that repeat one pattern
+        self._log: List[Tuple[object, object, int, int]] = []
         self._patterns: List[_Pattern] = []
-        self._pattern_ids: Dict[Tuple[int, bytes], int] = {}
+        self._pattern_ids: Dict[Tuple[int, bytes, Tuple[int, ...]], int] = {}
         self._delivery_items: List[Item] = []   # every delivery item ever
         self._epoch = 0
         self._install(schedule, supplies)
@@ -460,30 +739,45 @@ class VectorizedExecutor:
     # -- one period ------------------------------------------------------
 
     def run_period(self) -> int:
+        return self._advance(1)[1]
+
+    def run_periods(self, n_periods: int) -> None:
+        while n_periods > 0:
+            n_periods -= self._advance(n_periods)[0]
+
+    def _advance(self, limit: int) -> Tuple[int, int]:
+        """Run one period — or, on a memoized fixed point, ``limit`` of
+        them in bulk.  Returns ``(periods run, deliveries per period)``."""
         tb = self.tables
         self.avail += self.arriving
         self.arriving[:] = 0
         digest = tb.state_digest(self.avail, self.pipe, self.credit_old,
                                  self._gate_gap())
         memo = self._transitions.get(digest)
+        k = 1
         if memo is not None:
+            if memo.fixed:
+                k = limit
             self.avail = memo.avail.copy()
             self.arriving = memo.arriving.copy()
             self.pipe = memo.pipe.copy()
             self.credit_old = memo.credit_old.copy()
-            self.supply_seq += memo.supply_delta
+            self.supply_seq += memo.supply_delta * k
             for li, deltas in enumerate(memo.stream_delta):
                 nxt = self.stream_next[li]
                 for stream, d in deltas.items():
-                    nxt[stream] = nxt.get(stream, 0) + d
+                    nxt[stream] = nxt.get(stream, 0) + d * k
             pattern = memo.pattern
         else:
             seq_before = self.supply_seq.copy()
             stream_before = [dict(nx) for nx in self.stream_next]
             if tb.n_links == 0 and self._vector_feasible():
-                pattern = self._run_vectorized()
+                moved, comp = self._run_vectorized()
             else:
-                pattern = self._run_scalar()
+                moved, comp = self._run_scalar()
+            pattern = self._pattern_id(moved, comp, self._run_tasks())
+            after = tb.state_digest(self.avail + self.arriving, self.pipe,
+                                    self.credit_old, self._gate_gap())
             self._transitions[digest] = _Transition(
                 pattern=pattern, avail=self.avail.copy(),
                 arriving=self.arriving.copy(), pipe=self.pipe.copy(),
@@ -493,18 +787,13 @@ class VectorizedExecutor:
                     {s: v - stream_before[li].get(s, 0)
                      for s, v in self.stream_next[li].items()
                      if v != stream_before[li].get(s, 0)}
-                    for li in range(tb.n_links)])
-        pat = self._patterns[pattern]
+                    for li in range(tb.n_links)],
+                fixed=after == digest)
         self.blocked_last_period = tb.blocked
-        self._period_starts.append(self.time)
-        self._period_pattern.append(pattern)
-        self.time = self.time + self.schedule.period
-        self.periods_run += 1
-        return pat.total
-
-    def run_periods(self, n_periods: int) -> None:
-        for _ in range(n_periods):
-            self.run_period()
+        self._log.append((self.time, self.schedule.period, k, pattern))
+        self.time = self.time + k * self.schedule.period
+        self.periods_run += k
+        return k, self._patterns[pattern].total
 
     # -- vectorized period ----------------------------------------------
 
@@ -527,7 +816,7 @@ class VectorizedExecutor:
         self._vec_demand = demand
         return True
 
-    def _run_vectorized(self) -> int:
+    def _run_vectorized(self) -> Tuple[np.ndarray, np.ndarray]:
         tb = self.tables
         mu = tb.mu
         d0 = self.pipe[tb.t_pipe]
@@ -543,11 +832,11 @@ class VectorizedExecutor:
             self.arriving += np.bincount(
                 tb.lb_key, weights=comp_by_land[tb.lb_land],
                 minlength=len(tb.keys)).astype(np.int64)
-        return self._pattern_id(tb.t_budget, comp.astype(np.int64))
+        return tb.t_budget, comp.astype(np.int64)
 
     # -- scalar period ---------------------------------------------------
 
-    def _run_scalar(self) -> int:
+    def _run_scalar(self) -> Tuple[np.ndarray, np.ndarray]:
         """Integer transfer loop: exact draw order (pipe continuation,
         then buffered, then supply behind its chain gate); credit mint
         times and the gate's ``now`` are integer ticks."""
@@ -654,18 +943,47 @@ class VectorizedExecutor:
         for li in range(tb.n_links):
             self.credit_old[li] = (credit_old[li] - spent_old[li]
                                    + len(mints[li]) - spent_new[li])
-        return self._pattern_id(np.asarray(moved, dtype=np.int64), comp_a)
+        return np.asarray(moved, dtype=np.int64), comp_a
+
+    # -- compute tasks ---------------------------------------------------
+
+    def _run_tasks(self) -> Tuple[int, ...]:
+        """After the slots, each node runs its tasks in order: a task makes
+        ``min(count, left buffered, right buffered)`` reps (supplies never
+        run short) and its outputs land next period, or as deliveries.
+        Returns the reps per task, flattened in node order."""
+        tb = self.tables
+        if not tb.tasks:
+            return ()
+        avail = self.avail
+        supply = self._l_supply
+        reps = []
+        for row in tb.tasks:
+            for left, right, count, _ticks, lid in row:
+                n = count
+                for kid in (left, right):
+                    if not supply[kid] and avail[kid] < n:
+                        n = int(avail[kid])
+                if n:
+                    for kid in (left, right):
+                        take = min(n, int(avail[kid]))
+                        avail[kid] -= take
+                        self.supply_seq[kid] += n - take
+                    for kid in tb.land_buffer_keys[lid]:
+                        self.arriving[kid] += n
+                reps.append(n)
+        return tuple(reps)
 
     # -- movement patterns ----------------------------------------------
 
-    def _pattern_id(self, moved: np.ndarray, comp: np.ndarray) -> int:
-        key = (self._epoch, moved.tobytes() + comp.tobytes())
+    def _pattern_id(self, moved: np.ndarray, comp: np.ndarray,
+                    reps: Tuple[int, ...]) -> int:
+        key = (self._epoch, moved.tobytes() + comp.tobytes(), reps)
         pid = self._pattern_ids.get(key)
         if pid is not None:
             return pid
         tb = self.tables
         events: List[Tuple[Item, int, int]] = []
-        delivered: Dict[Item, int] = {}
         cur_slot = -1
         pair_off: Dict[Tuple[NodeId, NodeId], int] = {}
         moved_l = moved.tolist()
@@ -685,13 +1003,38 @@ class VectorizedExecutor:
                     end = tb.slot_start[si] + before + dur
                     for it in targets:
                         events.append((it, end, n))
-                        delivered[it] = delivered.get(it, 0) + n
-        pat = _Pattern(events=events, delivered=list(delivered.items()),
-                       total=sum(delivered.values()), q=tb.q)
+        reps_left = iter(reps)
+        for row in tb.tasks:
+            cpu_off = 0
+            for _left, _right, _count, ticks, lid in row:
+                n = next(reps_left)
+                targets = tb.land_deliver[lid]
+                if not targets:
+                    cpu_off += n * ticks
+                    continue
+                for _ in range(n):
+                    cpu_off += ticks
+                    for it in targets:
+                        events.append((it, cpu_off, 1))
+        pat = _Pattern(events=events, total=sum(e[2] for e in events),
+                       q=tb.q)
         pid = len(self._patterns)
         self._patterns.append(pat)
         self._pattern_ids[key] = pid
         return pid
+
+    def _item_offsets(self, pid: int, delivery_times) \
+            -> List[Tuple[ReplayTimes, tuple]]:
+        """Per delivery item of a pattern: its times and the pattern's
+        normalized offsets ``(num, den)`` for it, in event order, one per
+        delivery."""
+        pat = self._patterns[pid]
+        offsets: Dict[Item, List[Tuple[int, int]]] = {}
+        for it, off, count in pat.events:
+            g = gcd(off, pat.q)
+            offsets.setdefault(it, []).extend([(off // g, pat.q // g)] * count)
+        return [(delivery_times[it], tuple(offs))
+                for it, offs in offsets.items()]
 
     # -- fault injection -------------------------------------------------
 
@@ -722,9 +1065,17 @@ class VectorizedExecutor:
         self.credit_old[:] = old_credit
         self.stream_next = old_streams
 
+    def _check_faultable(self) -> None:
+        # a dead resource abandons one input's instances and mis-pairs
+        # stamps at the tasks downstream: only per-instance replay sees it
+        if self.schedule.compute:
+            raise ValueError("faulted replays of computing schedules need "
+                             "the reference executor")
+
     def fail_link(self, src: NodeId, dst: NodeId) -> None:
         """Kill the directed link; in-flight partial instances return to
         the sender's buffer (drawn once, never double-delivered)."""
+        self._check_faultable()
         self.dead_links.add((src, dst))
         tb = self.tables
         for p, pk in enumerate(tb.pipes):
@@ -738,6 +1089,7 @@ class VectorizedExecutor:
         off into ``abandoned`` (one ledger line per instance, like the
         reference executor); inbound in-flight instances abort back to
         their senders."""
+        self._check_faultable()
         self.dead_nodes.add(node)
         tb = self.tables
         for p, pk in enumerate(tb.pipes):
@@ -842,38 +1194,25 @@ class VectorizedExecutor:
     # -- results ---------------------------------------------------------
 
     def result(self) -> SimulationResult:
-        """Materialize exact delivery times from the per-period pattern
-        log and wrap them in the reference result type.
-
-        Each time is built once, straight from integers: a pattern's
-        offset ``off / q`` is normalized to ``num / den`` once, and the
-        period start ``sn / sd`` then gives ``(sn * den + num * sd) /
-        (sd * den)`` — already in lowest terms when ``sd == 1``, else
-        reduced by one gcd (:mod:`repro.lp.fastfrac`)."""
-        with paused_gc():
-            delivery_times: Dict[Item, List[object]] = {
-                it: [] for it in self._delivery_items}
-            offsets: Dict[int, List[Tuple[List[object], int, int, int]]] = {}
-            for start, pid in zip(self._period_starts, self._period_pattern):
-                evs = offsets.get(pid)
-                if evs is None:
-                    pat = self._patterns[pid]
-                    evs = offsets[pid] = []
-                    for it, off, count in pat.events:
-                        g = gcd(off, pat.q)
-                        evs.append((delivery_times[it], off // g,
-                                    pat.q // g, count))
-                sn, sd = start.numerator, start.denominator
-                for times, num, den, count in evs:
-                    num, den = sn * den + num * sd, sd * den
-                    if sd != 1:  # an integral start keeps lowest terms
-                        g = gcd(num, den)
-                        num, den = num // g, den // g
-                    t = raw_fraction(num, den)
-                    if count == 1:
-                        times.append(t)
-                    else:
-                        times.extend([t] * count)
+        """Wrap the replay in the reference result type.  Delivery times
+        stay in the replay log's shape — one :class:`ReplayTimes` per
+        delivery item, a run per log entry — so a result costs memory in
+        the runs, not in the deliveries."""
+        delivery_times = {it: ReplayTimes() for it in self._delivery_items}
+        per_pattern: Dict[int, List[Tuple[ReplayTimes, tuple]]] = {}
+        for start, period, k, pid in self._log:
+            offsets = per_pattern.get(pid)
+            if offsets is None:
+                offsets = per_pattern[pid] = self._item_offsets(
+                    pid, delivery_times)
+            sn, sd = start.numerator, start.denominator
+            step = 0
+            if k > 1:  # k periods on one denominator: start + i * step
+                d = lcm(sd, period.denominator)
+                sn, sd = sn * (d // sd), d
+                step = period.numerator * (d // period.denominator)
+            for times, offs in offsets:
+                times.add_run(sn, sd, step, k, offs)
         return SimulationResult(schedule=self.schedule,
                                 periods=self.periods_run,
                                 horizon=self.time,

@@ -70,7 +70,9 @@ class SimulationResult:
     """Outcome of replaying a schedule.
 
     ``delivery_times[item]`` lists completion times of successive instances
-    of that delivery item (seq order).  ``errors`` collects correctness
+    of that delivery item (seq order): a list from the reference executor,
+    an equal :class:`~repro.sim.compiled.ReplayTimes` sequence from the
+    compiled engine.  ``errors`` collects correctness
     problems (wrong value, out-of-order sequence); ``one_port_violations``
     must be empty for any schedule this library produced.  Faulted runs
     additionally report ``switches`` (schedule swaps, with their absolute
@@ -109,7 +111,7 @@ class SimulationResult:
         """
         if within is None:
             within = self.horizon
-        counts = {item: sum(1 for t in ts if t <= within)
+        counts = {item: count_times(ts, None, within)
                   for item, ts in self.delivery_times.items()}
         if not counts:
             return 0
@@ -148,8 +150,8 @@ class SimulationResult:
         T = self.schedule.period
         end = self.horizon
         start = end - periods * T
-        counts = {item: sum(1 for t in self.delivery_times.get(item, ())
-                            if start < t <= end)
+        counts = {item: count_times(self.delivery_times.get(item, ()),
+                                    start, end)
                   for item in self.schedule.deliveries}
         if not counts:
             return Fraction(0)
@@ -160,6 +162,18 @@ class SimulationResult:
         if isinstance(T, float):
             return ops / (periods * T)
         return Fraction(ops) / (Fraction(periods) * Fraction(T))
+
+
+def count_times(times, lo, hi) -> int:
+    """Deliveries ``t`` in ``times`` with ``lo < t <= hi`` (``lo=None``: no
+    lower bound) — counted in closed form when the times are a compiled
+    replay's :class:`~repro.sim.compiled.ReplayTimes`."""
+    between = getattr(times, "count_between", None)
+    if between is not None:
+        return between(lo, hi)
+    if lo is None:
+        return sum(1 for t in times if t <= hi)
+    return sum(1 for t in times if lo < t <= hi)
 
 
 def carry_compatible(old: PeriodicSchedule, new: PeriodicSchedule) -> bool:
@@ -666,21 +680,30 @@ def simulate_schedule(schedule: PeriodicSchedule,
         in ``errors``.
     engine:
         ``"reference"`` (this module's per-instance executor),
-        ``"compiled"`` (:mod:`repro.sim.compiled`'s vectorized replay), or
-        ``"auto"`` — compiled whenever the schedule qualifies (pure
-        communication, exact rational times, no trace requested), else
-        reference.  See :func:`repro.sim.engine.resolve_sim_engine`.
+        ``"compiled"`` (:mod:`repro.sim.compiled`'s count-exact replay), or
+        ``"auto"`` — compiled whenever the replay is count-exact (exact
+        rational times, no trace requested, compute tasks only under the
+        merge certificate), else reference.  See
+        :func:`repro.sim.engine.resolve_sim_engine`.  A compiled replay of
+        a computing schedule checks the leaf-supply convention once, by
+        folding each delivery's provenance with ``combine`` at stamps 0
+        and 1 against ``expected``
+        (:func:`repro.sim.compiled.fold_errors`).
     """
     from repro.sim.engine import resolve_sim_engine
 
     resolved = resolve_sim_engine(engine, schedule, combine=combine,
                                   record_trace=record_trace)
     if resolved == "compiled":
-        from repro.sim.compiled import VectorizedExecutor
+        from repro.sim.compiled import VectorizedExecutor, fold_errors
 
         vex = VectorizedExecutor(schedule, supplies)
         vex.run_periods(n_periods)
-        return vex.result()
+        res = vex.result()
+        if schedule.compute:
+            res.errors.extend(fold_errors(schedule, supplies, combine,
+                                          expected, res.delivery_times))
+        return res
     ex = ScheduleExecutor(schedule, supplies, combine=combine,
                           expected=expected, record_trace=record_trace)
     for _ in range(n_periods):
@@ -704,9 +727,10 @@ def simulate_collective(schedule: PeriodicSchedule, problem, n_periods: int,
     operator for compute tasks.  ``op`` overrides the reduction operator
     for computing collectives (default
     :class:`repro.sim.operators.SeqConcat`).  ``engine`` picks the replay
-    implementation (``"auto"``/``"compiled"``/``"reference"``) —
-    value-checked semantics (a combine operator) always run on the
-    reference executor.
+    implementation (``"auto"``/``"compiled"``/``"reference"``) — ``auto``
+    replays pure communication and unchained reductions that pass the
+    merge certificate on the compiled engine, and chained (pipelined)
+    compute on the reference executor.
     """
     from repro.collectives import resolve_collective
 

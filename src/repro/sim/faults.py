@@ -35,7 +35,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.platform.perturb import (Event, LinkDegradation, LinkFailure,
                                     NodeFailure, NodeJoin, parse_event)
-from repro.sim.executor import ScheduleExecutor, SimulationResult
+from repro.sim.executor import (ScheduleExecutor, SimulationResult,
+                                count_times)
 
 
 @dataclass(frozen=True)
@@ -137,12 +138,16 @@ def run_with_faults(solution, plan: FaultPlan, n_periods: int, op=None,
     broken schedule just keeps running (useful to observe degradation).
 
     ``engine`` selects the replay implementation like
-    :func:`~repro.sim.executor.simulate_schedule` does; the compiled
-    engine recompiles its tables at every fault and schedule switch, so
-    the whole faulted loop stays on the fast path for pure-communication
-    collectives.  Note the default ``record_trace=True`` keeps ``auto``
-    on the reference executor — pass ``record_trace=False`` to let the
-    dispatch rule pick the compiled engine.
+    :func:`~repro.sim.executor.simulate_schedule` does, with one more
+    rule: computing schedules (reductions) always replay on the reference
+    executor here, because a dead resource abandons one input's instances
+    and mis-pairs stamps that only per-instance replay sees.  The
+    compiled engine recompiles its tables at every fault and schedule
+    switch, so the whole faulted loop stays on the fast path for
+    pure-communication collectives.  Note the default
+    ``record_trace=True`` keeps ``auto`` on the reference executor — pass
+    ``record_trace=False`` to let the dispatch rule pick the compiled
+    engine.
 
     ``replan_kwargs`` go to :func:`repro.lp.resolve.replan` (e.g.
     ``compare=True`` to time the warm re-solve against a cold one).
@@ -154,7 +159,7 @@ def run_with_faults(solution, plan: FaultPlan, n_periods: int, op=None,
     schedule = schedule_collective(solution)
     sem = solution.spec.simulation(schedule, solution.problem, op=op)
     resolved = resolve_sim_engine(engine, schedule, combine=sem.combine,
-                                  record_trace=record_trace)
+                                  record_trace=record_trace, faulted=True)
     if resolved == "compiled":
         from repro.sim.compiled import VectorizedExecutor
 
@@ -223,7 +228,7 @@ def steady_window_throughput(run: FaultedRun, periods: int = 8,
     start = end - periods * T
     times = delivery_times if delivery_times is not None \
         else sr.delivery_times
-    counts = {item: sum(1 for t in times.get(item, ()) if start < t <= end)
+    counts = {item: count_times(times.get(item, ()), start, end)
               for item in schedule.deliveries}
     if not counts:
         return Fraction(0)

@@ -197,15 +197,43 @@ class TestSingleTree:
         assert tree is not None
         assert rate <= fig6_solution.throughput
 
-    def test_multi_tree_strictly_helps_on_fig9(self, fig9_solution):
-        """Figures 11-12: the tableau's optimum mixes two trees; either
-        alone is strictly worse.  (Other optimal vertices — the revised
-        engine's, the canonical one — are a single 2/9 tree.)"""
-        sol = solve_collective(fig9_solution.problem, backend="tableau")
+    #: three optimal vertices: the tableau's Devex one, the revised
+    #: engine's and the canonical (lex-min) one
+    VERTICES = {"tableau": {"backend": "tableau"},
+                "revised": {"backend": "revised"},
+                "canonical": {"backend": "tableau", "canonical": True}}
+
+    @pytest.mark.parametrize("vertex", list(VERTICES))
+    def test_lp_dominates_extracted_trees_on_fig9(self, fig9_solution,
+                                                  vertex):
+        """Figures 11-12, restated for every optimal vertex: the LP's TP
+        is at least the best extracted single tree's.  (Mixing is not
+        strictly needed on fig9: the tableau's vertex mixes 2/27 + 4/27,
+        but the revised and canonical vertices are one 2/9 tree.)"""
+        sol = solve_collective(fig9_solution.problem, cache=False,
+                               **self.VERTICES[vertex])
+        rate, tree = best_single_tree_throughput(sol.extract(), sol.problem)
+        assert sol.throughput == Fraction(2, 9)
+        assert tree is not None and rate <= sol.throughput
+
+    @pytest.mark.parametrize("vertex", list(VERTICES))
+    def test_multi_tree_strictly_helps_on_fig6_task_work2(self, vertex):
+        """fig6 with ``task_work=2``: node 0 merges in 1, nodes 1 and 2 in
+        2.  A single tree of three values runs two merges, so its busiest
+        CPU carries at least ``min(2 * 1, 2) = 2`` per operation and no
+        single tree beats 1/2, while the LP reaches 1: every optimal
+        vertex mixes two or more trees, each strictly worse alone."""
+        problem = ReduceProblem(figure6_platform(), [0, 1, 2], 0,
+                                task_work=2)
+        times = sorted(problem.task_time(n, (0, 0, 1))
+                       for n in problem.platform.compute_nodes())
+        single_bound = 1 / min(2 * times[0], times[1])
+        sol = solve_collective(problem, cache=False, **self.VERTICES[vertex])
+        assert single_bound == Fraction(1, 2) and sol.throughput == 1
         trees = sol.extract()
         assert len(trees) >= 2
-        rate, _ = best_single_tree_throughput(trees, sol.problem)
-        assert float(rate) < float(sol.throughput)
+        rate, _ = best_single_tree_throughput(trees, problem)
+        assert rate <= single_bound < sol.throughput
 
     def test_empty_tree_list(self, fig6_solution):
         rate, tree = best_single_tree_throughput([], fig6_solution.problem)

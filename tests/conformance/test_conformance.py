@@ -146,13 +146,15 @@ def test_colgen_is_bit_identical(plat, spec):
     "plat,spec", CASES,
     ids=[f"{p.name}-{s.name}" for p, s in CASES])
 def test_compiled_engine_is_bit_identical(plat, spec):
-    """PR 9: the compiled (vectorized) simulation engine must replay every
+    """The compiled (vectorized) simulation engine must replay every
     conformance schedule with *bit-identical* observables to the reference
     executor — delivery times, per-item delivery counts, completed ops and
-    measured throughput — and the ``auto`` dispatch rule must route pure
-    communication to the compiled engine and value-checked semantics
-    (a combine operator) to the reference executor."""
+    measured throughput — and the ``auto`` dispatch rule must route a
+    schedule to the compiled engine iff it is pure communication or its
+    compute tasks pass the merge certificate (only chained compute fails
+    it), with the reference executor's value checks clean either way."""
     from repro.collectives import schedule_collective
+    from repro.sim.compiled import merge_certificate
     from repro.sim.engine import resolve_sim_engine
     from repro.sim.executor import simulate_collective
 
@@ -170,7 +172,9 @@ def test_compiled_engine_is_bit_identical(plat, spec):
     sem = spec.simulation(sched, problem)
     resolved = resolve_sim_engine("auto", sched, combine=sem.combine,
                                   record_trace=False)
-    assert resolved == ("reference" if sem.value_checked else "compiled")
+    why = merge_certificate(sched)[0] if sched.compute else None
+    assert why is None or sched.chain_links, why
+    assert resolved == ("compiled" if why is None else "reference")
 
     ref = simulate_collective(sched, problem, n_periods=6,
                               collective=spec.name, record_trace=False,
@@ -180,6 +184,7 @@ def test_compiled_engine_is_bit_identical(plat, spec):
                                engine="auto")
     assert ref.engine == "reference"
     assert fast.engine == resolved
+    assert ref.errors == [] and fast.errors == []
     assert fast.delivery_times == ref.delivery_times
     assert {i: len(t) for i, t in fast.delivery_times.items()} \
         == {i: len(t) for i, t in ref.delivery_times.items()}

@@ -8,7 +8,7 @@ tableau iterations, presolved vars/rows, the revised engine's path,
 pivots and refactorizations, colgen rounds/columns/``columns_digest``/
 pricing split (path, tree, LP) and pricer fallbacks, schedule slots and
 transfers, the compiled tables' time scales (micro-units ``mu``, ticks
-``q``), compiled replay ops.
+``q``), compiled replay ops and memoized transitions.
 
 - Counts on pure-rational paths are pinned with ``==``.
 - Counts downstream of a HiGHS float guess (the revised crash, colgen's
@@ -136,6 +136,14 @@ PINS = {
                                     "transfers": 4399},
     "fattree6_million_slot": {"transfers": 298, "completed_ops": 3351,
                               "mu": 1, "q": 1},
+    # fig9 reduce at the tableau's vertex, 300 periods on the compiled
+    # engine (its 14 tasks replay as count transforms); the vertex's
+    # split units make mu and q large; "transitions" counts the memoized
+    # period transitions (warm-up plus the steady fixed point)
+    "fig9_compiled_reduce": {"engine": "compiled", "mu": 33510613500,
+                             "q": 175631134361694183900000,
+                             "transfers": 110, "completed_ops": 1716,
+                             "transitions": 18, "steady_tp": F(2, 9)},
     # repro.tune.tune_zoo(): (baseline_tp, lp_tp, gap, sim_matches)
     "tune_zoo": {
         "fig2:scatter:direct-scatter": (F(1, 2), F(1, 2), F(1), True),
@@ -444,6 +452,29 @@ def test_fattree6_colgen_and_million_slot_work():
                 "mu": ex.tables.mu, "q": ex.tables.q}
     assert_pinned(PINS["fattree6_million_slot"], observed,
                   "fattree6_million_slot")
+
+
+def test_fig9_compiled_reduce_work():
+    """The fig9 reduce plan (tableau vertex, so the schedule is fixed)
+    replays on the compiled engine under the merge certificate."""
+    from repro.core.reduce_op import ReduceProblem
+    from repro.sim.engine import resolve_sim_engine
+
+    problem = ReduceProblem(figure9_platform(), figure9_participants(),
+                            figure9_target(), msg_size=10, task_work=10)
+    sol = solve_collective(problem, backend="tableau", cache=False)
+    sched = schedule_collective(sol)
+    sem = sol.spec.simulation(sched, problem)
+    ex, res = _replay(sched, sem.supplies, 300)
+    observed = {"engine": resolve_sim_engine("auto", sched,
+                                             combine=sem.combine),
+                "mu": ex.tables.mu, "q": ex.tables.q,
+                "transfers": sum(len(s.transfers) for s in sched.slots),
+                "completed_ops": res.completed_ops(),
+                "transitions": len(ex._transitions),
+                "steady_tp": res.steady_window_throughput(periods=3)}
+    assert_pinned(PINS["fig9_compiled_reduce"], observed,
+                  "fig9_compiled_reduce")
 
 
 @pytest.fixture(scope="module")

@@ -1,15 +1,19 @@
-"""Differential fuzz: compiled engine vs. reference executor (PR 9).
+"""Differential fuzz: compiled engine vs. reference executor.
 
 The compiled engine's correctness story is *count-exactness*: on pure
-communication schedules every observable (delivery times, per-item
-counts, throughput, chain-credit gating, fault ledgers) must be
-bit-identical to the per-instance reference executor.  The conformance
-suite pins the solver-produced schedules; this file fuzzes the rest of
-the surface the two implementations share:
+communication schedules and on unchained reductions under the merge
+certificate every observable (delivery times, per-item counts,
+throughput, chain-credit gating, fault ledgers) must be bit-identical to
+the per-instance reference executor.  The conformance suite pins the
+solver-produced schedules; this file fuzzes the rest of the surface the
+two implementations share:
 
-- seeded random platforms x pure-communication collectives, replayed
-  over a randomized period count (replica fan-out rides along through
-  broadcast/all-gather);
+- seeded random platforms x every scheduled collective, replayed over a
+  randomized period count (replica fan-out rides along through
+  broadcast/all-gather, compute tasks through the reductions);
+- seeded random platforms x unchained reductions under two
+  non-commutative operators, replayed through ``simulate_schedule`` on
+  both engines;
 - hand-built *chained* relay schedules exercising the credit gate, with
   both integral and fractional (multi-slot pipe) transfer units;
 - fault/switch differentials: fail_link / fail_node mid-run, carry and
@@ -32,35 +36,28 @@ from repro.core.schedule import (
 )
 from repro.platform import generators as gen
 from repro.sim.compiled import VectorizedExecutor, compile_unsupported
-from repro.sim.executor import ScheduleExecutor
+from repro.sim.executor import ScheduleExecutor, simulate_schedule
+from repro.sim.operators import MatMul2x2Mod, SeqConcat
 
 SEED = 20260809
 
 pytest.importorskip("scipy", reason="collective solves route through scipy")
 
 
-def _pure_comm_specs():
-    specs = []
-    for spec in available_collectives():
-        if not spec.has_schedule:
-            continue
-        # value-checked semantics (a combine operator) are pinned to the
-        # reference executor by the dispatch rule; the fuzz targets the
-        # engines' shared count-exact surface.
-        if spec.name in ("reduce", "all-reduce", "prefix", "reduce-scatter"):
-            continue
-        specs.append(spec)
-    return specs
+def _scheduled_specs():
+    return [spec for spec in available_collectives() if spec.has_schedule]
 
 
-def _pair(sched, supplies):
-    ref = ScheduleExecutor(sched, supplies, record_trace=False)
+def _pair(sched, supplies, combine=None, expected=None):
+    ref = ScheduleExecutor(sched, supplies, combine=combine,
+                           expected=expected, record_trace=False)
     fast = VectorizedExecutor(sched, supplies)
     return ref, fast
 
 
 def _assert_identical(ref, fast):
     a, b = ref.result(), fast.result()
+    assert a.errors == []
     assert b.delivery_times == a.delivery_times
     assert b.completed_ops() == a.completed_ops()
     assert b.measured_throughput() == a.measured_throughput()
@@ -82,7 +79,7 @@ def test_fuzz_random_platform_collective(case):
         gen.clustered(2, 2, seed=SEED ^ case),
         gen.heterogenize(gen.ring(rng.randrange(3, 6)), seed=SEED ^ case),
     ])
-    spec = rng.choice(_pure_comm_specs())
+    spec = rng.choice(_scheduled_specs())
     problem = spec.conformance_problem(plat, plat.compute_nodes(), rng)
     if problem is None:
         pytest.skip(f"{spec.name} declines {plat.name}")
@@ -92,10 +89,109 @@ def test_fuzz_random_platform_collective(case):
     sem = spec.simulation(sched, problem)
 
     periods = rng.randrange(2, 12)
-    ref, fast = _pair(sched, sem.supplies)
+    ref, fast = _pair(sched, sem.supplies, sem.combine, sem.expected)
     for _ in range(periods):
         assert fast.run_period() == ref.run_period()
     _assert_identical(ref, fast)
+
+
+# -- unchained reductions under two operators -------------------------
+
+#: the collectives whose schedules carry compute tasks (the classical
+#: baseline reductions model their merges as communication)
+_REDUCTIONS = ("reduce", "reduce-scatter", "all-reduce")
+
+
+@pytest.mark.parametrize("op", [SeqConcat, MatMul2x2Mod],
+                         ids=["seqconcat", "matmul"])
+@pytest.mark.parametrize("case", range(6))
+def test_fuzz_unchained_reduction(case, op):
+    """Certified reductions replay bit-identically on both engines, and
+    the reference executor's value checks find nothing to report."""
+    rng = random.Random(SEED * 7 + case)
+    plat = rng.choice([
+        gen.random_connected(rng.randrange(3, 6),
+                             extra_edges=rng.randrange(0, 4),
+                             seed=SEED ^ case),
+        gen.heterogenize(gen.complete(rng.randrange(3, 5)), seed=SEED ^ case),
+        gen.heterogenize(gen.ring(rng.randrange(3, 6)), seed=SEED ^ case),
+    ])
+    specs = {s.name: s for s in available_collectives()}
+    spec = specs[rng.choice(_REDUCTIONS)]
+    problem = spec.conformance_problem(plat, plat.compute_nodes(), rng)
+    if problem is None:
+        pytest.skip(f"{spec.name} declines {plat.name}")
+    sol = solve_collective(problem, collective=spec.name, backend="exact")
+    sched = schedule_collective(sol)
+    assert sched.compute and compile_unsupported(sched) is None
+    sem = spec.simulation(sched, problem, op=op)
+
+    periods = rng.randrange(4, 40)
+    runs = [simulate_schedule(sched, sem.supplies, periods,
+                              combine=sem.combine, expected=sem.expected,
+                              record_trace=False, engine=engine)
+            for engine in ("reference", "compiled")]
+    ref, fast = runs
+    assert fast.engine == "compiled"
+    assert ref.errors == [] and ref.one_port_violations == []
+    assert fast.errors == []
+    assert fast.delivery_times == ref.delivery_times
+    assert fast.completed_ops() == ref.completed_ops()
+    assert fast.steady_window_throughput(periods=2) == \
+        ref.steady_window_throughput(periods=2)
+    assert fast.periods == ref.periods and fast.horizon == ref.horizon
+
+
+# -- the compiled result's delivery times -----------------------------
+
+
+@pytest.mark.parametrize("case", ["reduce", "scatter", "switch"])
+def test_replay_times_behave_like_the_reference_lists(case):
+    """``ReplayTimes`` keeps a compiled replay's times as period runs;
+    element access, slices, equality and window counts must match the
+    reference executor's plain lists, boundaries included."""
+    if case in ("scatter", "switch"):
+        sched, sem = _scatter_case(SEED)
+        combine = expected = None
+    else:
+        from repro.core.reduce_op import ReduceProblem
+        from repro.platform.examples import figure6_platform
+
+        problem = ReduceProblem(figure6_platform(), [0, 1, 2], 0)
+        sol = solve_collective(problem, backend="exact")
+        sched = schedule_collective(sol)
+        sem = sol.spec.simulation(sched, problem)
+        combine, expected = sem.combine, sem.expected
+    ref, fast = _pair(sched, sem.supplies, combine, expected)
+    for _ in range(5):
+        assert fast.run_period() == ref.run_period()
+    if case == "switch":  # the log then spans two epochs and tick scales
+        sched2, sem2 = _scatter_case(SEED + 1)
+        for ex in (ref, fast):
+            ex.switch_schedule(sched2, sem2.supplies, mode="carry")
+    fast.run_periods(37)
+    for _ in range(37):
+        ref.run_period()
+    a, b = ref.result(), fast.result()
+    rng = random.Random(SEED)
+    for item, want in a.delivery_times.items():
+        got = b.delivery_times[item]
+        assert got == want and want == got and list(got) == want
+        assert len(got) == len(want)
+        for i in list(range(min(len(want), 6))) + [-1, -2, len(want) // 2]:
+            if -len(want) <= i < len(want):
+                assert got[i] == want[i]
+        assert got[3:9] == want[3:9]
+        probes = want + [t + F(1, 7) for t in want[:5]] + [F(0), b.horizon]
+        for _ in range(40):
+            lo, hi = sorted(rng.sample(probes, 2)) if len(probes) > 1 \
+                else (None, probes[0])
+            lo = None if rng.random() < 0.2 else lo
+            brute = sum(1 for t in want if (lo is None or lo < t) and t <= hi)
+            assert got.count_between(lo, hi) == brute
+    assert b.completed_ops() == a.completed_ops()
+    assert b.steady_window_throughput(periods=3) == \
+        a.steady_window_throughput(periods=3)
 
 
 # -- chained relay schedules (credit gating) --------------------------

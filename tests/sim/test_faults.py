@@ -178,6 +178,43 @@ class TestFaultedComposite:
         assert fr.result.errors == []
 
 
+class TestFaultedReduction:
+    """A faulted reduce stays on the reference executor even with
+    ``record_trace=False`` (the CLI ``--sim-engine auto`` fault path): a
+    dead resource abandons one input's instances and mis-pairs stamps,
+    which only per-instance replay sees.  The ledgers are the ones the
+    reference executor wrote before the compiled engine replayed
+    reductions."""
+
+    LEDGERS = {
+        "4:fail:1:0": [
+            "('val', (2, 2), 0) seq 8 written off at 1 (schedule restart)",
+            "('val', (2, 2), 0) seq 9 written off at 1 (schedule restart)",
+            "('val', (1, 2), 0) seq 4 written off at 1 (schedule restart)",
+            "('val', (1, 2), 0) seq 5 written off at 1 (schedule restart)",
+            "('val', (1, 2), 0) seq 6 written off at 1 (schedule restart)",
+            "('val', (1, 2), 0) seq 7 written off at 1 (schedule restart)"],
+        "4:down:2": [
+            "('val', (1, 2), 0) seq 6 written off at 1 (schedule restart)",
+            "('val', (1, 2), 0) seq 7 written off at 1 (schedule restart)",
+            "('val', (1, 2), 0) seq 4 written off at 0 (schedule restart)",
+            "('val', (1, 2), 0) seq 5 written off at 0 (schedule restart)"],
+    }
+
+    @pytest.mark.parametrize("spec", list(LEDGERS))
+    def test_faulted_reduce_runs_on_reference(self, spec):
+        from repro.core.reduce_op import ReduceProblem
+
+        sol = solve_collective(ReduceProblem(figure6_platform(), [0, 1, 2], 0),
+                               backend="exact", cache=False)
+        fr = run_with_faults(sol, FaultPlan.from_spec(spec), 12,
+                             record_trace=False)
+        assert fr.result.engine == "reference"
+        assert fr.replanned and fr.result.errors == []
+        assert [sw["mode"] for sw in fr.result.switches] == ["restart"]
+        assert fr.result.abandoned == self.LEDGERS[spec]
+
+
 class TestSteadyWindow:
     def test_exact_fraction_and_window_semantics(self):
         sol = _fig9_scatter_solution()
