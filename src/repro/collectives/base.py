@@ -60,6 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.lp import LinearProgram, LPSolution
@@ -490,6 +491,24 @@ def task_balance(cons: Dict[tuple, object]):
 #: across stages (summing their occupation expressions).
 CAPACITY_PREFIXES = ("edge[", "out[", "in[", "alpha[")
 
+
+
+def add_capacity_rows(lp: LinearProgram, g, occ: Dict[EdgeKey, tuple]) -> None:
+    """Add the one-port rows the builders share, each ``<= 1``:
+    ``edge[i->j]`` per entry of ``occ`` (an edge's occupation as
+    ``(columns, coefficients)``), then ``out[p]`` and ``in[p]`` per node,
+    summing the occupations of its outgoing and incoming edges."""
+    for (i, j), (cols, coefs) in occ.items():
+        lp.add_row(cols, coefs, LE, 1, f"edge[{i}->{j}]")
+    for p in g.nodes():
+        for name, arcs in (("out", [(p, q) for q in g.successors(p)]),
+                           ("in", [(q, p) for q in g.predecessors(p)])):
+            if arcs:
+                lp.add_row([j for a in arcs for j in occ[a][0]],
+                           [c for a in arcs for c in occ[a][1]],
+                           LE, 1, f"{name}[{p}]")
+
+
 #: Constraint-name prefix of cross-stage coupling rows.  Part of the
 #: composition contract: :mod:`repro.lp.presolve` never eliminates a row
 #: carrying this prefix (see ``PROTECTED_ROW_PREFIXES`` there), so the
@@ -533,45 +552,57 @@ def compose_joint_lp(name: str, stage_lps: Sequence[LinearProgram],
     the stages compete for the same ports, edges and CPU time.  Stages
     must therefore be built over the same platform.
 
+    Rows are copied as integer rows with a column offset; a summed
+    capacity row adds the stages' numerators over the least common
+    multiple of their denominators, its terms in first-seen order.
+
     ``chain_rows`` add cross-stage coupling (:class:`ChainRow`) on top of
     the shared capacities — the pipelined composition's inter-stage
     precedence/flow-balance rows.  Every row name must start with
     :data:`CHAIN_PREFIX` and may reference variables of any stage.
     """
     joint = LinearProgram(name)
-    tp = joint.var("TP")
-    shared: Dict[str, LinExpr] = {}
-    shared_order: List[str] = []
+    tp = joint.var("TP").index
+    # capacity row name -> [den, {joint column: numerator over den}]
+    shared: Dict[str, list] = {}
+    exact = all(slp.is_rational() for slp in stage_lps)
     for k, slp in enumerate(stage_lps):
-        mapping: Dict[int, object] = {}
-        for v in slp.variables:
-            if v.name == "TP":
-                mapping[v.index] = tp
-            else:
-                mapping[v.index] = joint.var(f"s{k}:{v.name}", lb=v.lb,
-                                             ub=v.ub)
-        for con in slp.constraints:
-            new = LinExpr()
-            for idx, c in con.expr.coefs.items():
-                new.add_term(mapping[idx], c)
-            if con.name.startswith(CAPACITY_PREFIXES):
-                if con.sense != LE or con.expr.constant != -1:
+        mapping = [tp if v.name == "TP" else
+                   joint.var(f"s{k}:{v.name}", lb=v.lb, ub=v.ub).index
+                   for v in slp.variables]
+        indptr = slp.indptr
+        for i, cname in enumerate(slp.names):
+            lo, hi = indptr[i], indptr[i + 1]
+            cols = [mapping[j] for j in slp.cols[lo:hi]]
+            if cname.startswith(CAPACITY_PREFIXES):
+                if slp.senses[i] != LE or slp.row_rhs(i) != 1:
                     raise ValueError(
-                        f"stage {k}: capacity row {con.name!r} is not of "
+                        f"stage {k}: capacity row {cname!r} is not of "
                         "the normalized 'occupation <= 1' form")
-                acc = shared.get(con.name)
-                if acc is None:
-                    shared[con.name] = new
-                    shared_order.append(con.name)
-                else:
-                    acc.add_expr(new)
+                acc = shared.setdefault(cname, [1, {}])
+                d = slp.dens[i]
+                if acc[0] % d:          # widen the sum's denominator
+                    scale = d // gcd(acc[0], d)
+                    acc[0] *= scale
+                    acc[1] = {j: c * scale for j, c in acc[1].items()}
+                m, terms = acc[0] // d, acc[1]
+                for j, c in zip(cols, slp.nums[lo:hi]):
+                    terms[j] = terms.get(j, 0) + c * m
+            elif exact:
+                joint.add_int_row(cols, slp.nums[lo:hi], slp.dens[i],
+                                  slp.rhs[i], slp.senses[i], f"s{k}:{cname}")
             else:
-                new.constant = con.expr.constant
-                joint.add(Constraint(new, con.sense), name=f"s{k}:{con.name}")
-    for cname in shared_order:
-        expr = shared[cname]
-        expr.constant = -1
-        joint.add(Constraint(expr, LE), name=cname)
+                joint.add_row(cols, [c for _, c in slp.row_items(i)],
+                              slp.senses[i], slp.row_rhs(i), f"s{k}:{cname}")
+    for cname, (den, terms) in shared.items():
+        cols = [j for j, c in terms.items() if c]
+        nums = [terms[j] for j in cols]
+        if exact:
+            g = gcd(den, *nums)
+            joint.add_int_row(cols, [c // g for c in nums], den // g,
+                              den // g, LE, cname)
+        else:
+            joint.add_row(cols, [c / den for c in nums], LE, 1, cname)
     for row in chain_rows:
         if not row.name.startswith(CHAIN_PREFIX):
             raise ValueError(f"chain row {row.name!r} must be named with "
@@ -582,7 +613,7 @@ def compose_joint_lp(name: str, stage_lps: Sequence[LinearProgram],
             expr.add_term(joint.get(joint_name), coef)
         expr.constant = -row.rhs
         joint.add(Constraint(expr, row.sense), name=row.name)
-    joint.maximize(tp)
+    joint.maximize(joint.variables[tp])
     return joint
 
 
@@ -838,12 +869,12 @@ class CompositeCollectiveSpec(CollectiveSpec):
             values = getattr(solution.lp_solution, "values", None)
             lp = getattr(solution.lp_solution, "lp", None)
             if values is not None and lp is not None:
-                for con in lp.constraints:
-                    if not con.name.startswith(CHAIN_PREFIX):
+                for i, name in enumerate(lp.names):
+                    if not name.startswith(CHAIN_PREFIX):
                         continue
-                    v = con.violation(values)
+                    v = lp.row_violation(i, values)
                     if v > tol:
-                        bad.append(f"{con.name} violated by {v}")
+                        bad.append(f"{name} violated by {v}")
         return bad
 
     # ------------------------------------------------------- schedule

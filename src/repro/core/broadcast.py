@@ -31,8 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.collectives.base import CollectiveSolution
-from repro.lp import LinearProgram, LinExpr, lin_sum
+from repro.collectives.base import CollectiveSolution, add_capacity_rows
+from repro.lp import LinearProgram
+from repro.lp.model import EQ, LE
 from repro.platform.graph import NodeId, PlatformGraph
 
 EdgeKey = Tuple[NodeId, NodeId]
@@ -87,34 +88,26 @@ def build_broadcast_lp(problem: BroadcastProblem) -> LinearProgram:
     lp = LinearProgram(f"SSB({g.name})")
     tp = lp.var("TP")
 
-    xvars: Dict[EdgeKey, object] = {}
-    fvars: Dict[Tuple[NodeId, NodeId, NodeId], object] = {}
+    # column indices; rows go in as integer rows, no expressions
+    xvars: Dict[EdgeKey, int] = {}
+    fvars: Dict[Tuple[NodeId, NodeId, NodeId], int] = {}
     for e in g.edges():
-        xvars[(e.src, e.dst)] = lp.var(_xvar(e.src, e.dst))
+        xvars[(e.src, e.dst)] = lp.var(_xvar(e.src, e.dst)).index
         for t in problem.targets:
             if e.src == t:
                 continue  # a target never re-emits its own flow
-            fvars[(e.src, e.dst, t)] = lp.var(_fvar(e.src, e.dst, t))
+            fvars[(e.src, e.dst, t)] = lp.var(_fvar(e.src, e.dst, t)).index
 
     # occupation is charged on content, not on the per-target flows
-    def x_expr(i: NodeId, j: NodeId):
-        e = LinExpr()
-        e.add_term(xvars[(i, j)], problem.msg_size * g.cost(i, j))
-        return e
-
-    for e in g.edges():
-        lp.add(x_expr(e.src, e.dst) <= 1, name=f"edge[{e.src}->{e.dst}]")
-    for p in g.nodes():
-        if g.successors(p):
-            lp.add(lin_sum(x_expr(p, q) for q in g.successors(p)) <= 1,
-                   name=f"out[{p}]")
-        if g.predecessors(p):
-            lp.add(lin_sum(x_expr(q, p) for q in g.predecessors(p)) <= 1,
-                   name=f"in[{p}]")
+    add_capacity_rows(lp, g, {
+        (e.src, e.dst): ([xvars[(e.src, e.dst)]],
+                         [problem.msg_size * g.cost(e.src, e.dst)])
+        for e in g.edges()})
 
     # content dominates every per-target flow on the edge
     for (i, j, t), f in fvars.items():
-        lp.add(f <= xvars[(i, j)], name=f"content[{i}->{j},m{t}]")
+        lp.add_row([f, xvars[(i, j)]], [1, -1], LE, 0,
+                   f"content[{i}->{j},m{t}]")
 
     # per-target conservation away from source and target
     for p in g.nodes():
@@ -123,17 +116,20 @@ def build_broadcast_lp(problem: BroadcastProblem) -> LinearProgram:
         for t in problem.targets:
             if p == t:
                 continue
-            inflow = lin_sum(v for q in g.predecessors(p)
-                             if (v := fvars.get((q, p, t))) is not None)
-            outflow = lin_sum(v for q in g.successors(p)
-                              if (v := fvars.get((p, q, t))) is not None)
-            lp.add(inflow == outflow, name=f"conserve[{p},m{t}]")
+            inflow = [v for q in g.predecessors(p)
+                      if (v := fvars.get((q, p, t))) is not None]
+            outflow = [v for q in g.successors(p)
+                       if (v := fvars.get((p, q, t))) is not None]
+            lp.add_row(inflow + outflow,
+                       [1] * len(inflow) + [-1] * len(outflow),
+                       EQ, 0, f"conserve[{p},m{t}]")
 
     # every target absorbs the message at rate TP
     for t in problem.targets:
-        inflow = lin_sum(fvars[(q, t, t)] for q in g.predecessors(t)
-                         if (q, t, t) in fvars)
-        lp.add(inflow == tp, name=f"throughput[m{t}]")
+        inflow = [fvars[(q, t, t)] for q in g.predecessors(t)
+                  if (q, t, t) in fvars]
+        lp.add_row(inflow + [tp.index], [1] * len(inflow) + [-1], EQ, 0,
+                   f"throughput[m{t}]")
 
     lp.maximize(tp)
     return lp

@@ -27,9 +27,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.collectives.base import CollectiveSolution
+from repro.collectives.base import CollectiveSolution, add_capacity_rows
 from repro.core import intervals as iv
-from repro.lp import LinearProgram, LinExpr, lin_sum
+from repro.lp import LinearProgram
+from repro.lp.model import EQ, LE
 from repro.platform.graph import NodeId, PlatformGraph
 
 Interval = Tuple[int, int]
@@ -164,71 +165,61 @@ def build_reduce_lp(problem: ReduceProblem) -> LinearProgram:
     full = iv.full_interval(n)
     hosts = problem.compute_hosts()
 
-    svars: Dict[Tuple[NodeId, NodeId, Interval], object] = {}
+    # column indices; rows go in as integer rows, no expressions
+    svars: Dict[Tuple[NodeId, NodeId, Interval], int] = {}
     for e in g.edges():
         for interval in ivals:
             if e.src == problem.target and interval == full:
                 continue  # the target never re-emits the final result
-            svars[(e.src, e.dst, interval)] = lp.var(_send_name(e.src, e.dst, interval))
+            svars[(e.src, e.dst, interval)] = lp.var(
+                _send_name(e.src, e.dst, interval)).index
 
-    cvars: Dict[Tuple[NodeId, Task], object] = {}
+    cvars: Dict[Tuple[NodeId, Task], int] = {}
     for h in hosts:
         for t in tasks:
-            cvars[(h, t)] = lp.var(_cons_name(h, t))
+            cvars[(h, t)] = lp.var(_cons_name(h, t)).index
 
     # edge occupation and one-port (equations 1-3, 8)
-    def s_expr(i: NodeId, j: NodeId):
+    occ = {}
+    for e in g.edges():
+        i, j = e.src, e.dst
         c = g.cost(i, j)
-        e = LinExpr()
-        for interval in ivals:
-            v = svars.get((i, j, interval))
-            if v is not None:
-                e.add_term(v, problem.size(interval) * c)
-        return e
-
-    occ = {(e.src, e.dst): s_expr(e.src, e.dst) for e in g.edges()}
-    for (i, j), e in occ.items():
-        lp.add(e <= 1, name=f"edge[{i}->{j}]")
-    for p in g.nodes():
-        if g.successors(p):
-            lp.add(lin_sum(occ[(p, q)] for q in g.successors(p)) <= 1,
-                   name=f"out[{p}]")
-        if g.predecessors(p):
-            lp.add(lin_sum(occ[(q, p)] for q in g.predecessors(p)) <= 1,
-                   name=f"in[{p}]")
+        live = [(v, problem.size(interval) * c) for interval in ivals
+                if (v := svars.get((i, j, interval))) is not None]
+        occ[(i, j)] = ([v for v, _ in live], [a for _, a in live])
+    add_capacity_rows(lp, g, occ)
 
     # computation time (equations 7, 9): alpha(Pi) <= 1
     for h in hosts:
-        alpha = LinExpr()
-        for t in tasks:
-            alpha.add_term(cvars[(h, t)], problem.task_time(h, t))
-        lp.add(alpha <= 1, name=f"alpha[{h}]")
+        lp.add_row([cvars[(h, t)] for t in tasks],
+                   [problem.task_time(h, t) for t in tasks],
+                   LE, 1, f"alpha[{h}]")
 
-    # conservation law (equation 10)
+    # conservation law (equation 10): inflow + produced == outflow + consumed
     for p in g.nodes():
         for interval in ivals:
             if iv.is_leaf(interval) and problem.owner(interval[0]) == p:
                 continue  # fresh values appear here
             if p == problem.target and interval == full:
                 continue  # absorbed here — handled by the throughput equation
-            inflow = lin_sum(svars[(q, p, interval)] for q in g.predecessors(p)
-                             if (q, p, interval) in svars)
-            produced = lin_sum(cvars[(p, t)] for t in iv.tasks_producing(interval)
-                               if (p, t) in cvars)
-            outflow = lin_sum(svars[(p, q, interval)] for q in g.successors(p)
-                              if (p, q, interval) in svars)
-            consumed = lin_sum(cvars[(p, t)] for t in
-                               iv.tasks_consuming(interval, n) if (p, t) in cvars)
-            lp.add(inflow + produced == outflow + consumed,
-                   name=f"conserve[{p},v[{interval[0]},{interval[1]}]]")
+            gain = [svars[(q, p, interval)] for q in g.predecessors(p)
+                    if (q, p, interval) in svars]
+            gain += [cvars[(p, t)] for t in iv.tasks_producing(interval)
+                     if (p, t) in cvars]
+            loss = [svars[(p, q, interval)] for q in g.successors(p)
+                    if (p, q, interval) in svars]
+            loss += [cvars[(p, t)] for t in iv.tasks_consuming(interval, n)
+                     if (p, t) in cvars]
+            lp.add_row(gain + loss, [1] * len(gain) + [-1] * len(loss), EQ,
+                       0, f"conserve[{p},v[{interval[0]},{interval[1]}]]")
 
-    # throughput (equation 11)
-    arrival = lin_sum(svars[(q, problem.target, full)]
-                      for q in g.predecessors(problem.target)
-                      if (q, problem.target, full) in svars)
-    local = lin_sum(cvars[(problem.target, t)] for t in iv.tasks_producing(full)
-                    if (problem.target, t) in cvars)
-    lp.add(arrival + local == tp, name="throughput")
+    # throughput (equation 11): arrival + local == TP
+    gain = [svars[(q, problem.target, full)]
+            for q in g.predecessors(problem.target)
+            if (q, problem.target, full) in svars]
+    gain += [cvars[(problem.target, t)] for t in iv.tasks_producing(full)
+             if (problem.target, t) in cvars]
+    lp.add_row(gain + [tp.index], [1] * len(gain) + [-1], EQ, 0, "throughput")
 
     lp.maximize(tp)
     return lp

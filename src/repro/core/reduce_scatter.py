@@ -35,10 +35,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.collectives.base import CollectiveSolution
+from repro.collectives.base import CollectiveSolution, add_capacity_rows
 from repro.core import intervals as iv
 from repro.core.reduce_op import ReduceProblem
-from repro.lp import LinearProgram, LinExpr, lin_sum
+from repro.lp import LinearProgram
+from repro.lp.model import EQ, LE
 from repro.platform.graph import NodeId, PlatformGraph
 
 Interval = Tuple[int, int]
@@ -128,52 +129,42 @@ def build_reduce_scatter_lp(problem: ReduceScatterProblem) -> LinearProgram:
     full = iv.full_interval(n)
     hosts = problem.compute_hosts()
 
-    svars: Dict[Tuple[NodeId, NodeId, int, Interval], object] = {}
+    # column indices
+    svars: Dict[Tuple[NodeId, NodeId, int, Interval], int] = {}
     for e in g.edges():
         for b in problem.blocks:
             for interval in ivals:
                 if e.src == problem.block_target(b) and interval == full:
                     continue  # a block's target never re-emits its result
                 svars[(e.src, e.dst, b, interval)] = \
-                    lp.var(_send_name(e.src, e.dst, b, interval))
+                    lp.var(_send_name(e.src, e.dst, b, interval)).index
 
-    cvars: Dict[Tuple[NodeId, int, Task], object] = {}
+    cvars: Dict[Tuple[NodeId, int, Task], int] = {}
     for h in hosts:
         for b in problem.blocks:
             for t in tasks:
-                cvars[(h, b, t)] = lp.var(_cons_name(h, b, t))
+                cvars[(h, b, t)] = lp.var(_cons_name(h, b, t)).index
 
-    # edge occupation and one-port, summed over every block's traffic
-    def s_expr(i: NodeId, j: NodeId):
+    # edge occupation and one-port, summed over every block's traffic;
+    # rows go in as integer rows, no expressions
+    occ = {}
+    for e in g.edges():
+        i, j = e.src, e.dst
         c = g.cost(i, j)
-        e = LinExpr()
-        for b in problem.blocks:
-            for interval in ivals:
-                v = svars.get((i, j, b, interval))
-                if v is not None:
-                    e.add_term(v, problem.size(interval) * c)
-        return e
-
-    occ = {(e.src, e.dst): s_expr(e.src, e.dst) for e in g.edges()}
-    for (i, j), e in occ.items():
-        lp.add(e <= 1, name=f"edge[{i}->{j}]")
-    for p in g.nodes():
-        if g.successors(p):
-            lp.add(lin_sum(occ[(p, q)] for q in g.successors(p)) <= 1,
-                   name=f"out[{p}]")
-        if g.predecessors(p):
-            lp.add(lin_sum(occ[(q, p)] for q in g.predecessors(p)) <= 1,
-                   name=f"in[{p}]")
+        live = [(v, problem.size(interval) * c) for b in problem.blocks
+                for interval in ivals
+                if (v := svars.get((i, j, b, interval))) is not None]
+        occ[(i, j)] = ([v for v, _ in live], [a for _, a in live])
+    add_capacity_rows(lp, g, occ)
 
     # computation time: alpha(Pi) <= 1 over every block's tasks
     for h in hosts:
-        alpha = LinExpr()
-        for b in problem.blocks:
-            for t in tasks:
-                alpha.add_term(cvars[(h, b, t)], problem.task_time(h, t))
-        lp.add(alpha <= 1, name=f"alpha[{h}]")
+        lp.add_row([cvars[(h, b, t)] for b in problem.blocks for t in tasks],
+                   [problem.task_time(h, t) for _ in problem.blocks
+                    for t in tasks], LE, 1, f"alpha[{h}]")
 
-    # conservation law per (block, interval)
+    # conservation law per (block, interval): inflow + produced ==
+    # outflow + consumed
     for p in g.nodes():
         for b in problem.blocks:
             for interval in ivals:
@@ -181,29 +172,29 @@ def build_reduce_scatter_lp(problem: ReduceScatterProblem) -> LinearProgram:
                     continue  # fresh fragment of every block appears here
                 if p == problem.block_target(b) and interval == full:
                     continue  # absorbed — handled by the throughput equation
-                inflow = lin_sum(svars[(q, p, b, interval)]
-                                 for q in g.predecessors(p)
-                                 if (q, p, b, interval) in svars)
-                produced = lin_sum(cvars[(p, b, t)]
-                                   for t in iv.tasks_producing(interval)
-                                   if (p, b, t) in cvars)
-                outflow = lin_sum(svars[(p, q, b, interval)]
-                                  for q in g.successors(p)
-                                  if (p, q, b, interval) in svars)
-                consumed = lin_sum(cvars[(p, b, t)]
-                                   for t in iv.tasks_consuming(interval, n)
-                                   if (p, b, t) in cvars)
-                lp.add(inflow + produced == outflow + consumed,
-                       name=f"conserve[{p},b{b}:v[{interval[0]},{interval[1]}]]")
+                gain = [svars[(q, p, b, interval)] for q in g.predecessors(p)
+                        if (q, p, b, interval) in svars]
+                gain += [cvars[(p, b, t)]
+                         for t in iv.tasks_producing(interval)
+                         if (p, b, t) in cvars]
+                loss = [svars[(p, q, b, interval)] for q in g.successors(p)
+                        if (p, q, b, interval) in svars]
+                loss += [cvars[(p, b, t)]
+                         for t in iv.tasks_consuming(interval, n)
+                         if (p, b, t) in cvars]
+                lp.add_row(gain + loss, [1] * len(gain) + [-1] * len(loss),
+                           EQ, 0, f"conserve[{p},b{b}:v[{interval[0]},"
+                           f"{interval[1]}]]")
 
     # common throughput: every block delivered at rate TP
     for b in problem.blocks:
         tgt = problem.block_target(b)
-        arrival = lin_sum(svars[(q, tgt, b, full)] for q in g.predecessors(tgt)
-                          if (q, tgt, b, full) in svars)
-        local = lin_sum(cvars[(tgt, b, t)] for t in iv.tasks_producing(full)
-                        if (tgt, b, t) in cvars)
-        lp.add(arrival + local == tp, name=f"throughput[b{b}]")
+        gain = [svars[(q, tgt, b, full)] for q in g.predecessors(tgt)
+                if (q, tgt, b, full) in svars]
+        gain += [cvars[(tgt, b, t)] for t in iv.tasks_producing(full)
+                 if (tgt, b, t) in cvars]
+        lp.add_row(gain + [tp.index], [1] * len(gain) + [-1], EQ, 0,
+                   f"throughput[b{b}]")
 
     lp.maximize(tp)
     return lp

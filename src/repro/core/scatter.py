@@ -34,8 +34,9 @@ from typing import Dict, Hashable, Sequence, Tuple
 
 Item = Hashable
 
-from repro.collectives.base import CollectiveSolution
-from repro.lp import LinearProgram, LinExpr, lin_sum
+from repro.collectives.base import CollectiveSolution, add_capacity_rows
+from repro.lp import LinearProgram
+from repro.lp.model import EQ
 from repro.platform.graph import NodeId, PlatformGraph
 
 EdgeKey = Tuple[NodeId, NodeId]
@@ -86,35 +87,23 @@ def build_scatter_lp(problem: ScatterProblem) -> LinearProgram:
     tp = lp.var("TP")
 
     edges = [(e.src, e.dst, e.cost) for e in g.edges()]
-    # send variables, skipping re-emission by the type's destination
-    svars: Dict[Tuple[NodeId, NodeId, NodeId], object] = {}
+    # send variables (column indices), skipping re-emission by the type's
+    # destination
+    svars: Dict[Tuple[NodeId, NodeId, NodeId], int] = {}
     for (i, j, _c) in edges:
         for k in problem.targets:
             if i == k:
                 continue
-            svars[(i, j, k)] = lp.var(_svar(i, j, k))
+            svars[(i, j, k)] = lp.var(_svar(i, j, k)).index
 
-    def s_expr(i: NodeId, j: NodeId):
-        c = g.cost(i, j)
-        e = LinExpr()
-        for k in problem.targets:
-            v = svars.get((i, j, k))
-            if v is not None:
-                e.add_term(v, c)
-        return e
-
-    # edge occupation in [0, 1]  (equations 1 and 4)
-    occ = {(i, j): s_expr(i, j) for (i, j, _c) in edges}
-    for (i, j), e in occ.items():
-        lp.add(e <= 1, name=f"edge[{i}->{j}]")
-    # one-port: outgoing (2) and incoming (3)
-    for p in g.nodes():
-        if g.successors(p):
-            lp.add(lin_sum(occ[(p, q)] for q in g.successors(p)) <= 1,
-                   name=f"out[{p}]")
-        if g.predecessors(p):
-            lp.add(lin_sum(occ[(q, p)] for q in g.predecessors(p)) <= 1,
-                   name=f"in[{p}]")
+    # edge occupation in [0, 1] (equations 1 and 4), one-port: outgoing
+    # (2) and incoming (3); rows go in as integer rows, no expressions
+    occ = {}
+    for (i, j, _c) in edges:
+        cols = [v for k in problem.targets
+                if (v := svars.get((i, j, k))) is not None]
+        occ[(i, j)] = (cols, [g.cost(i, j)] * len(cols))
+    add_capacity_rows(lp, g, occ)
     # conservation law (5), at i not in {source, k}
     for p in g.nodes():
         if p == problem.source:
@@ -122,16 +111,19 @@ def build_scatter_lp(problem: ScatterProblem) -> LinearProgram:
         for k in problem.targets:
             if p == k:
                 continue
-            inflow = lin_sum(v for q in g.predecessors(p)
-                             if (v := svars.get((q, p, k))) is not None)
-            outflow = lin_sum(v for q in g.successors(p)
-                              if (v := svars.get((p, q, k))) is not None)
-            lp.add(inflow == outflow, name=f"conserve[{p},m{k}]")
+            inflow = [v for q in g.predecessors(p)
+                      if (v := svars.get((q, p, k))) is not None]
+            outflow = [v for q in g.successors(p)
+                       if (v := svars.get((p, q, k))) is not None]
+            lp.add_row(inflow + outflow,
+                       [1] * len(inflow) + [-1] * len(outflow),
+                       EQ, 0, f"conserve[{p},m{k}]")
     # same throughput at every target (6)
     for k in problem.targets:
-        inflow = lin_sum(svars[(q, k, k)] for q in g.predecessors(k)
-                         if (q, k, k) in svars)
-        lp.add(inflow == tp, name=f"throughput[m{k}]")
+        inflow = [svars[(q, k, k)] for q in g.predecessors(k)
+                  if (q, k, k) in svars]
+        lp.add_row(inflow + [tp.index], [1] * len(inflow) + [-1],
+                   EQ, 0, f"throughput[m{k}]")
 
     lp.maximize(tp)
     return lp

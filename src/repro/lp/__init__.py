@@ -7,10 +7,10 @@ provides the substrate from scratch:
 
 - :mod:`repro.lp.model` — a small PuLP-flavoured modeling layer
   (:class:`LinearProgram`, :class:`Variable`, affine expressions,
-  ``<=``/``>=``/``==`` constraints).  Expression building is linear-time:
-  ``lin_sum`` and :meth:`LinExpr.add_term` accumulate in place, so the LP
-  builders in :mod:`repro.core` stay O(terms) even on 5–10× scaled
-  platforms.
+  ``<=``/``>=``/``==`` constraints) over one storage: integer CSR rows
+  (numerators over one denominator per row).  The large builders in
+  :mod:`repro.core` write rows directly with
+  :meth:`LinearProgram.add_row`; every solver layer reads the rows.
 - :mod:`repro.lp.presolve` — fraction-preserving model shrinking run
   before either backend: fixed variables, singleton/empty rows, zero
   columns, duplicate and dominated one-port rows, free column

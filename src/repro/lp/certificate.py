@@ -18,6 +18,8 @@ checked as the maximization of ``-c`` with multipliers ``-y``.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd
 from typing import Dict, List, Optional, Tuple
 
 from repro.lp.model import GE, LE, LinearProgram, Number
@@ -27,24 +29,36 @@ def dual_bound(lp: LinearProgram,
                y: Dict[int, Number]) -> Tuple[Optional[Number], List[str]]:
     """The objective bound proved by multipliers ``y`` (keyed by
     constraint position), or ``None`` with the reasons ``y`` is not dual
-    feasible."""
+    feasible.
+
+    ``y . A`` and ``y . b`` of a rational model are summed on integers,
+    over the least common multiple of the used rows' ``y_i`` denominator
+    times row denominator, so each column's ``(y . A)_j`` is one
+    Fraction at the end."""
     s = 1 if lp.sense_max else -1
     bad: List[str] = []
-    bound: Number = 0
-    ya: Dict[int, Number] = {}
-    for i, yi in y.items():
-        if not yi:
-            continue
-        con = lp.constraints[i]
-        ys = s * yi
-        if (con.sense == LE and ys < 0) or (con.sense == GE and ys > 0):
-            bad.append(f"sign:{con.name or f'c{i}'}")
-        bound -= ys * con.expr.constant          # b_i = -constant
-        for j, a in con.expr.coefs.items():
-            ya[j] = ya.get(j, 0) + ys * a
+    used = [(i, Fraction(s * yi)) for i, yi in y.items() if yi]
+    big = 1
+    for i, ys in used:
+        sense = lp.senses[i]
+        if (sense == LE and ys < 0) or (sense == GE and ys > 0):
+            bad.append(f"sign:{lp.names[i] or f'c{i}'}")
+        d = ys.denominator * lp.dens[i]
+        if big % d:
+            big = big // gcd(big, d) * d
+    yb = 0
+    ya: Dict[int, int] = {}
+    indptr, cols, nums = lp.indptr, lp.cols, lp.nums
+    for i, ys in used:
+        k = ys.numerator * (big // (ys.denominator * lp.dens[i]))
+        yb += k * lp.rhs[i]
+        for j, a in zip(cols[indptr[i]:indptr[i + 1]],
+                        nums[indptr[i]:indptr[i + 1]]):
+            ya[j] = ya.get(j, 0) + k * a
+    bound: Number = Fraction(yb, big)
     cost = lp.objective.coefs
     for j in set(cost) | set(ya):
-        d = s * cost.get(j, 0) - ya.get(j, 0)
+        d = s * cost.get(j, 0) - Fraction(ya.get(j, 0), big)
         var = lp.variables[j]
         if d > 0:
             if var.ub is None:

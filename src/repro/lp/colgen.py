@@ -68,7 +68,7 @@ from scipy import sparse
 from scipy.optimize import linprog as _linprog
 
 from repro.lp.exact_simplex import ExactSimplexSolver
-from repro.lp.model import EQ, LE, Constraint, LinearProgram, LinExpr
+from repro.lp.model import EQ, LE, LinearProgram, LinExpr
 from repro.lp.revised_simplex import (IncrementalColumnMaster,
                                       RevisedSimplexSolver)
 from repro.lp.solution import LPSolution, SolveStatus
@@ -123,7 +123,7 @@ class Structure:
     """Block-angular decomposition of one LP (see :func:`detect`)."""
 
     master_var_idx: List[int]
-    master_rows: List[int]          # positions in lp.constraints
+    master_rows: List[int]          # row positions in the LP
     blocks: List[_BlockPayload]
 
 
@@ -162,18 +162,17 @@ def detect(lp: LinearProgram,
 
     master_rows: List[int] = []
     block_rows: List[int] = []
-    for ci, con in enumerate(lp.constraints):
-        coefs = con.expr.coefs
-        if (con.expr.constant != 0
-                or con.name.startswith(MASTER_ROW_PREFIXES)
-                or any(master_var[j] for j in coefs)
-                or not coefs):
+    indptr, cols = lp.indptr, lp.cols
+    for ci, (name, b) in enumerate(zip(lp.names, lp.rhs)):
+        rcols = cols[indptr[ci]:indptr[ci + 1]]
+        if (b != 0 or not rcols
+                or name.startswith(MASTER_ROW_PREFIXES)
+                or any(map(master_var.__getitem__, rcols))):
             master_rows.append(ci)
             continue
         block_rows.append(ci)
-        it = iter(coefs)
-        r0 = find(next(it))
-        for j in it:
+        r0 = find(rcols[0])
+        for j in rcols[1:]:
             parent[find(j)] = r0
 
     comp_vars: Dict[int, List[int]] = {}
@@ -185,8 +184,7 @@ def detect(lp: LinearProgram,
     # appear only in master rows (or nowhere) — promote them to master
     rows_of: Dict[int, List[int]] = {}
     for ci in block_rows:
-        rows_of.setdefault(find(next(iter(lp.constraints[ci].expr.coefs))),
-                           []).append(ci)
+        rows_of.setdefault(find(cols[indptr[ci]]), []).append(ci)
     blocks: List[_BlockPayload] = []
     master_extra: List[int] = []
     # deterministic block order: by smallest member variable index
@@ -198,9 +196,8 @@ def detect(lp: LinearProgram,
             continue
         local = {j: lj for lj, j in enumerate(vidx)}
         rows = tuple(
-            (lp.constraints[ci].sense,
-             tuple(sorted((local[j], c)
-                          for j, c in lp.constraints[ci].expr.coefs.items())))
+            (lp.senses[ci],
+             tuple(sorted((local[j], c) for j, c in lp.row_items(ci))))
             for ci in sorted(rws))
         blocks.append(_BlockPayload(
             bid=len(blocks), var_idx=tuple(vidx),
@@ -218,7 +215,7 @@ def detect(lp: LinearProgram,
         j: (mc, lj) for b, mc in zip(blocks, mcs)
         for lj, j in enumerate(b.var_idx)}
     for pos, ci in enumerate(master_rows):
-        for j, c in lp.constraints[ci].expr.coefs.items():
+        for j, c in lp.row_items(ci):
             hit = owner.get(j)
             if hit is not None:
                 hit[0][hit[1]].append((pos, c))
@@ -338,17 +335,13 @@ class _BlockPricer:
         if self._lp is None:
             p = self.p
             lp = LinearProgram(f"price[b{p.bid}]")
-            xs = [lp.var(name) for name in p.var_names]
+            for name in p.var_names:
+                lp.var(name)
             for sense, terms in p.rows:
-                e = LinExpr()
-                for lj, c in terms:
-                    e.add_term(xs[lj], c)
-                lp.add(Constraint(e, sense))
-            norm = LinExpr()
-            for x in xs:
-                norm.add_term(x, 1)
-            norm.constant = -1
-            lp.add(Constraint(norm, EQ), name="norm")
+                lp.add_row([lj for lj, _ in terms], [c for _, c in terms],
+                           sense)
+            n = len(p.var_names)
+            lp.add_row(range(n), [1] * n, EQ, 1, "norm")
             self._lp = lp
         return self._lp
 
@@ -472,18 +465,11 @@ class _BlockPricer:
         lp = LinearProgram(f"price[b{self.p.bid}]#sup")
         xs = {lj: lp.var(self.p.var_names[lj]) for lj in support}
         for sense, terms in self.p.rows:
-            live = [(lj, c) for lj, c in terms if lj in sset]
-            if not live:
-                continue
-            e = LinExpr()
-            for lj, c in live:
-                e.add_term(xs[lj], c)
-            lp.add(Constraint(e, sense))
-        norm = LinExpr()
-        for lj in support:
-            norm.add_term(xs[lj], 1)
-        norm.constant = -1
-        lp.add(Constraint(norm, EQ), name="norm")
+            live = [(xs[lj].index, c) for lj, c in terms if lj in sset]
+            if live:
+                lp.add_row([j for j, _ in live], [c for _, c in live], sense)
+        lp.add_row([xs[lj].index for lj in support], [1] * len(support), EQ,
+                   1, "norm")
         obj = LinExpr()
         for lj in support:
             if w[lj]:
@@ -838,23 +824,18 @@ def _build_master(lp: LinearProgram, struct: Structure,
     for j in struct.master_var_idx:
         v = lp.variables[j]
         mvars[j] = master.var(v.name, lb=v.lb, ub=v.ub)
-    cvars = [master.var(c.name) for c in columns]
-    exprs = []
+    cvars = [master.var(c.name).index for c in columns]
+    rows = []
     for ci in struct.master_rows:
-        con = lp.constraints[ci]
-        e = LinExpr()
-        for j, c in con.expr.coefs.items():
-            mv = mvars.get(j)
-            if mv is not None:
-                e.add_term(mv, c)
-        e.constant = con.expr.constant
-        exprs.append(e)
+        rows.append([(mvars[j].index, c) for j, c in lp.row_items(ci)
+                     if j in mvars])
     for col, cv in zip(columns, cvars):
         for pos, c in col.row_coefs.items():
-            exprs[pos].add_term(cv, c)
-    for e, ci in zip(exprs, struct.master_rows):
-        con = lp.constraints[ci]
-        master.add(Constraint(e, con.sense), name=con.name or f"#m{ci}")
+            rows[pos].append((cv, c))
+    for row, ci in zip(rows, struct.master_rows):
+        master.add_row([j for j, _ in row], [c for _, c in row],
+                       lp.senses[ci], lp.row_rhs(ci),
+                       lp.names[ci] or f"#m{ci}")
     obj = LinExpr()
     for j, c in lp.objective.coefs.items():
         obj.add_term(mvars[j], c)
@@ -991,10 +972,10 @@ def _solve_structured(lp: LinearProgram, structure: Optional[Structure],
     # path-priced block off Dijkstra.
     objective_vars = set(lp.objective.coefs)
     seed_rows = {pos for pos, ci in enumerate(structure.master_rows)
-                 if lp.constraints[ci].expr.constant == 0
-                 and (lp.constraints[ci].name.startswith("chain[")
+                 if lp.rhs[ci] == 0
+                 and (lp.names[ci].startswith("chain[")
                       or not objective_vars.isdisjoint(
-                          lp.constraints[ci].expr.coefs))}
+                          lp.cols[lp.indptr[ci]:lp.indptr[ci + 1]]))}
 
     # seed round: rays of extremal rate per block (any reduced cost)
     # before the first master, so chain-coupled commodities (pipelined

@@ -128,8 +128,9 @@ def canonical_key(lp: LinearProgram) -> str:
     """Stable hash of the model (structure canonicalized).
 
     Two LPs built independently with the same variables (names, order,
-    bounds), the same constraints in the same order (coefficients are
-    sorted by variable index) and the same objective hash identically,
+    bounds), the same constraints in the same order (each row's integer
+    entries are sorted by variable index) and the same objective hash
+    identically,
     regardless of constraint *names* or coefficient dict iteration order.
     Variable names are deliberately part of the identity: cached solutions
     carry name-addressed ``basis_labels`` and are re-attached to the
@@ -140,13 +141,16 @@ def canonical_key(lp: LinearProgram) -> str:
     h.update(repr(lp.sense_max).encode())
     for v in lp.variables:
         h.update(f"|{v.name};{v.lb!r};{v.ub!r}".encode())
-    exprs = [lp.objective] + [c.expr for c in lp.constraints]
-    senses = ["obj"] + [c.sense for c in lp.constraints]
-    for sense, e in zip(senses, exprs):
-        h.update(f"|{sense};{e.constant!r};".encode())
-        for j, c in sorted(e.coefs.items()):
-            if c:
-                h.update(f"{j}:{c!r},".encode())
+    e = lp.objective
+    h.update(f"|obj;{e.constant!r};".encode())
+    for j, c in sorted(e.coefs.items()):
+        if c:
+            h.update(f"{j}:{c!r},".encode())
+    indptr, cols, nums = lp.indptr, lp.cols, lp.nums
+    for i, sense in enumerate(lp.senses):
+        lo, hi = indptr[i], indptr[i + 1]
+        h.update(f"|{sense};{lp.rhs[i]!r}/{lp.dens[i]};"
+                 f"{sorted(zip(cols[lo:hi], nums[lo:hi]))}".encode())
     return h.hexdigest()
 
 

@@ -285,36 +285,15 @@ class ExactSimplexSolver:
         n = lp.num_vars()
         lbs = [Fraction(v.lb) for v in lp.variables]
 
-        # Raw rows:  sum_j a_ij * y_j  (sense)  b_i   with y = x - lb >= 0.
-        raw: List[Tuple[Dict[int, Fraction], str, Fraction, Label]] = []
-        for ci, con in enumerate(lp.constraints):
-            b = -Fraction(con.expr.constant)
-            coefs: Dict[int, Fraction] = {}
-            for j, c in con.expr.coefs.items():
-                c = Fraction(c)
-                if c:
-                    coefs[j] = c
-                    if lbs[j]:
-                        b -= c * lbs[j]
-            raw.append((coefs, con.sense, b, ("s", con.name or f"#c{ci}")))
-        for v in lp.variables:
-            if v.ub is not None:
-                raw.append(({v.index: Fraction(1)}, LE,
-                            Fraction(v.ub) - lbs[v.index],
-                            ("s", f"#ub:{v.name}")))
-
-        m = len(raw)
-        # Integerize each row over its lcm-of-denominators; normalize b >= 0.
+        # Rows:  sum_j a_ij * y_j  (sense)  b_i   with y = x - lb >= 0, as
+        # integers over the row's least common denominator (the model's
+        # own rows when no lower bound shifts them), normalized to b >= 0.
         int_rows: List[Row] = []
         dens: List[int] = []
         senses: List[str] = []
         tags: List[Label] = []
-        for coefs, sense, b, tag in raw:
-            den = b.denominator
-            for c in coefs.values():
-                den = den // gcd(den, c.denominator) * c.denominator
-            d: Row = {j: c.numerator * (den // c.denominator) for j, c in coefs.items()}
-            bi = b.numerator * (den // b.denominator)
+
+        def push(d: Row, den: int, bi: int, sense: str, tag: Label) -> None:
             if bi < 0:
                 d = {j: -v for j, v in d.items()}
                 bi = -bi
@@ -325,6 +304,29 @@ class ExactSimplexSolver:
             dens.append(den)
             senses.append(sense)
             tags.append(tag)
+
+        indptr, cols, nums = lp.indptr, lp.cols, lp.nums
+        for ci, sense in enumerate(lp.senses):
+            lo, hi = indptr[ci], indptr[ci + 1]
+            d: Row = dict(zip(cols[lo:hi], nums[lo:hi]))
+            den, bi = lp.dens[ci], lp.rhs[ci]
+            if any(lbs[j] for j in d):
+                coefs = {j: Fraction(c, den) for j, c in d.items()}
+                b = Fraction(lp.row_rhs(ci)) - sum(
+                    c * lbs[j] for j, c in coefs.items() if lbs[j])
+                den = b.denominator
+                for c in coefs.values():
+                    den = den // gcd(den, c.denominator) * c.denominator
+                d = {j: c.numerator * (den // c.denominator)
+                     for j, c in coefs.items()}
+                bi = b.numerator * (den // b.denominator)
+            push(d, den, bi, sense, ("s", lp.names[ci] or f"#c{ci}"))
+        for v in lp.variables:
+            if v.ub is not None:
+                b = Fraction(v.ub) - lbs[v.index]
+                push({v.index: b.denominator}, b.denominator, b.numerator,
+                     LE, ("s", f"#ub:{v.name}"))
+        m = len(int_rows)
 
         # Column layout: [structural 0..n) | slacks/surplus | artificials].
         slack_col: Dict[int, int] = {}

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import linprog
 
-from repro.lp.model import EQ, GE, LinearProgram
+from repro.lp.model import GE, LinearProgram
 from repro.lp.solution import LPSolution, SolveStatus
 
 #: The :func:`scipy.optimize.linprog` method.
@@ -41,22 +41,9 @@ class HighsSolver:
             c = -c
 
         # linprog takes A_ub x <= b_ub and A_eq x == b_eq: >= rows go in
-        # negated (sign -1)
-        cons = lp.constraints
-        a, b = np.zeros((len(cons), n)), np.zeros(len(cons))
-        for i, con in enumerate(cons):
-            for j, coef in con.expr.coefs.items():
-                a[i, j] = float(coef)
-            b[i] = -float(con.expr.constant)
-        sign = np.array([-1.0 if con.sense == GE else 1.0 for con in cons])
-        a *= sign[:, None]
-        b *= sign
-        is_eq = np.array([con.sense == EQ for con in cons], dtype=bool)
-        ub, eq = np.flatnonzero(~is_eq), np.flatnonzero(is_eq)
-        res = linprog(c, A_ub=a[ub] if ub.size else None,
-                      b_ub=b[ub] if ub.size else None,
-                      A_eq=a[eq] if eq.size else None,
-                      b_eq=b[eq] if eq.size else None,
+        # negated, as sparse blocks (ring-scale rows would not fit densely)
+        a_ub, b_ub, ub, a_eq, b_eq, eq = lp.float_rows()
+        res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
                       bounds=[(float(v.lb), None if v.ub is None
                                else float(v.ub)) for v in lp.variables],
                       method=METHOD)
@@ -70,8 +57,9 @@ class HighsSolver:
         values = {j: float(x) for j, x in enumerate(res.x) if x != 0.0}
         # marginals are d(min objective)/d(rhs); LPSolution.duals wants
         # d(objective)/d(b_i) of the LP as posed, >= rows un-negated
-        y = np.zeros(len(cons))
+        y = np.zeros(lp.num_constraints())
         y[ub], y[eq] = res.ineqlin.marginals, res.eqlin.marginals
+        sign = np.where(np.asarray(lp.senses) == GE, -1.0, 1.0)
         y *= sign * (-1.0 if lp.sense_max else 1.0)
         return LPSolution(SolveStatus.OPTIMAL,
                           objective=lp.objective.evaluate(values),

@@ -29,7 +29,8 @@ Reductions (applied to a fixpoint, each with its postsolve inverse):
     direction is unbounded are *kept* so the simplex can certify
     unboundedness itself.  *Inverse:* report the chosen bound.
 ``duplicate_row``
-    Rows equal up to a positive scale collapse to the tightest of the
+    Rows equal up to a nonzero scale (same integer row divided by its
+    gcd, sign fixed by the first column) collapse to the tightest of the
     group; equalities swallow consistent inequalities, and contradictory
     pairs prove infeasibility.  *Inverse:* nothing.
 ``dominated_row``
@@ -76,6 +77,10 @@ protected row whose variables have all been fixed is checked for
 feasibility and then removed like any other empty row — an empty row is
 nothing but a feasibility fact.
 
+The workspace reads the model's integer rows (each entry's exact value,
+``num / den``) and writes the reduced model through
+:meth:`~repro.lp.model.LinearProgram.add_row`, keeping row order and
+the order of entries within each row.
 :func:`presolve` returns a :class:`PresolveResult` whose ``lp`` is a
 fresh, compact :class:`~repro.lp.model.LinearProgram` (original variable
 names and constraint names are preserved) and whose ``postsolve`` maps a
@@ -87,9 +92,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Dict, List, Optional, Tuple
 
-from repro.lp.model import EQ, GE, LE, Constraint, LinearProgram, LinExpr
+from repro.lp.model import EQ, GE, LE, LinearProgram, LinExpr
 from repro.lp.solution import SolveStatus
 
 Number = object  # int | Fraction (floats are never produced by presolve)
@@ -209,12 +215,17 @@ class _Work:
         self.cols: List[set] = [set() for _ in range(n)]
         #: rows that must survive as rows (cross-stage coupling contract)
         self.protected: List[bool] = []
-        for i, con in enumerate(lp.constraints):
-            coefs = {j: _frac(c) for j, c in con.expr.coefs.items() if c}
+        exact = lp._exact           # no float row or bound
+        for i, sense in enumerate(lp.senses):
+            coefs = dict(lp.row_items(i))
+            b = lp.row_rhs(i)
+            if not exact:
+                coefs = {j: _frac(c) for j, c in coefs.items()}
+                b = _frac(b)
             self.rows.append(coefs)
-            self.sense.append(con.sense)
-            self.rhs.append(-_frac(con.expr.constant))
-            name = con.name or f"#c{i}"
+            self.sense.append(sense)
+            self.rhs.append(b)
+            name = lp.names[i] or f"#c{i}"
             self.rname.append(name)
             self.protected.append(name.startswith(PROTECTED_ROW_PREFIXES))
             for j in coefs:
@@ -356,28 +367,42 @@ def _pass_cols(w: _Work, sense_max: bool, for_canonical: bool) -> bool:
 
 
 def _pass_duplicates(w: _Work) -> bool:
-    """Collapse rows that are equal up to a positive scale."""
+    """Collapse rows that are equal up to a nonzero scale.
+
+    A row's signature is its integer form divided by the gcd of its
+    numerators, signed so its first column's entry is positive: rows
+    share a signature exactly when they are proportional.  Dividing a
+    row by the same factor turns its right-hand side into one all rows
+    of the group compare on (a sense flips with a negative factor)."""
     changed = False
     groups: Dict[Tuple, List[int]] = {}
+    norm: Dict[int, Tuple[str, Number]] = {}
     for i, row in enumerate(w.rows):
         if row is None or not row or w.protected[i]:
             continue
-        scale = row[min(row)]
-        sig = tuple(sorted((j, _div(c, scale)) for j, c in row.items()))
+        den = 1
+        for c in row.values():
+            d = c.denominator
+            if den % d:
+                den = den // gcd(den, d) * d
+        nums = [c.numerator * (den // c.denominator) for c in row.values()]
+        g = gcd(*nums)
+        if row[min(row)] < 0:
+            g = -g
+        sig = tuple(sorted(zip(row, [c // g for c in nums])))
         groups.setdefault(sig, []).append(i)
+        s = w.sense[i]
+        if g < 0:
+            s = {LE: GE, GE: LE, EQ: EQ}[s]
+        norm[i] = (s, w.rhs[i] * Fraction(den, g))
     for sig, idxs in groups.items():
         if len(idxs) < 2:
             continue
-        # normalized form: sig . x (sense') rhs/scale, sense flipped if scale<0
         lo: Optional[Number] = None   # strongest >= bound
         hi: Optional[Number] = None   # strongest <= bound
         eq: Optional[Number] = None
         for i in idxs:
-            scale = w.rows[i][min(w.rows[i])]
-            b = _div(w.rhs[i], scale)
-            s = w.sense[i]
-            if scale < 0:
-                s = {LE: GE, GE: LE, EQ: EQ}[s]
+            s, b = norm[i]
             if s == EQ:
                 if eq is not None and eq != b:
                     w.infeasible = True
@@ -397,11 +422,7 @@ def _pass_duplicates(w: _Work) -> bool:
         # keep at most one row per surviving sense
         keep_eq = keep_le = keep_ge = None
         for i in idxs:
-            scale = w.rows[i][min(w.rows[i])]
-            s = w.sense[i]
-            if scale < 0:
-                s = {LE: GE, GE: LE, EQ: EQ}[s]
-            b = _div(w.rhs[i], scale)
+            s, b = norm[i]
             if eq is not None:
                 if s == EQ and keep_eq is None:
                     keep_eq = i
@@ -489,27 +510,24 @@ def presolve(lp: LinearProgram, for_canonical: bool = False,
 
     reduced = LinearProgram(lp.name)
     kept: List[int] = []
-    new_index: Dict[int, object] = {}
+    new_index: Dict[int, int] = {}
     for j, v in enumerate(lp.variables):
         if w.var_alive[j]:
             kept.append(j)
-            new_index[j] = reduced.var(v.name, lb=w.lb[j], ub=w.ub[j])
+            new_index[j] = reduced.var(v.name, lb=w.lb[j], ub=w.ub[j]).index
     oexpr = LinExpr({}, _frac(lp.objective.constant) + w.obj_offset)
     for j in kept:
         c = w.obj.get(j, 0)
         if c:
-            oexpr.add_term(new_index[j], c)
+            oexpr.add_term(reduced.variables[new_index[j]], c)
     if lp.sense_max:
         reduced.maximize(oexpr)
     else:
         reduced.minimize(oexpr)
     for i, row in enumerate(w.rows):
-        if row is None:
-            continue
-        e = LinExpr({}, -w.rhs[i])
-        for j, c in row.items():
-            e.add_term(new_index[j], c)
-        reduced.add(Constraint(e, w.sense[i]), name=w.rname[i])
+        if row is not None:
+            reduced.add_row([new_index[j] for j in row], list(row.values()),
+                            w.sense[i], w.rhs[i], w.rname[i])
     w.stats["vars_after"] = reduced.num_vars()
     w.stats["rows_after"] = reduced.num_constraints()
     return PresolveResult(

@@ -43,11 +43,10 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.sparse import csr_array
 
 from repro.lp.exact_simplex import _fdiv, _row_sub
 from repro.lp.fastfrac import frac_div, sub_mul
-from repro.lp.model import EQ, GE, LE, LinearProgram
+from repro.lp.model import EQ, GE, LE, LinearProgram, exact_value
 from repro.lp.solution import LPSolution, SolveStatus
 
 Label = Tuple[str, object]
@@ -139,7 +138,7 @@ def _float_crash_labels(
     falls back to a cold exact solve.
     """
     n = lp.num_vars()
-    m = len(lp.constraints)
+    m = lp.num_constraints()
     if n == 0 or m == 0:
         return None
     c = np.zeros(n)
@@ -148,34 +147,12 @@ def _float_crash_labels(
     if lp.sense_max:
         c = -c
 
-    # one pass over the rows into CSR arrays (ring128-scale rows would
-    # not fit densely): the <= block (>= rows negated) and the == block,
-    # each row's entries in expression order
-    ub = ([], [], [0], [])        # data, column indices, indptr, rhs
-    eq = ([], [], [0], [])
-    ub_rows: List[int] = []
-    for ci, con in enumerate(lp.constraints):
-        coefs = con.expr.coefs
-        if con.sense == EQ:
-            blk, sign = eq, 1.0
-        else:
-            blk, sign = ub, (-1.0 if con.sense == GE else 1.0)
-            ub_rows.append(ci)
-        blk[0].extend(sign * float(v) for v in coefs.values())
-        blk[1].extend(coefs)
-        blk[2].append(len(blk[1]))
-        blk[3].append(-sign * float(con.expr.constant))
-
-    def matrix(blk):
-        if not blk[3]:
-            return None, None
-        return (csr_array((np.array(blk[0], dtype=float), blk[1], blk[2]),
-                          shape=(len(blk[3]), n)), np.array(blk[3]))
-
-    a_ub, b_ub = matrix(ub)
-    a_eq, b_eq = matrix(eq)
+    # the model's rows as float CSR blocks (ring128-scale rows would not
+    # fit densely): the <= block (>= rows negated) and the == block,
+    # each row's entries in the order they were added
+    a_ub, b_ub, ub_rows, a_eq, b_eq, _ = lp.float_rows()
     if a_ub is not None:
-        b_ub = b_ub + _crash_eps(np.array(ub_rows, dtype=np.int64))
+        b_ub = b_ub + _crash_eps(ub_rows.astype(np.int64))
     lbs = np.array([float(v.lb) for v in lp.variables])
     lo = lbs - _crash_eps(np.arange(m, m + n, dtype=np.int64))
     hi = np.array([np.inf if v.ub is None else float(v.ub)
@@ -203,7 +180,7 @@ def _float_crash_labels(
     # slacks of strictly loose rows — unambiguously basic at the vertex.
     # The CSR product sums each row left to right, like a Python loop.
     names = [v.name for v in lp.variables]
-    row_names = [lp.constraints[ci].name or f"#c{ci}" for ci in ub_rows]
+    row_names = [lp.names[ci] or f"#c{ci}" for ci in ub_rows.tolist()]
     off_lb = x - lo > tol
     slack = b_ub - a_ub @ x if a_ub is not None else np.zeros(0)
     loose = slack > tol
@@ -489,9 +466,10 @@ class _Core:
         # rows in ``sum a_ij y_j (sense) b_i`` form, y = x - lb >= 0,
         # normalized to b >= 0 (negate + flip sense), same as the tableau.
         # Each row is kept twice: exact columns (``acols``, the FTRAN and
-        # factorization input, int or Fraction as given) and integer rows
-        # over one denominator per row (``arows``/``row_den``), so the
-        # pivot-row and reduced-cost arithmetic is fraction-free.
+        # factorization input, int or Fraction values) and the model's
+        # integer rows over their coefficients' own denominator
+        # (``arows``/``row_den``), so the pivot-row and reduced-cost
+        # arithmetic is fraction-free.
         senses: List[str] = []
         bs: List[Fraction] = []        # int or Fraction, like acols
         tags: List[Label] = []
@@ -499,37 +477,32 @@ class _Core:
         arows: List[List[Tuple[int, int]]] = []
         row_den: List[int] = []
         self.row_flip: List[int] = []   # -1 when the row was negated below
-        for ci, con in enumerate(lp.constraints):
-            items = con.expr.coefs.items()
-            b = -con.expr.constant
+        indptr, cols, nums = lp.indptr, lp.cols, lp.nums
+        for ci, (sense, rnum, den) in enumerate(zip(lp.senses, lp.rhs,
+                                                    lp.dens)):
+            lo, hi = indptr[ci], indptr[ci + 1]
+            rcols, rnums = cols[lo:hi], nums[lo:hi]
+            b = exact_value(rnum, den)
             if shift:
-                for j, c in items:
+                for j, c in zip(rcols, rnums):
                     if j in shift:
-                        b -= c * shift[j]
-            sense = con.sense
+                        b -= exact_value(c, den) * shift[j]
             flip = 1
             if b < 0:
                 b = -b
                 sense = {LE: GE, GE: LE, EQ: EQ}[sense]
                 flip = -1
+                rnums = [-c for c in rnums]
             i = len(senses)
-            row: List[Tuple[int, object]] = []
-            den = 1
-            for j, c in items:
-                if c:
-                    if flip < 0:
-                        c = -c
-                    acols[j][i] = c
-                    row.append((j, c))
-                    dc = c.denominator
-                    if den % dc:
-                        den = den // gcd(den, dc) * dc
-            arows.append([(j, c.numerator * (den // c.denominator))
-                          for j, c in row])
-            row_den.append(den)
+            for j, c in zip(rcols, rnums):
+                acols[j][i] = exact_value(c, den)
+            # the coefficients' own least common denominator
+            g = gcd(den, *rnums)
+            arows.append([(j, c // g) for j, c in zip(rcols, rnums)])
+            row_den.append(den // g)
             senses.append(sense)
             bs.append(b)
-            tags.append(("s", con.name or f"#c{ci}"))
+            tags.append(("s", lp.names[ci] or f"#c{ci}"))
             self.row_flip.append(flip)
         for v in lp.variables:
             if v.ub is not None:

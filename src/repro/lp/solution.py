@@ -50,8 +50,8 @@ class LPSolution:
     ``presolve`` when presolve alone proved infeasibility).  The
     ``--lp-stats`` CLI flag prints it.
 
-    ``duals`` maps the *position* of each constraint in
-    ``lp.constraints`` to its row multiplier ``y_i`` at the optimum
+    ``duals`` maps the *position* of each row of ``lp`` to its row
+    multiplier ``y_i`` at the optimum
     (zeros omitted): exact rationals from the revised engine (opt-in via
     ``want_duals=True``) and from a certified HiGHS rationalization,
     floats from :class:`repro.lp.highs.HighsSolver` itself.  A solve

@@ -137,21 +137,27 @@ class SimulationResult:
             return ops / self.horizon
         return Fraction(ops) / Fraction(self.horizon)
 
-    def steady_window_throughput(self, periods: int = 8):
+    def steady_window_throughput(self, periods: int = 8,
+                                 delivery_times: Optional[Dict] = None):
         """Exact sustained rate over the trailing ``periods`` periods.
 
         Counts deliveries with ``start < t <= end`` (a landing exactly on
         a period boundary belongs to the window that ends there), applies
-        the schedule's ``delivery_mode``, and divides by the window length
-        — all in Fractions for exact-timed schedules.
+        the schedule's ``delivery_mode`` (``min``: one op needs every
+        item; ``sum``: independent streams), and divides by the window
+        length — all in Fractions for exact-timed schedules.
+        ``delivery_times`` replaces this run's own times (a faulted run
+        counts a stitched record, see
+        :func:`repro.sim.faults.steady_window_throughput`).
         """
         if periods <= 0 or self.periods == 0:
             raise ValueError("need a positive window and a non-empty run")
         T = self.schedule.period
         end = self.horizon
         start = end - periods * T
-        counts = {item: count_times(self.delivery_times.get(item, ()),
-                                    start, end)
+        times = self.delivery_times if delivery_times is None \
+            else delivery_times
+        counts = {item: count_times(times.get(item, ()), start, end)
                   for item in self.schedule.deliveries}
         if not counts:
             return Fraction(0)

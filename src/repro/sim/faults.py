@@ -30,13 +30,11 @@ drives the full loop:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.platform.perturb import (Event, LinkDegradation, LinkFailure,
                                     NodeFailure, NodeJoin, parse_event)
-from repro.sim.executor import (ScheduleExecutor, SimulationResult,
-                                count_times)
+from repro.sim.executor import ScheduleExecutor, SimulationResult
 
 
 @dataclass(frozen=True)
@@ -209,31 +207,9 @@ def run_with_faults(solution, plan: FaultPlan, n_periods: int, op=None,
 
 def steady_window_throughput(run: FaultedRun, periods: int = 8,
                              delivery_times: Optional[Dict] = None):
-    """Exact sustained throughput over the trailing ``periods`` periods.
-
-    Counts deliveries with ``start < t <= end`` (period-boundary landings
-    belong to the window that ends on them) of the *final* schedule's
-    delivery items, applies its ``delivery_mode`` (``min``: one op needs
-    every item; ``sum``: independent streams), and divides by the window
-    length — all in Fractions, so the result compares ``==`` against the
-    re-solved LP's rational optimum once the post-switch warm-up has
-    passed.
-    """
-    sr = run.result
-    schedule = sr.schedule
-    T = schedule.period
-    if periods <= 0 or sr.periods == 0:
-        raise ValueError("need a positive window and a non-empty run")
-    end = sr.horizon
-    start = end - periods * T
-    times = delivery_times if delivery_times is not None \
-        else sr.delivery_times
-    counts = {item: count_times(times.get(item, ()), start, end)
-              for item in schedule.deliveries}
-    if not counts:
-        return Fraction(0)
-    mode = schedule.delivery_mode
-    if mode is None:
-        mode = "sum" if schedule.compute else "min"
-    ops = sum(counts.values()) if mode == "sum" else min(counts.values())
-    return Fraction(ops) / (Fraction(periods) * Fraction(T))
+    """Exact sustained throughput over the trailing ``periods`` periods
+    of the *final* schedule (:meth:`SimulationResult.steady_window_throughput`,
+    optionally over other ``delivery_times``): it compares ``==`` against
+    the re-solved LP's rational optimum once the post-switch warm-up has
+    passed."""
+    return run.result.steady_window_throughput(periods, delivery_times)

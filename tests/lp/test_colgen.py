@@ -48,12 +48,13 @@ from repro.platform import generators as gen
 SEED = 20260809
 
 
-def _two_block_lp():
+def _two_block_lp(capacity=True):
     """max TP with two single-commodity blocks sharing one capacity row.
 
     Block k is the cone ``a_k == b_k`` (one conservation row); the
     ``alpha[k]`` rows tie TP under each commodity's rate and the
-    ``edge[cap]`` row makes the commodities compete for one link.
+    ``edge[cap]`` row (left out with ``capacity=False``) makes the
+    commodities compete for one link.
     """
     lp = LinearProgram("two-block")
     tp = lp.var("TP")
@@ -63,7 +64,8 @@ def _two_block_lp():
     lp.add(a1 - b1 == 0, name="cons[1]")
     lp.add(tp - a0 <= 0, name="alpha[0]")
     lp.add(tp - a1 <= 0, name="alpha[1]")
-    lp.add(a0 + b0 + a1 + b1 <= 1, name="edge[cap]")
+    if capacity:
+        lp.add(a0 + b0 + a1 + b1 <= 1, name="edge[cap]")
     lp.maximize(tp)
     return lp
 
@@ -486,10 +488,8 @@ class TestDifferential:
         assert sol.stats["rounds"] >= 1
 
     def test_unbounded_transfers(self):
-        lp = _two_block_lp()
-        # dropping the capacity row leaves TP unbounded above
-        lp.constraints[:] = [c for c in lp.constraints
-                             if c.name != "edge[cap]"]
+        # without the capacity row TP is unbounded above
+        lp = _two_block_lp(capacity=False)
         assert solve_colgen(lp).status is SolveStatus.UNBOUNDED
 
 

@@ -59,6 +59,64 @@ class TestHighs:
         assert abs(float(s.objective) - 2.0) < 1e-9
 
 
+class TestHighsSparseRows:
+    """The HiGHS route hands linprog sparse rows built from the model's
+    integer rows, never a dense ``m x n`` matrix."""
+
+    def test_ring64_scatter_stays_far_below_a_dense_matrix(self):
+        import tracemalloc
+
+        from repro.core.scatter import ScatterProblem, build_scatter_lp
+        from repro.platform import generators as gen
+
+        g = gen.ring(64)
+        lp = build_scatter_lp(ScatterProblem(g, g.nodes()[0], g.nodes()[1:]))
+        dense = lp.num_constraints() * lp.num_vars() * 8      # ~268 MB
+        tracemalloc.start()
+        try:
+            s = HighsSolver().solve(lp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.optimal and abs(float(s.objective) - 1 / 63) < 1e-9
+        assert peak < dense / 20, (peak, dense)
+
+    def test_fig9_reduce_matches_a_dense_linprog_bit_for_bit(self):
+        """Same float optimum as linprog on the dense matrices built from
+        the Fraction coefficients, compared with ``==``."""
+        import numpy as np
+        from scipy.optimize import linprog
+
+        from repro.core.reduce_op import ReduceProblem, build_reduce_lp
+        from repro.lp.model import EQ, GE
+        from repro.platform.examples import (figure9_participants,
+                                             figure9_platform, figure9_target)
+
+        lp = build_reduce_lp(ReduceProblem(
+            figure9_platform(), participants=figure9_participants(),
+            target=figure9_target(), msg_size=10, task_work=10))
+        n, cons = lp.num_vars(), lp.constraints
+        c = np.zeros(n)
+        for j, coef in lp.objective.coefs.items():
+            c[j] = -float(coef)
+        a, b = np.zeros((len(cons), n)), np.zeros(len(cons))
+        for i, con in enumerate(cons):
+            for j, coef in con.expr.coefs.items():
+                a[i, j] = float(coef)
+            b[i] = -float(con.expr.constant)
+        sign = np.array([-1.0 if con.sense == GE else 1.0 for con in cons])
+        a *= sign[:, None]
+        b *= sign
+        eq = np.array([con.sense == EQ for con in cons])
+        ref = linprog(c, A_ub=a[~eq], b_ub=b[~eq], A_eq=a[eq], b_eq=b[eq],
+                      bounds=[(float(v.lb), None) for v in lp.variables],
+                      method="highs")
+        s = HighsSolver().solve(lp)
+        assert s.optimal and ref.success
+        assert s.values == {j: float(x) for j, x in enumerate(ref.x)
+                            if x != 0.0}
+
+
 class TestSnap:
     def test_snap_to_denominator(self):
         assert snap_to_denominator(0.3333333, 3) == Fraction(1, 3)

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.lp.exact_simplex import ExactSimplexSolver
 from repro.lp.highs import HighsSolver
-from repro.lp.model import LinearProgram
+from repro.lp.model import LinearProgram, LinExpr
 from repro.lp.solution import SolveStatus
 
 coef = st.integers(min_value=0, max_value=6)
@@ -68,8 +68,10 @@ class TestSimplexProperties:
         lp2 = LinearProgram()
         xs = [lp2.var(v.name, lb=v.lb, ub=v.ub) for v in lp.variables]
         for c in lp.constraints:
+            # start from an expression: a row whose coefficients are all
+            # zero is stored (and viewed) without entries
             expr = sum((coef * xs[i] for i, coef in c.expr.coefs.items()),
-                       c.expr.constant)
+                       LinExpr({}, c.expr.constant))
             lp2.add(expr <= 0 if c.sense == "<=" else expr >= 0)
         lp2.maximize(sum(k * coef * xs[i]
                          for i, coef in lp.objective.coefs.items()))
