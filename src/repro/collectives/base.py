@@ -60,7 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.lp import LinearProgram, LPSolution
@@ -582,7 +582,7 @@ def compose_joint_lp(name: str, stage_lps: Sequence[LinearProgram],
                 acc = shared.setdefault(cname, [1, {}])
                 d = slp.dens[i]
                 if acc[0] % d:          # widen the sum's denominator
-                    scale = d // gcd(acc[0], d)
+                    scale = lcm(acc[0], d) // acc[0]
                     acc[0] *= scale
                     acc[1] = {j: c * scale for j, c in acc[1].items()}
                 m, terms = acc[0] // d, acc[1]

@@ -19,7 +19,7 @@ checked as the maximization of ``-c`` with multipliers ``-y``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Dict, List, Optional, Tuple
 
 from repro.lp.model import GE, LE, LinearProgram, Number
@@ -31,34 +31,39 @@ def dual_bound(lp: LinearProgram,
     constraint position), or ``None`` with the reasons ``y`` is not dual
     feasible.
 
-    ``y . A`` and ``y . b`` of a rational model are summed on integers,
+    ``y . A`` and ``y . b`` of rational rows are summed on integers,
     over the least common multiple of the used rows' ``y_i`` denominator
     times row denominator, so each column's ``(y . A)_j`` is one
-    Fraction at the end."""
+    Fraction at the end.  A model with float data is summed term by
+    term and its bound is a float."""
     s = 1 if lp.sense_max else -1
     bad: List[str] = []
     used = [(i, Fraction(s * yi)) for i, yi in y.items() if yi]
-    big = 1
     for i, ys in used:
         sense = lp.senses[i]
         if (sense == LE and ys < 0) or (sense == GE and ys > 0):
             bad.append(f"sign:{lp.names[i] or f'c{i}'}")
-        d = ys.denominator * lp.dens[i]
-        if big % d:
-            big = big // gcd(big, d) * d
-    yb = 0
-    ya: Dict[int, int] = {}
-    indptr, cols, nums = lp.indptr, lp.cols, lp.nums
-    for i, ys in used:
-        k = ys.numerator * (big // (ys.denominator * lp.dens[i]))
-        yb += k * lp.rhs[i]
-        for j, a in zip(cols[indptr[i]:indptr[i + 1]],
-                        nums[indptr[i]:indptr[i + 1]]):
-            ya[j] = ya.get(j, 0) + k * a
-    bound: Number = Fraction(yb, big)
+    ya: Dict[int, Number] = {}
+    if lp._exact:
+        big = lcm(*[ys.denominator * lp.dens[i] for i, ys in used])
+        yb = 0
+        indptr, cols, nums = lp.indptr, lp.cols, lp.nums
+        for i, ys in used:
+            k = ys.numerator * (big // (ys.denominator * lp.dens[i]))
+            yb += k * lp.rhs[i]
+            for j, a in zip(cols[indptr[i]:indptr[i + 1]],
+                            nums[indptr[i]:indptr[i + 1]]):
+                ya[j] = ya.get(j, 0) + k * a
+        bound: Number = Fraction(yb, big)
+        ya = {j: Fraction(v, big) for j, v in ya.items()}
+    else:
+        bound = sum(ys * lp.row_rhs(i) for i, ys in used)
+        for i, ys in used:
+            for j, a in lp.row_items(i):
+                ya[j] = ya.get(j, 0) + ys * a
     cost = lp.objective.coefs
     for j in set(cost) | set(ya):
-        d = s * cost.get(j, 0) - Fraction(ya.get(j, 0), big)
+        d = s * cost.get(j, 0) - ya.get(j, 0)
         var = lp.variables[j]
         if d > 0:
             if var.ub is None:

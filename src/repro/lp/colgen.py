@@ -59,7 +59,6 @@ import hashlib
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -68,7 +67,7 @@ from scipy import sparse
 from scipy.optimize import linprog as _linprog
 
 from repro.lp.exact_simplex import ExactSimplexSolver
-from repro.lp.model import EQ, LE, LinearProgram, LinExpr
+from repro.lp.model import EQ, LE, LinearProgram, LinExpr, common_denominator
 from repro.lp.revised_simplex import (IncrementalColumnMaster,
                                       RevisedSimplexSolver)
 from repro.lp.solution import LPSolution, SolveStatus
@@ -357,7 +356,7 @@ class _BlockPricer:
         proportionally little."""
         br = self._by_row
         if br is None:
-            self._cscale = _common_denominator(
+            self._cscale = common_denominator(
                 c for mc in self.p.master_coefs for _pos, c in mc)
             br = {}
             for lj, mc in enumerate(self.p.master_coefs):
@@ -366,7 +365,7 @@ class _BlockPricer:
                         (lj, c.numerator * (self._cscale // c.denominator)))
             self._by_row = br
         live = [(pos, y) for pos, y in duals.items() if y and pos in br]
-        yscale = _common_denominator(y for _pos, y in live)
+        yscale = common_denominator(y for _pos, y in live)
         w = [0] * len(self.p.master_coefs)
         for pos, y in live:
             yy = y.numerator * (yscale // y.denominator)
@@ -573,17 +572,6 @@ class _BlockPricer:
             return ("none",)
         vertex = {lj: v for lj, v in sol.values.items() if v}
         return ("col", sol.objective, vertex)
-
-
-def _common_denominator(values) -> int:
-    """Lcm of the denominators of ``values`` (ints and Fractions): the
-    positive factor that turns every one of them into an integer."""
-    scale = 1
-    for x in values:
-        den = x.denominator
-        if scale % den:
-            scale = scale // gcd(scale, den) * den
-    return scale
 
 
 def _settle(seeds: Dict[object, int],

@@ -83,7 +83,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.lp.model import EQ, GE, LE, LinearProgram
+from repro.lp.model import EQ, GE, LE, LinearProgram, common_denominator, int_row
 from repro.lp.solution import LPSolution, SolveStatus
 
 #: Sentinel column index holding the right-hand side of each sparse row.
@@ -314,12 +314,8 @@ class ExactSimplexSolver:
                 coefs = {j: Fraction(c, den) for j, c in d.items()}
                 b = Fraction(lp.row_rhs(ci)) - sum(
                     c * lbs[j] for j, c in coefs.items() if lbs[j])
-                den = b.denominator
-                for c in coefs.values():
-                    den = den // gcd(den, c.denominator) * c.denominator
-                d = {j: c.numerator * (den // c.denominator)
-                     for j, c in coefs.items()}
-                bi = b.numerator * (den // b.denominator)
+                shifted, den, bi = int_row(list(coefs.values()), b)
+                d = dict(zip(coefs, shifted))
             push(d, den, bi, sense, ("s", lp.names[ci] or f"#c{ci}"))
         for v in lp.variables:
             if v.ub is not None:
@@ -445,13 +441,12 @@ class ExactSimplexSolver:
         # Minimize sign * objective over y; the objective constant and the
         # lb shift are re-applied at extraction time.
         sign = -1 if lp.sense_max else 1
-        oden = 1
         ocoefs: Dict[int, Fraction] = {}
         for j, c in lp.objective.coefs.items():
             c = sign * Fraction(c)
             if c:
                 ocoefs[j] = c
-                oden = oden // gcd(oden, c.denominator) * c.denominator
+        oden = common_denominator(ocoefs.values())
         od = {j: int(c * oden) for j, c in ocoefs.items()}
         for i, bvar in enumerate(T.basis):
             a = od.get(bvar)

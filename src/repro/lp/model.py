@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -242,23 +242,11 @@ class Constraint:
         self.sense = sense
         self.name = name
 
-    def violation(self, values: Dict[int, Number]) -> Number:
-        """How much the constraint is violated (0 when satisfied exactly).
-
-        Positive return means infeasible by that amount.
-        """
-        v = self.expr.evaluate(values)
-        if self.sense == LE:
-            return v if v > 0 else 0
-        if self.sense == GE:
-            return -v if v < 0 else 0
-        return abs(v)
-
     def __repr__(self) -> str:
         return f"Constraint({self.name or '?'}: {self.expr!r} {self.sense} 0)"
 
 
-def _int_row(coefs: Sequence[Number], rhs: Number):
+def int_row(coefs: Sequence[Number], rhs: Number):
     """``(numerators, den, rhs numerator)`` of a rational row over its
     least common denominator, or ``None`` when it carries float data."""
     types = set(map(type, coefs))
@@ -268,13 +256,15 @@ def _int_row(coefs: Sequence[Number], rhs: Number):
     if not types <= _INT_FRACTION and not all(
             isinstance(c, _EXACT) for c in chain(coefs, (rhs,))):
         return None
-    den = 1
-    for c in chain(coefs, (rhs,)):
-        d = c.denominator
-        if den % d:
-            den = den // gcd(den, d) * d
+    den = common_denominator(chain(coefs, (rhs,)))
     return ([c.numerator * (den // c.denominator) for c in coefs], den,
             rhs.numerator * (den // rhs.denominator))
+
+
+def common_denominator(values: Iterable[Number]) -> int:
+    """Least common multiple of the denominators of ints and Fractions:
+    the smallest positive factor that makes every one an integer."""
+    return lcm(*[x.denominator for x in values])
 
 
 def exact_value(num: Number, den: int) -> Number:
@@ -360,7 +350,7 @@ class LinearProgram:
             raise ValueError(f"bad sense {sense!r}")
         if len(set(cols)) != len(cols):
             raise ValueError(f"row {name!r} repeats a column")
-        row = _int_row(coefs, rhs)
+        row = int_row(coefs, rhs)
         if row is None:
             self._exact = False
             nums, den = list(coefs), 1
@@ -472,13 +462,11 @@ class LinearProgram:
                 bad.append(f"ub:{v.name}")
         if not (self._exact and tol >= 0
                 and all(map(_is_exact, values.values()))):
-            return bad + self._check_values(values, tol)
+            return bad + [self.names[i] or f"c{i}"
+                          for i in range(len(self.senses))
+                          if self.row_violation(i, values) > tol]
         n = len(self.variables)
-        big = 1
-        for x in values.values():
-            d = x.denominator
-            if big % d:
-                big = big // gcd(big, d) * d
+        big = common_denominator(values.values())
         xs = [0] * n
         for j, x in values.items():
             if 0 <= j < n:
@@ -493,16 +481,10 @@ class LinearProgram:
                 bad.append(self.names[i] or f"c{i}")
         return bad
 
-    def _check_values(self, values: Dict[int, Number], tol: Number) -> List[str]:
-        """Row violations for float data or values (see
-        :meth:`row_violation`)."""
-        return [self.names[i] or f"c{i}" for i in range(len(self.senses))
-                if self.row_violation(i, values) > tol]
-
     def row_violation(self, i: int, values: Dict[int, Number]) -> Number:
         """How much row ``i`` is violated under ``values`` (0 when it
-        holds), evaluated term by term as :meth:`Constraint.violation`
-        would."""
+        holds, positive by the amount it is infeasible), evaluated term
+        by term in the values' own arithmetic."""
         v = -self.row_rhs(i)
         for j, c in self.row_items(i):
             v = v + c * values.get(j, 0)

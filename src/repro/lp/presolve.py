@@ -95,7 +95,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Optional, Tuple
 
-from repro.lp.model import EQ, GE, LE, LinearProgram, LinExpr
+from repro.lp.model import (EQ, GE, LE, LinearProgram, LinExpr,
+                            common_denominator)
 from repro.lp.solution import SolveStatus
 
 Number = object  # int | Fraction (floats are never produced by presolve)
@@ -380,11 +381,7 @@ def _pass_duplicates(w: _Work) -> bool:
     for i, row in enumerate(w.rows):
         if row is None or not row or w.protected[i]:
             continue
-        den = 1
-        for c in row.values():
-            d = c.denominator
-            if den % d:
-                den = den // gcd(den, d) * d
+        den = common_denominator(row.values())
         nums = [c.numerator * (den // c.denominator) for c in row.values()]
         g = gcd(*nums)
         if row[min(row)] < 0:

@@ -46,7 +46,8 @@ from scipy.optimize import linprog
 
 from repro.lp.exact_simplex import _fdiv, _row_sub
 from repro.lp.fastfrac import frac_div, sub_mul
-from repro.lp.model import EQ, GE, LE, LinearProgram, exact_value
+from repro.lp.model import (EQ, GE, LE, LinearProgram, common_denominator,
+                            exact_value)
 from repro.lp.solution import LPSolution, SolveStatus
 
 Label = Tuple[str, object]
@@ -87,10 +88,7 @@ def _f(x: Fraction) -> float:
 
 def _to_int_vec(fracs: Dict[int, Fraction]) -> Tuple[Dict[int, int], int]:
     """``{k: Fraction}`` as integer numerators over one lcm denominator."""
-    den = 1
-    for v in fracs.values():
-        dv = v.denominator
-        den = den // gcd(den, dv) * dv
+    den = common_denominator(fracs.values())
     return {k: v.numerator * (den // v.denominator) for k, v in fracs.items()}, den
 
 

@@ -3,6 +3,8 @@ primal/dual pair can fall short of a proof is reported."""
 
 from fractions import Fraction
 
+import pytest
+
 from repro.lp.certificate import certify, dual_bound
 from repro.lp.model import LinearProgram
 
@@ -95,3 +97,24 @@ def test_objective_constant_is_part_of_the_bound():
     assert dual_bound(lp, {0: 1}) == (6, [])
     # a multiplier that absorbs the constant into y.b proves nothing
     assert certify(lp, {0: 1}, {0: 6}) != []
+
+
+
+@pytest.mark.parametrize("where", ["row", "rhs", "bound", "objective"])
+def test_float_data_gives_a_float_bound(where):
+    """A float coefficient, right-hand side, bound or cost is no error:
+    float rows are summed term by term and give a float bound, and a
+    matching primal/dual pair still passes."""
+    lp = LinearProgram()
+    x = lp.var("x", ub=9.5 if where == "bound" else None)
+    a = 0.5 if where == "row" else 1
+    b = 4.0 if where == "rhs" else 4
+    lp.add(a * x <= b, "a")
+    c = 1.5 if where == "objective" else 1
+    lp.maximize(c * x)
+    assert not lp.is_rational()
+    y = Fraction(c) / Fraction(a)
+    bound, bad = dual_bound(lp, {0: y})
+    assert bad == [] and bound == y * b
+    assert isinstance(bound, float) is (where != "bound")
+    assert certify(lp, {0: b / a}, {0: y}) == []

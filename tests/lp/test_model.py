@@ -108,15 +108,15 @@ class TestConstraints:
 
     def test_violation_le(self, lp):
         x = lp.var("x")
-        c = lp.add(x <= 3)
-        assert c.violation({x.index: 5}) == 2
-        assert c.violation({x.index: 2}) == 0
+        lp.add(x <= 3)
+        assert lp.row_violation(0, {x.index: 5}) == 2
+        assert lp.row_violation(0, {x.index: 2}) == 0
 
     def test_violation_eq_symmetric(self, lp):
         x = lp.var("x")
-        c = lp.add(x == 3)
-        assert c.violation({x.index: 1}) == 2
-        assert c.violation({x.index: 5}) == 2
+        lp.add(x == 3)
+        assert lp.row_violation(0, {x.index: 1}) == 2
+        assert lp.row_violation(0, {x.index: 5}) == 2
 
     def test_named_constraints(self, lp):
         x = lp.var("x")
